@@ -141,11 +141,11 @@ def _cmd_image_demo(args):
     else:
         img = synthetic_natural_image(args.size, args.seed)
         write_pgm(os.path.join(args.out, "original.pgm"), img.pixels)
-    from .encoder import project_streamed, threshold_binarize
+    from .encoder import calibrate_epsilon, project_streamed, threshold_binarize
     rng = spawn_rng(args.seed, "image-demo")
     pre = project_streamed(img.flatten(), img.width * img.height * args.multiplier,
                            args.noise_sigma, derive_seed(args.seed, "encoder"), rng)
-    bhv = threshold_binarize(pre, float(np.median(pre)))
+    bhv = threshold_binarize(pre, calibrate_epsilon(pre))
 
     stages = [
         ("original", img.pixels),
@@ -295,7 +295,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except TrainingDivergedError as exc:

@@ -14,11 +14,11 @@ A crossbar is immutable after construction, so instances can be shared
 freely; every read takes its random stream as an explicit argument.
 """
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import jsondoc
 from .errors import ConfigError, DataFormatError, DimensionError
 from .rng import spawn_rng
 
@@ -151,27 +151,31 @@ class Crossbar:
     def cols(self):
         return self.config.cols
 
+    def _read_matrices(self, n, rng):
+        """Effective conductances of `n` reads: fresh noise on every free
+        cell, clamped to the rails, as an (n, rows, cols) array. Consumes
+        n*rows*cols normal draws when sigma_frac > 0. Without noise every
+        read sees g_target, returned once as (1, rows, cols)."""
+        cfg = self.config
+        if cfg.sigma_frac == 0:
+            return self.g_target[None]
+        g = rng.standard_normal((n, self.rows, self.cols))
+        g *= cfg.noise_std * (self.stuck_mask == STUCK_FREE)
+        g += self.g_target
+        np.clip(g, cfg.g_off, cfg.g_on, out=g)
+        return g
+
     def effective_read_matrix(self, rng):
         """One read's effective conductances (fresh noise, clamped).
 
         Consumes rows*cols normal draws from `rng` when sigma_frac > 0,
         none otherwise. Exposed so tests can instrument single reads.
         """
-        cfg = self.config
-        if cfg.sigma_frac == 0:
-            return self.g_target.copy()
-        noise = rng.standard_normal(self.g_target.shape) * cfg.noise_std
-        noise[self.stuck_mask != STUCK_FREE] = 0.0
-        return np.clip(self.g_target + noise, cfg.g_off, cfg.g_on)
+        return self._read_matrices(1, rng)[0].copy()
 
     def read_vmm(self, v, rng):
         """Analog multiply: returns v @ G_effective for one noisy read."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.rows,):
-            raise DimensionError(f"input shape {v.shape}, expected ({self.rows},)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("input vector must be finite")
-        return v @ self.effective_read_matrix(rng)
+        return self.read_vmm_batch(np.asarray(v, dtype=np.float64)[None], rng)[0]
 
     def read_vmm_batch(self, vs, rng):
         """Many reads, one per row of `vs`, each with fresh noise.
@@ -184,20 +188,15 @@ class Crossbar:
             raise DimensionError(f"input shape {vs.shape}, expected (n, {self.rows})")
         if not np.all(np.isfinite(vs)):
             raise ValueError("input vectors must be finite")
-        cfg = self.config
         n = vs.shape[0]
-        if cfg.sigma_frac == 0:
-            return vs @ self.g_target
         out = np.empty((n, self.cols))
-        free = (self.stuck_mask == STUCK_FREE).astype(np.float64)
         chunk = max(1, _BATCH_BUDGET // (self.rows * self.cols))
         for start in range(0, n, chunk):
             stop = min(n, start + chunk)
-            noise = rng.standard_normal((stop - start, self.rows, self.cols))
-            noise *= cfg.noise_std * free
-            noise += self.g_target
-            np.clip(noise, cfg.g_off, cfg.g_on, out=noise)
-            out[start:stop] = (vs[start:stop, None, :] @ noise)[:, 0, :]
+            g = self._read_matrices(stop - start, rng)
+            # a vector-matrix product per row keeps each read independent
+            # of the batch size; one GEMM over the batch rounds differently
+            out[start:stop] = (vs[start:stop, None, :] @ g)[:, 0, :]
         return out
 
     def program(self, g_desired):
@@ -217,18 +216,15 @@ class Crossbar:
 
     def to_json_dict(self):
         codes = "".join(_STUCK_TO_CODE[int(s)] for s in self.stuck_mask.ravel())
-        return {
-            "format": "crossbar",
-            "version": 1,
+        return jsondoc.envelope("crossbar", {
             "config": asdict(self.config),
             "g_target": self.g_target.ravel().tolist(),
             "stuck_mask": codes,
-        }
+        })
 
     @classmethod
     def from_json_dict(cls, doc):
-        if doc.get("format") != "crossbar" or doc.get("version") != 1:
-            raise DataFormatError("not a version-1 crossbar document")
+        jsondoc.check(doc, "crossbar", ("config", "g_target", "stuck_mask"))
         config = CrossbarConfig(**doc["config"])
         shape = (config.rows, config.cols)
         g = np.asarray(doc["g_target"], dtype=np.float64)
@@ -244,11 +240,8 @@ class Crossbar:
         return cls(config, g.reshape(shape), mask.reshape(shape))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
-            fh.write("\n")
+        jsondoc.save(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(jsondoc.load(path))

@@ -13,11 +13,11 @@ fails to improve by min_delta for `patience` consecutive epochs and the
 weights of the best-validation epoch are returned.
 """
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import jsondoc
 from .errors import ConfigError, DataFormatError, DimensionError, TrainingDivergedError
 from .hypervector import BinaryHypervector
 from .rng import spawn_rng
@@ -48,6 +48,14 @@ def _softmax(z):
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
+
+
+def _affine_chunks(weights, bias, X):
+    """(row slice, X[rows] @ W.T + b) over X in chunks of _EVAL_CHUNK rows,
+    so features stored as bits are widened to float64 a chunk at a time."""
+    for start in range(0, X.shape[0], _EVAL_CHUNK):
+        rows = slice(start, min(X.shape[0], start + _EVAL_CHUNK))
+        yield rows, X[rows].astype(np.float64) @ weights.T + bias
 
 
 def loss_rmse(pred, target):
@@ -119,20 +127,15 @@ class LinearDecoder:
 
     def forward(self, x):
         """Regression: W x + b. Softmax head: class probabilities."""
-        z = self.weights @ self._as_features(x) + self.bias
-        if self.head == HEAD_SOFTMAX:
-            return _softmax(z)
-        return z
+        return self.forward_batch(self._as_features(x)[None])[0]
 
     def forward_batch(self, xs):
         xs = np.asarray(xs)
         if xs.ndim != 2 or xs.shape[1] != self.in_dim:
             raise DimensionError(f"input shape {xs.shape}, expected (n, {self.in_dim})")
         out = np.empty((xs.shape[0], self.out_dim))
-        for start in range(0, xs.shape[0], _EVAL_CHUNK):
-            stop = min(xs.shape[0], start + _EVAL_CHUNK)
-            z = xs[start:stop].astype(np.float64) @ self.weights.T + self.bias
-            out[start:stop] = _softmax(z) if self.head == HEAD_SOFTMAX else z
+        for rows, z in _affine_chunks(self.weights, self.bias, xs):
+            out[rows] = _softmax(z) if self.head == HEAD_SOFTMAX else z
         return out
 
     def predict_classes(self, xs):
@@ -141,10 +144,8 @@ class LinearDecoder:
             raise ConfigError("head", "predict_classes needs the softmax head")
         xs = np.asarray(xs)
         preds = np.empty(xs.shape[0], dtype=np.int64)
-        for start in range(0, xs.shape[0], _EVAL_CHUNK):
-            stop = min(xs.shape[0], start + _EVAL_CHUNK)
-            z = xs[start:stop].astype(np.float64) @ self.weights.T + self.bias
-            preds[start:stop] = np.argmax(z, axis=1)
+        for rows, z in _affine_chunks(self.weights, self.bias, xs):
+            preds[rows] = np.argmax(z, axis=1)
         return preds
 
 
@@ -205,25 +206,18 @@ def _batch_loss_grads(weights, bias, X, Y, head):
 
 def _full_loss(weights, bias, X, Y, head):
     """Mean NLL (softmax) or RMSE (regression) over a whole set, chunked."""
-    n = X.shape[0]
-    if head == HEAD_SOFTMAX:
-        total = 0.0
-        for start in range(0, n, _EVAL_CHUNK):
-            stop = min(n, start + _EVAL_CHUNK)
-            Z = X[start:stop].astype(np.float64) @ weights.T + bias
+    total, count = 0.0, 0
+    for rows, Z in _affine_chunks(weights, bias, X):
+        if head == HEAD_SOFTMAX:
             P = _softmax(Z)
-            picked = np.maximum(P[np.arange(stop - start), Y[start:stop]], PROB_FLOOR)
+            picked = np.maximum(P[np.arange(len(Z)), Y[rows]], PROB_FLOOR)
             total += float(-np.log(picked).sum())
-        return total / n
-    sq_sum = 0.0
-    count = 0
-    for start in range(0, n, _EVAL_CHUNK):
-        stop = min(n, start + _EVAL_CHUNK)
-        Z = X[start:stop].astype(np.float64) @ weights.T + bias
-        R = Z - Y[start:stop]
-        sq_sum += float(np.sum(R * R))
-        count += R.size
-    return float(np.sqrt(sq_sum / count))
+            count += len(Z)
+        else:
+            R = Z - Y[rows]
+            total += float(np.sum(R * R))
+            count += R.size
+    return total / count if head == HEAD_SOFTMAX else float(np.sqrt(total / count))
 
 
 def _check_set(name, data, in_dim, head):
@@ -307,6 +301,15 @@ def train(model, train_set, val_set, cfg):
     return LinearDecoder(best_weights, best_bias, model.head), report
 
 
+def _one_example(model, example):
+    """(x, label) or (x, target) as a one-row training batch (X, Y)."""
+    x, target = example
+    X = model._as_features(x)[None, :]
+    if model.head == HEAD_SOFTMAX:
+        return X, np.asarray([int(target)], dtype=np.int64)
+    return X, np.asarray(target, dtype=np.float64)[None, :]
+
+
 def grad_check(model, example, h=1e-5):
     """Max relative error between analytic and central-difference gradients.
 
@@ -316,13 +319,7 @@ def grad_check(model, example, h=1e-5):
     """
     if h <= 0:
         raise ConfigError("h", "step must be > 0")
-    x, target = example
-    X = model._as_features(x)[None, :]
-    if model.head == HEAD_SOFTMAX:
-        Y = np.asarray([int(target)], dtype=np.int64)
-    else:
-        Y = np.asarray(target, dtype=np.float64)[None, :]
-
+    X, Y = _one_example(model, example)
     _, gw, gb = _batch_loss_grads(model.weights, model.bias, X, Y, model.head)
     analytic = np.concatenate([gw.ravel(), gb.ravel()])
 
@@ -348,12 +345,7 @@ def grad_check(model, example, h=1e-5):
 
 def analytic_gradient_norm(model, example):
     """L2 norm of the analytic gradient at one example (test hook)."""
-    x, target = example
-    X = model._as_features(x)[None, :]
-    if model.head == HEAD_SOFTMAX:
-        Y = np.asarray([int(target)], dtype=np.int64)
-    else:
-        Y = np.asarray(target, dtype=np.float64)[None, :]
+    X, Y = _one_example(model, example)
     _, gw, gb = _batch_loss_grads(model.weights, model.bias, X, Y, model.head)
     return float(np.sqrt(np.sum(gw * gw) + np.sum(gb * gb)))
 
@@ -364,9 +356,7 @@ def analytic_gradient_norm(model, example):
 def save_model(path, model, epsilon=None, train_config=None, seed=None):
     """Versioned JSON with everything needed to decrypt: head, dims,
     weights, bias, the encoder threshold, a config echo and the seed."""
-    doc = {
-        "format": "linear-decoder",
-        "version": 1,
+    jsondoc.save(path, jsondoc.envelope("linear-decoder", {
         "head": model.head,
         "in_dim": model.in_dim,
         "out_dim": model.out_dim,
@@ -375,18 +365,13 @@ def save_model(path, model, epsilon=None, train_config=None, seed=None):
         "epsilon": None if epsilon is None else float(epsilon),
         "train_config": None if train_config is None else asdict(train_config),
         "seed": None if seed is None else int(seed),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    }))
 
 
 def load_model(path):
     """Returns (LinearDecoder, metadata dict with epsilon/train_config/seed)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "linear-decoder" or doc.get("version") != 1:
-        raise DataFormatError("not a version-1 linear-decoder document")
+    doc = jsondoc.check(jsondoc.load(path), "linear-decoder",
+                        ("head", "in_dim", "out_dim", "weights", "bias"))
     w = np.asarray(doc["weights"], dtype=np.float64)
     expected = doc["out_dim"] * doc["in_dim"]
     if w.size != expected:

@@ -8,16 +8,20 @@ input x of length k:
   matrix per pass.
 
 Binarization compares y against a single global threshold `epsilon`;
-entries >= epsilon map to 1. The threshold is calibrated per model as the
-median of pre-threshold outputs over a calibration batch, which balances
-the 0/1 bit budget of the ciphertext.
+entries >= epsilon map to 1. The threshold is calibrated per model:
+`calibrate_epsilon` takes the pre-threshold outputs of a calibration
+batch, read in one batched call, and returns their median, which
+balances the 0/1 bit budget of the ciphertext. Single-input calls
+(`threshold_binarize`, `crossbar_pre_threshold`) are batches of one.
 
 For IdealEncoder the fresh noise is sampled in its exact projected form:
 since N has i.i.d. Normal(0, sigma^2) entries, N @ x is a vector of
 independent Normal(0, sigma^2 * ||x||^2) draws, so we sample that
 directly instead of materializing a D x k matrix per pass. The
 materializing path is kept as `project_with_noise_matrix` for reference
-and testing.
+and testing. The image pipeline's no-expansion control,
+`imagecrypto.BenchmarkEncoder`, is an IdealEncoder with a square
+projection and no threshold, and inherits these projection paths.
 """
 
 from dataclasses import dataclass
@@ -44,30 +48,26 @@ def threshold_binarize(y, epsilon):
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise DimensionError("expected a 1-D vector")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("pre-threshold values must be finite")
-    return BinaryHypervector.from_bits(y >= epsilon)
+    return BinaryHypervector.from_bits(binarize_batch(y[None], epsilon)[0])
 
 
 def binarize_batch(ys, epsilon):
     """Threshold a (n, D) batch into a uint8 bit matrix."""
+    if not np.isfinite(epsilon):
+        raise ConfigError("epsilon", f"threshold must be finite, got {epsilon!r}")
     ys = np.asarray(ys, dtype=np.float64)
     if not np.all(np.isfinite(ys)):
         raise ValueError("pre-threshold values must be finite")
     return (ys >= epsilon).astype(np.uint8)
 
 
-def calibrate_epsilon(pre_threshold, samples):
-    """Median of all pre-threshold output entries across sample inputs.
-
-    `pre_threshold` maps one input vector to its pre-threshold output;
-    pass a closure binding the encoder and a random stream.
-    """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one calibration sample")
-    outs = [np.asarray(pre_threshold(s), dtype=np.float64).ravel() for s in samples]
-    return float(np.median(np.concatenate(outs)))
+def calibrate_epsilon(pre_threshold):
+    """Median of all entries of an array of pre-threshold outputs, e.g.
+    one row per read of a calibration batch."""
+    pre_threshold = np.asarray(pre_threshold, dtype=np.float64)
+    if pre_threshold.size == 0:
+        raise ValueError("need at least one calibration output")
+    return float(np.median(pre_threshold))
 
 
 def crossbar_pre_threshold(xbar, x, rng):
@@ -81,7 +81,7 @@ def crossbar_pre_threshold(xbar, x, rng):
     G_mid = (G_on + G_off) / 2 cancels that term exactly:
     y_j = sum_i x_i * (G_ij - G_mid).
     """
-    return xbar.read_vmm(x, rng) - np.sum(x) * xbar.config.g_mid
+    return crossbar_pre_threshold_batch(xbar, np.asarray(x, dtype=np.float64)[None], rng)[0]
 
 
 def crossbar_pre_threshold_batch(xbar, xs, rng):
@@ -99,13 +99,39 @@ def encode_crossbar_batch(xbar, xs, epsilon, rng):
     return binarize_batch(crossbar_pre_threshold_batch(xbar, xs, rng), epsilon)
 
 
+_INIT_LABEL = "ideal-encoder-init"
+
+
+def _weight_blocks(label, seed, rows, cols, init_low, init_high, block_rows):
+    """Projection entries i.i.d. uniform in (init_low, init_high) from the
+    seeded `label` stream, yielded as (first row, block) `block_rows` rows
+    at a time. The stream is consumed row-major, so the blocks stack to
+    the same matrix whatever the block size."""
+    if init_low >= init_high:
+        raise ConfigError("init_low", "init interval must be nonempty")
+    rng = spawn_rng(seed, label)
+    for start in range(0, rows, block_rows):
+        yield start, rng.uniform(init_low, init_high,
+                                 size=(min(block_rows, rows - start), cols))
+
+
+def _add_noise(ys, xs, sigma, rng):
+    """Add the fresh-noise term N @ x to projections `ys` of input(s) `xs`,
+    sampled in its projected form (see the module docstring)."""
+    if sigma > 0:
+        # a single input's norm is a BLAS dot, a batch's a row-wise sum;
+        # the two can differ in the last bit, and both results are pinned
+        norms = np.linalg.norm(xs) if xs.ndim == 1 else np.linalg.norm(xs, axis=1, keepdims=True)
+        ys += sigma * norms * rng.standard_normal(ys.shape)
+    return ys
+
+
 @dataclass(frozen=True)
 class EncoderParams:
     """Dimensioning of an encoder: D = input_dim * multiplier."""
 
     input_dim: int
     multiplier: int
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -136,17 +162,15 @@ class IdealEncoder:
         object.__setattr__(self, "seed", int(seed))
 
     def __setattr__(self, name, value):
-        raise AttributeError("IdealEncoder is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def new_random(cls, input_dim, multiplier, sigma, seed,
                    init_low=-2.0, init_high=2.0, epsilon=0.0):
         """Projection entries i.i.d. uniform in (init_low, init_high)."""
-        if init_low >= init_high:
-            raise ConfigError("init_low", "init interval must be nonempty")
-        params = EncoderParams(input_dim, multiplier)
-        rng = spawn_rng(seed, "ideal-encoder-init")
-        w = rng.uniform(init_low, init_high, size=(params.output_dim, input_dim))
+        rows = EncoderParams(input_dim, multiplier).output_dim
+        _, w = next(_weight_blocks(_INIT_LABEL, seed, rows, input_dim,
+                                   init_low, init_high, block_rows=rows))
         return cls(w, sigma, epsilon, seed)
 
     @property
@@ -171,20 +195,13 @@ class IdealEncoder:
     def project(self, x, rng):
         """Pre-threshold output (W + N) x for one fresh noise draw."""
         x = self._check_input(x)
-        y = self.weights @ x
-        if self.sigma > 0:
-            y += self.sigma * np.linalg.norm(x) * rng.standard_normal(self.output_dim)
-        return y
+        return _add_noise(self.weights @ x, x, self.sigma, rng)
 
     def project_batch(self, xs, rng):
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim:
             raise DimensionError(f"input shape {xs.shape}, expected (n, {self.input_dim})")
-        ys = xs @ self.weights.T
-        if self.sigma > 0:
-            scale = self.sigma * np.linalg.norm(xs, axis=1, keepdims=True)
-            ys += scale * rng.standard_normal(ys.shape)
-        return ys
+        return _add_noise(xs @ self.weights.T, xs, self.sigma, rng)
 
     def project_with_noise_matrix(self, x, noise_matrix):
         """Reference path: y = (W + N) x with an explicit noise matrix N."""
@@ -216,12 +233,8 @@ def project_streamed(x, output_dim, sigma, seed, rng,
         raise DimensionError("expected a nonempty 1-D input")
     if not np.all(np.isfinite(x)):
         raise ValueError("input vector must be finite")
-    w_rng = spawn_rng(seed, "ideal-encoder-init")
     y = np.empty(output_dim)
-    for start in range(0, output_dim, block_rows):
-        rows = min(block_rows, output_dim - start)
-        block = w_rng.uniform(init_low, init_high, size=(rows, x.size))
-        y[start:start + rows] = block @ x
-    if sigma > 0:
-        y += sigma * np.linalg.norm(x) * rng.standard_normal(output_dim)
-    return y
+    for start, block in _weight_blocks(_INIT_LABEL, seed, output_dim, x.size,
+                                       init_low, init_high, block_rows):
+        y[start:start + len(block)] = block @ x
+    return _add_noise(y, x, sigma, rng)

@@ -8,17 +8,17 @@ and two runs of the same spec produce byte-identical reports (wall time
 aside, which the comparison mode excludes).
 """
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import jsondoc
 from .crossbar import Crossbar, CrossbarConfig
 from .decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder, TrainConfig,
                       train)
-from .encoder import IdealEncoder, calibrate_epsilon, crossbar_pre_threshold
+from .encoder import IdealEncoder, calibrate_epsilon, crossbar_pre_threshold_batch
 from .errors import ConfigError, DataFormatError
 from .imagecrypto import BenchmarkEncoder
 from .rng import derive_seed, spawn_rng
@@ -87,9 +87,9 @@ CALIBRATION_PASSES = 4
 def calibrate_text_epsilon(xbar, keys, master_seed, passes=CALIBRATION_PASSES):
     """Threshold = median pre-threshold output over every key vector,
     read `passes` times each with fresh noise."""
-    rng = spawn_rng(master_seed, "calibrate")
-    samples = [keys.vectors[i] for i in range(NUM_CLASSES)] * passes
-    return calibrate_epsilon(lambda v: crossbar_pre_threshold(xbar, v, rng), samples)
+    reads = crossbar_pre_threshold_batch(xbar, np.tile(keys.vectors, (passes, 1)),
+                                         spawn_rng(master_seed, "calibrate"))
+    return calibrate_epsilon(reads)
 
 
 def make_text_datasets(xbar, keys, epsilon, sizes, master_seed):
@@ -285,12 +285,11 @@ class ExperimentSpec:
         doc = asdict(self)
         doc["multipliers"] = list(self.multipliers)
         doc["sigmas"] = list(self.sigmas)
-        return {"format": "experiment-spec", "version": 1, **doc}
+        return jsondoc.envelope("experiment-spec", doc)
 
     @classmethod
     def from_json_dict(cls, doc):
-        if doc.get("format") != "experiment-spec" or doc.get("version") != 1:
-            raise DataFormatError("not a version-1 experiment-spec document")
+        jsondoc.check(doc, "experiment-spec")
         fields = {k: v for k, v in doc.items() if k not in ("format", "version")}
         known = set(cls.__dataclass_fields__)
         unknown = set(fields) - known
@@ -302,14 +301,11 @@ class ExperimentSpec:
         return cls(**fields)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        jsondoc.save(path, self.to_json_dict(), indent=2)
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(jsondoc.load(path))
 
 
 def grid_cells(spec):
@@ -391,17 +387,14 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self):
-        return {
-            "format": "experiment-report",
-            "version": 1,
+        return jsondoc.envelope("experiment-report", {
             "spec": self.spec_echo,
             "rows": [asdict(r) for r in self.rows],
-        }
+        })
 
     @classmethod
     def from_json_dict(cls, doc):
-        if doc.get("format") != "experiment-report" or doc.get("version") != 1:
-            raise DataFormatError("not a version-1 experiment-report document")
+        jsondoc.check(doc, "experiment-report", ("spec", "rows"))
         return cls(rows=[ReportRow(**r) for r in doc["rows"]], spec_echo=doc["spec"])
 
     @classmethod
@@ -422,14 +415,11 @@ class ExperimentReport:
             with open(csv_path, "w", encoding="utf-8") as fh:
                 fh.write(self.csv_text())
         if json_path is not None:
-            with open(json_path, "w", encoding="utf-8") as fh:
-                json.dump(self.to_json_dict(), fh, indent=2)
-                fh.write("\n")
+            jsondoc.save(json_path, self.to_json_dict(), indent=2)
 
     @classmethod
     def load_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(jsondoc.load(path))
 
 
 # --- image robustness cells ---------------------------------------------------
@@ -487,7 +477,7 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
         enc = IdealEncoder.new_random(k, multiplier, sigma,
                                       derive_seed(master_seed, "encoder"),
                                       init_low=init_range[0], init_high=init_range[1])
-        enc = enc.with_epsilon(float(np.median(enc.project_batch(flats[:64], calib_rng))))
+        enc = enc.with_epsilon(calibrate_epsilon(enc.project_batch(flats[:64], calib_rng)))
         feat_dim = enc.output_dim
         X = enc.encode_batch(repeated, spawn_rng(master_seed, "train-data")).astype(np.float64)
         X_val = enc.encode_batch(val_flats, spawn_rng(master_seed, "val-data")).astype(np.float64)

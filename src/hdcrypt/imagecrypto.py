@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import HEAD_REGRESSION
+from .encoder import IdealEncoder, _weight_blocks
 from .errors import ConfigError, DegenerateStatisticError, DimensionError
 from .hypervector import BinaryHypervector
-from .rng import spawn_rng
 
 __all__ = [
     "GrayImage",
@@ -65,67 +65,36 @@ class GrayImage:
         return self.pixels.ravel()
 
 
-class BenchmarkEncoder:
+class BenchmarkEncoder(IdealEncoder):
     """Square projection with per-pass Gaussian noise and no threshold.
 
     The control pipeline: same noise injection as the hypervector encoder
     but without dimension expansion or binarization, so the decoder sees
-    the raw noisy projection.
+    the raw noisy projection. Its weights are drawn from their own seeded
+    stream, "benchmark-encoder-init", not the IdealEncoder's.
     """
 
-    __slots__ = ("weights", "sigma", "seed")
+    __slots__ = ()
 
     def __init__(self, weights, sigma, seed=0):
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
+        shape = np.shape(weights)
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise DimensionError("benchmark weights must be square")
-        if sigma < 0:
-            raise ConfigError("sigma", f"must be >= 0, got {sigma!r}")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "sigma", float(sigma))
-        object.__setattr__(self, "seed", int(seed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BenchmarkEncoder is immutable")
+        # epsilon is never read: the benchmark pipeline does not threshold
+        super().__init__(weights, sigma, 0.0, seed)
 
     @classmethod
     def new_random(cls, dim, sigma, seed, init_low=-2.0, init_high=2.0):
-        rng = spawn_rng(seed, "benchmark-encoder-init")
-        return cls(rng.uniform(init_low, init_high, size=(dim, dim)), sigma, seed)
+        _, w = next(_weight_blocks("benchmark-encoder-init", seed, dim, dim,
+                                   init_low, init_high, block_rows=dim))
+        return cls(w, sigma, seed)
 
     @property
     def dim(self):
         return self.weights.shape[0]
 
-    def project(self, x, rng):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise DimensionError(f"input shape {x.shape}, expected ({self.dim},)")
-        y = self.weights @ x
-        if self.sigma > 0:
-            y += self.sigma * np.linalg.norm(x) * rng.standard_normal(self.dim)
-        return y
-
-    def project_batch(self, xs, rng):
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise DimensionError(f"input shape {xs.shape}, expected (n, {self.dim})")
-        ys = xs @ self.weights.T
-        if self.sigma > 0:
-            ys += self.sigma * np.linalg.norm(xs, axis=1, keepdims=True) \
-                * rng.standard_normal(ys.shape)
-        return ys
-
-    def project_with_noise_matrix(self, x, noise_matrix):
-        """Reference path with an explicit noise matrix (tests)."""
-        x = np.asarray(x, dtype=np.float64)
-        noise_matrix = np.asarray(noise_matrix, dtype=np.float64)
-        if noise_matrix.shape != self.weights.shape:
-            raise DimensionError(
-                f"noise shape {noise_matrix.shape}, expected {self.weights.shape}"
-            )
-        return (self.weights + noise_matrix) @ x
+    # own entry, so the traced span imagecrypto.BenchmarkEncoder.project_batch resolves
+    project_batch = IdealEncoder.project_batch
 
 
 def encrypt_image(img, enc, rng):

@@ -14,11 +14,11 @@ little-endian block count, 64-bit dim, then one ceil(dim / 8)-byte packed
 payload per block (LSB-first bytes, no per-block header).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsondoc
 from .encoder import encode_crossbar_batch
 from .errors import CharsetError, DataFormatError, DimensionError
 from .hypervector import BinaryHypervector
@@ -95,18 +95,15 @@ class SecretKeyTable:
         return self.vectors[char_to_class(char, index)]
 
     def to_json_dict(self):
-        return {
-            "format": "secret-keys",
-            "version": 1,
+        return jsondoc.envelope("secret-keys", {
             "key_dim": self.key_dim,
             "seed": self.seed,
             "vectors": {ch: self.vectors[i].tolist() for i, ch in enumerate(CHARSET)},
-        }
+        })
 
     @classmethod
     def from_json_dict(cls, doc):
-        if doc.get("format") != "secret-keys" or doc.get("version") != 1:
-            raise DataFormatError("not a version-1 secret-keys document")
+        jsondoc.check(doc, "secret-keys", ("key_dim", "seed", "vectors"))
         table = doc["vectors"]
         missing = [ch for ch in CHARSET if ch not in table]
         if missing:
@@ -115,14 +112,11 @@ class SecretKeyTable:
         return cls(doc["key_dim"], doc["seed"], vectors)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
-            fh.write("\n")
+        jsondoc.save(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(jsondoc.load(path))
 
 
 @dataclass(frozen=True)

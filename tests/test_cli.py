@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from hdcrypt.cli import main
-from hdcrypt.experiments import ExperimentSpec
+from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder, save_model
+from hdcrypt.experiments import ExperimentReport, ExperimentSpec
 
 
 @pytest.fixture()
@@ -135,3 +137,100 @@ def test_image_demo_writes_stats(tmp_path):
         assert abs(float(row.split(",")[2])) < 0.2
     assert (out_dir / "ciphertext.pgm").exists()
     assert (out_dir / "original.pgm").exists()
+
+
+@pytest.fixture()
+def key_material(tmp_path):
+    """Crossbar and key files from the CLI, plus a short plaintext."""
+    xbar = tmp_path / "xbar.json"
+    keys = tmp_path / "keys.json"
+    plain = tmp_path / "plain.txt"
+    assert main(["gen-crossbar", "--rows", "4", "--cols", "40", "--seed", "21",
+                 "--out", str(xbar)]) == 0
+    assert main(["gen-keys", "--key-dim", "4", "--seed", "22", "--out", str(keys)]) == 0
+    plain.write_text("Hello", encoding="ascii")
+    return dict(xbar=xbar, keys=keys, plain=plain, dir=tmp_path)
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_non_finite_epsilon_exits_2(key_material, epsilon, capsys):
+    ct = key_material["dir"] / "msg.hlct"
+    code = main(["encrypt", "--crossbar", str(key_material["xbar"]),
+                 "--keys", str(key_material["keys"]), f"--epsilon={epsilon}",
+                 "--in", str(key_material["plain"]), "--out", str(ct)])
+    assert code == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not ct.exists()
+
+
+def test_grid_config_directory_exits_3(tmp_path, capsys):
+    config_dir = tmp_path / "spec-dir"
+    config_dir.mkdir()
+    assert main(["grid", "--config", str(config_dir), "--out", str(tmp_path / "o")]) == 3
+    assert str(config_dir) in capsys.readouterr().err
+
+
+def _document_argv(fmt, path, key_material):
+    """A subcommand whose first file read is the `fmt` document at `path`."""
+    m = {k: str(v) for k, v in key_material.items()}
+    return {
+        "crossbar": ["encrypt", "--crossbar", path, "--keys", m["keys"],
+                     "--epsilon", "0", "--in", m["plain"], "--out", m["dir"] + "/c"],
+        "secret-keys": ["encrypt", "--crossbar", m["xbar"], "--keys", path,
+                        "--epsilon", "0", "--in", m["plain"], "--out", m["dir"] + "/c"],
+        "linear-decoder": ["decrypt", "--model", path, "--in", m["dir"] + "/c",
+                           "--out", m["dir"] + "/p"],
+        "experiment-spec": ["grid", "--config", path, "--out", m["dir"] + "/g"],
+        "experiment-report": ["report", "--in", path, "--out", m["dir"] + "/r"],
+    }[fmt]
+
+
+def _valid_document(fmt, key_material):
+    if fmt == "crossbar":
+        return json.loads(key_material["xbar"].read_text())
+    if fmt == "secret-keys":
+        return json.loads(key_material["keys"].read_text())
+    if fmt == "linear-decoder":
+        path = key_material["dir"] / "model.json"
+        save_model(path, LinearDecoder(np.zeros((94, 40)), np.zeros(94), HEAD_SOFTMAX),
+                   epsilon=0.0)
+        return json.loads(path.read_text())
+    if fmt == "experiment-spec":
+        return ExperimentSpec().to_json_dict()
+    return ExperimentReport().to_json_dict()
+
+
+FORMATS = ("crossbar", "secret-keys", "linear-decoder", "experiment-spec",
+           "experiment-report")
+# field dropped for the missing-field case; every spec field has a default
+REQUIRED_FIELD = {"crossbar": "config", "secret-keys": "vectors",
+                  "linear-decoder": "weights", "experiment-report": "rows"}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", ["non-utf8", "non-json", "list"])
+def test_malformed_json_document_exits_3(key_material, fmt, case, capsys):
+    bad = key_material["dir"] / "bad.json"
+    if case == "non-utf8":
+        bad.write_bytes(b'{"format": "\xff"}')
+        problem = "not UTF-8"
+    elif case == "non-json":
+        bad.write_bytes(b"{'format': 1}")
+        problem = "not JSON"
+    else:
+        bad.write_text(json.dumps([_valid_document(fmt, key_material)]))
+        problem = "must be a JSON object"
+    assert main(_document_argv(fmt, str(bad), key_material)) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and problem in err
+
+
+@pytest.mark.parametrize("fmt, field", REQUIRED_FIELD.items())
+def test_json_document_missing_field_exits_3(key_material, fmt, field, capsys):
+    doc = _valid_document(fmt, key_material)
+    del doc[field]
+    bad = key_material["dir"] / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_document_argv(fmt, str(bad), key_material)) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and repr(field) in err

@@ -168,6 +168,20 @@ def test_linearity_without_noise(rng):
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-18)
 
 
+def test_single_read_matches_elementwise_reference():
+    # oracle: per-read noise on free cells only, clamped, then one product
+    cfg = make_config(rows=5, cols=30, sigma_frac=0.6, p_stuck_on=0.1, p_stuck_off=0.1)
+    xbar = Crossbar.new_random(cfg)
+    v = spawn_rng(5, "v").uniform(-1, 1, 5)
+    z = spawn_rng(6, "reads").standard_normal((2, 5, 30))
+    free = xbar.stuck_mask == STUCK_FREE
+    expected = [np.clip(xbar.g_target + np.where(free, z[i] * cfg.noise_std, 0.0),
+                        cfg.g_off, cfg.g_on) for i in range(2)]
+    rng = spawn_rng(6, "reads")
+    assert np.array_equal(xbar.effective_read_matrix(rng), expected[0])
+    assert np.array_equal(xbar.read_vmm(v, rng), v @ expected[1])
+
+
 def test_batch_reads_match_sequential_reads_bitwise():
     cfg = make_config(rows=6, cols=40, sigma_frac=0.25, p_stuck_on=0.1, p_stuck_off=0.1)
     xbar = Crossbar.new_random(cfg)
@@ -176,6 +190,16 @@ def test_batch_reads_match_sequential_reads_bitwise():
     stream = spawn_rng(4, "stream")
     looped = np.array([xbar.read_vmm(v, stream) for v in vs])
     assert np.array_equal(batched, looped)
+
+
+def test_noiseless_batch_reads_match_sequential_reads_bitwise():
+    cfg = make_config(rows=6, cols=96, sigma_frac=0.0, p_stuck_on=0.0, p_stuck_off=0.0)
+    xbar = Crossbar.new_random(cfg)
+    vs = spawn_rng(5, "inputs").uniform(-1, 1, size=(200, 6))
+    batched = xbar.read_vmm_batch(vs, spawn_rng(6, "stream"))
+    looped = np.array([xbar.read_vmm(v, spawn_rng(6, "stream")) for v in vs])
+    assert np.array_equal(batched, looped)
+    assert np.array_equal(looped, np.array([v @ xbar.g_target for v in vs]))
 
 
 def test_json_roundtrip(tmp_path):

@@ -45,6 +45,14 @@ def test_forward_accepts_hypervector(noiseless_system):
     assert np.array_equal(model.forward(hv), model.forward(bits.astype(float)))
 
 
+@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+def test_forward_is_a_batch_of_one(head):
+    rng = spawn_rng(1, "batch-of-one")
+    model = LinearDecoder(rng.normal(size=(9, 20)), rng.normal(size=9), head)
+    for x in rng.normal(size=(5, 20)):
+        assert np.array_equal(model.forward(x), model.forward_batch(x[None])[0])
+
+
 def test_forward_dimension_mismatch():
     model = LinearDecoder(np.zeros((2, 4)), np.zeros(2), HEAD_SOFTMAX)
     with pytest.raises(DimensionError):

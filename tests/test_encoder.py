@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
-from hdcrypt.encoder import (EncoderParams, IdealEncoder, calibrate_epsilon,
-                             crossbar_pre_threshold, encode_crossbar,
+from hdcrypt.encoder import (EncoderParams, IdealEncoder, binarize_batch,
+                             calibrate_epsilon, crossbar_pre_threshold,
+                             crossbar_pre_threshold_batch, encode_crossbar,
                              encode_crossbar_batch, project_streamed,
                              threshold_binarize)
 from hdcrypt.errors import ConfigError, DimensionError
@@ -43,6 +44,15 @@ def test_threshold_median_balances_bits():
 def test_threshold_rejects_non_finite():
     with pytest.raises(ValueError):
         threshold_binarize(np.array([0.0, np.inf]), 0.0)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+def test_threshold_rejects_non_finite_epsilon(epsilon):
+    # y >= nan is false everywhere: a NaN threshold would give all-zero codes
+    for binarize in (threshold_binarize, lambda y, e: binarize_batch(y[None], e)):
+        with pytest.raises(ConfigError) as excinfo:
+            binarize(np.array([0.0, 1.0]), epsilon)
+        assert excinfo.value.field == "epsilon"
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=10**6))
@@ -192,28 +202,26 @@ def test_encoder_params_validation():
 
 
 def test_calibrate_constant_outputs():
-    eps = calibrate_epsilon(lambda s: np.full(4, 3.25), [np.zeros(2)] * 3)
+    eps = calibrate_epsilon(np.full((3, 4), 3.25))
     assert eps == 3.25
 
 
 def test_calibrate_uniform_outputs_near_half():
     rng = spawn_rng(20, "calib")
-    eps = calibrate_epsilon(lambda s: rng.random(500), [np.zeros(1)] * 100)
+    eps = calibrate_epsilon(rng.random((100, 500)))
     assert abs(eps - 0.5) < 0.02
 
 
 def test_calibrate_empty_sample_set():
     with pytest.raises(ValueError):
-        calibrate_epsilon(lambda s: np.zeros(3), [])
+        calibrate_epsilon(np.zeros((0, 3)))
 
 
 def test_calibrated_encodings_are_balanced():
     # balance invariant: mean popcount within [0.4, 0.6] * D over 1000 passes
     xbar = small_crossbar(rows=10, cols=200, sigma=0.1, p_on=0.02, p_off=0.02, seed=21)
     inputs = spawn_rng(22, "cal-x").uniform(-1, 1, (50, 10))
-    cal_rng = spawn_rng(23, "cal")
-    eps = calibrate_epsilon(lambda v: crossbar_pre_threshold(xbar, v, cal_rng),
-                            list(inputs))
+    eps = calibrate_epsilon(crossbar_pre_threshold_batch(xbar, inputs, spawn_rng(23, "cal")))
     enc_rng = spawn_rng(24, "enc")
     xs = inputs[spawn_rng(25, "pick").integers(0, 50, size=1000)]
     bits = encode_crossbar_batch(xbar, xs, eps, enc_rng)

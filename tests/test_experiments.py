@@ -1,11 +1,16 @@
+import numpy as np
 import pytest
 
+from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import TrainConfig
+from hdcrypt.encoder import crossbar_pre_threshold
 from hdcrypt.errors import ConfigError, DataFormatError
-from hdcrypt.experiments import (ExperimentReport, ExperimentSpec, ReportRow,
-                                 grid_cells, run_grid, run_image_cell,
-                                 run_table1, run_text_cell)
-from hdcrypt.rng import derive_seed
+from hdcrypt.experiments import (TABLE1_ROWS, ExperimentReport, ExperimentSpec,
+                                 ReportRow, calibrate_text_epsilon, grid_cells,
+                                 run_grid, run_image_cell, run_table1,
+                                 run_text_cell)
+from hdcrypt.rng import derive_seed, spawn_rng
+from hdcrypt.textcrypto import SecretKeyTable
 
 
 SMALL_TRAIN = TrainConfig(learning_rate=0.05, batch_size=64, max_epochs=20,
@@ -28,6 +33,19 @@ def test_derive_seed_is_stable_and_label_sensitive():
     assert derive_seed(1, "a", 3) != derive_seed(1, "a", 4)
     with pytest.raises(TypeError):
         derive_seed(1, 2.5)
+
+
+@pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda r: f"{r['rows']}x{r['cols']}")
+def test_calibrated_threshold_equals_looped_median(row):
+    cfg = CrossbarConfig(rows=row["rows"], cols=row["cols"], r_lrs=row["r_lrs"],
+                         r_hrs=row["r_hrs"], sigma_frac=row["sigma"],
+                         p_stuck_on=row["p_on"], p_stuck_off=row["p_off"], seed=31)
+    xbar = Crossbar.new_random(cfg)
+    keys = SecretKeyTable.new_random(row["rows"], 32)
+    # reference: one single read per key vector per pass, in order
+    rng = spawn_rng(33, "calibrate")
+    reads = [crossbar_pre_threshold(xbar, v, rng) for _ in range(4) for v in keys.vectors]
+    assert calibrate_text_epsilon(xbar, keys, 33, passes=4) == float(np.median(reads))
 
 
 def test_spec_validation():

@@ -185,6 +185,14 @@ def test_benchmark_noise_stream_form(rng):
     assert np.array_equal(y, benc.weights @ x + 0.8 * np.linalg.norm(x) * z)
 
 
+def test_benchmark_weights_come_from_their_own_stream():
+    benc = BenchmarkEncoder.new_random(6, sigma=0.3, seed=13)
+    expected = spawn_rng(13, "benchmark-encoder-init").uniform(-2.0, 2.0, size=(6, 6))
+    assert isinstance(benc, IdealEncoder)
+    assert np.array_equal(benc.weights, expected)
+    assert benc.dim == 6 and benc.sigma == 0.3 and benc.seed == 13
+
+
 def test_benchmark_is_square_only():
     with pytest.raises(DimensionError):
         BenchmarkEncoder(np.zeros((3, 4)), sigma=0.0)
