@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import jsondoc
-from .errors import ConfigError, DataFormatError, DimensionError
+from .errors import ConfigError, DataFormatError, DimensionError, require_finite
 from .rng import spawn_rng
 
 __all__ = ["CrossbarConfig", "Crossbar", "STUCK_FREE", "STUCK_ON", "STUCK_OFF"]
@@ -62,6 +62,8 @@ class CrossbarConfig:
             raise ConfigError("rows", f"must be a positive integer, got {self.rows!r}")
         if not (isinstance(self.cols, (int, np.integer)) and self.cols > 0):
             raise ConfigError("cols", f"must be a positive integer, got {self.cols!r}")
+        for name in ("r_lrs", "r_hrs", "sigma_frac", "p_stuck_on", "p_stuck_off"):
+            require_finite(name, getattr(self, name))
         if not (0 < self.r_lrs < self.r_hrs):
             raise ConfigError(
                 "r_lrs", f"need 0 < r_lrs < r_hrs, got r_lrs={self.r_lrs!r} r_hrs={self.r_hrs!r}"
@@ -225,7 +227,7 @@ class Crossbar:
     @classmethod
     def from_json_dict(cls, doc):
         jsondoc.check(doc, "crossbar", ("config", "g_target", "stuck_mask"))
-        config = CrossbarConfig(**doc["config"])
+        config = jsondoc.build(CrossbarConfig, doc["config"], "crossbar config")
         shape = (config.rows, config.cols)
         g = np.asarray(doc["g_target"], dtype=np.float64)
         if g.size != shape[0] * shape[1]:

@@ -16,9 +16,11 @@ weights of the best-validation epoch are returned.
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from . import jsondoc
-from .errors import ConfigError, DataFormatError, DimensionError, TrainingDivergedError
+from .errors import (ConfigError, DataFormatError, DimensionError, TrainingDivergedError,
+                     require_finite)
 from .hypervector import BinaryHypervector
 from .rng import spawn_rng
 
@@ -50,12 +52,26 @@ def _softmax(z):
     return z
 
 
+def _affine(weights, bias, X):
+    """X @ W.T + b for float64 rows X, C-contiguous.
+
+    Every GEMM of training and inference goes through scipy's BLAS, which
+    the in-place SGD update (_sgd_step) needs. numpy may bundle a second
+    BLAS with its own thread pool: with two BLAS threads on a 2-core host,
+    alternating calls between the two pools made a softmax SGD step 26
+    times slower.
+    """
+    Z = dgemm(1.0, weights.T, X.T, trans_a=True).T
+    Z += bias
+    return Z
+
+
 def _affine_chunks(weights, bias, X):
     """(row slice, X[rows] @ W.T + b) over X in chunks of _EVAL_CHUNK rows,
     so features stored as bits are widened to float64 a chunk at a time."""
     for start in range(0, X.shape[0], _EVAL_CHUNK):
         rows = slice(start, min(X.shape[0], start + _EVAL_CHUNK))
-        yield rows, X[rows].astype(np.float64) @ weights.T + bias
+        yield rows, _affine(weights, bias, X[rows].astype(np.float64))
 
 
 def loss_rmse(pred, target):
@@ -159,6 +175,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite("learning_rate", self.learning_rate)
+        require_finite("min_delta", self.min_delta)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate", "must be > 0")
         if self.batch_size < 1:
@@ -180,15 +198,16 @@ class TrainReport:
     best_epoch: int = -1
 
 
-def _batch_loss_grads(weights, bias, X, Y, head):
-    """Loss and gradients of the head's training objective on one batch.
+def _batch_loss_dz(weights, bias, X, Y, head):
+    """Loss of the head's training objective on one batch, and its
+    gradient dZ with respect to the batch's outputs Z = X W^T + b.
 
     Softmax head: mean negative log likelihood. Regression head: mean
     squared error, the smooth surrogate whose minimizers are exactly
     those of the reported RMSE cost; descending the square root itself
     would rescale steps by 1/(2*rmse) and oscillate near the optimum.
     """
-    Z = X @ weights.T + bias
+    Z = _affine(weights, bias, X)
     if head == HEAD_SOFTMAX:
         P = _softmax(Z)
         n = X.shape[0]
@@ -201,7 +220,28 @@ def _batch_loss_grads(weights, bias, X, Y, head):
         R = Z - Y
         loss = float(np.mean(R * R))
         dZ = R * (2.0 / R.size)
+    return loss, dZ
+
+
+def _batch_loss_grads(weights, bias, X, Y, head):
+    """Loss and the (weights, bias) gradients on one batch."""
+    loss, dZ = _batch_loss_dz(weights, bias, X, Y, head)
     return loss, dZ.T @ X, dZ.sum(axis=0)
+
+
+def _sgd_step(weights, bias, X, Y, head, lr):
+    """One SGD step on a float64 batch, updating weights and bias in place.
+
+    The weight update W -= lr * dZ^T X is one BLAS rank-k update into W's
+    own memory: W^T of a C-contiguous W is Fortran-ordered, as dgemm
+    wants, so no weight-sized temporary is made. Returns (loss, weights);
+    use the returned array, which is a copy only if W was not C-contiguous.
+    """
+    loss, dZ = _batch_loss_dz(weights, bias, X, Y, head)
+    weights = dgemm(-lr, X.T, dZ.T, beta=1.0, c=weights.T,
+                    trans_b=True, overwrite_c=True).T
+    bias -= lr * dZ.sum(axis=0)
+    return loss, weights
 
 
 def _full_loss(weights, bias, X, Y, head):
@@ -220,14 +260,14 @@ def _full_loss(weights, bias, X, Y, head):
     return total / count if head == HEAD_SOFTMAX else float(np.sqrt(total / count))
 
 
-def _check_set(name, data, in_dim, head):
+def _check_set(name, data, model):
     X, Y = data
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DimensionError(f"{name} features must be a nonempty (n, d) array")
-    if X.shape[1] != in_dim:
-        raise DimensionError(f"{name} feature dim {X.shape[1]}, model expects {in_dim}")
-    if head == HEAD_SOFTMAX:
+    if X.shape[1] != model.in_dim:
+        raise DimensionError(f"{name} feature dim {X.shape[1]}, model expects {model.in_dim}")
+    if model.head == HEAD_SOFTMAX:
         Y = np.asarray(Y, dtype=np.int64)
         if Y.shape != (X.shape[0],):
             raise DimensionError(f"{name} labels must be one class index per row")
@@ -235,6 +275,8 @@ def _check_set(name, data, in_dim, head):
         Y = np.asarray(Y, dtype=np.float64)
         if Y.ndim != 2 or Y.shape[0] != X.shape[0]:
             raise DimensionError(f"{name} targets must be one vector per row")
+        if Y.shape[1] != model.out_dim:
+            raise DimensionError(f"{name} target dim {Y.shape[1]}, model emits {model.out_dim}")
     return X, Y
 
 
@@ -245,20 +287,20 @@ def train(model, train_set, val_set, cfg):
     epoch with the lowest validation loss seen. Raises
     TrainingDivergedError when a non-finite loss appears.
     """
-    X, Y = _check_set("train", train_set, model.in_dim, model.head)
-    Xv, Yv = _check_set("val", val_set, model.in_dim, model.head)
-    if model.head == HEAD_REGRESSION and Y.shape[1] != model.out_dim:
-        raise DimensionError(f"target dim {Y.shape[1]}, model emits {model.out_dim}")
+    X, Y = _check_set("train", train_set, model)
+    Xv, Yv = _check_set("val", val_set, model)
 
     weights = model.weights.copy()
     bias = model.bias.copy()
     rng = spawn_rng(cfg.seed, "epoch-shuffle")
     n = X.shape[0]
-    # Small sets are cheaper to convert to float64 once than per batch.
-    dense = X.astype(np.float64) if X.size <= 40_000_000 else None
+    # Small sets are cheaper to convert to float64 once than per batch;
+    # float64 features are used as they are, never written to.
+    dense = np.asarray(X, dtype=np.float64) if X.size <= 40_000_000 else None
 
     report = TrainReport()
     best_val = np.inf
+    # buffers for the best epoch's parameters, allocated once
     best_weights, best_bias = weights.copy(), bias.copy()
     reference_val = np.inf
     epochs_since_improve = 0
@@ -269,11 +311,10 @@ def train(model, train_set, val_set, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb = dense[idx] if dense is not None else X[idx].astype(np.float64)
-            loss, gw, gb = _batch_loss_grads(weights, bias, xb, Y[idx], model.head)
+            loss, weights = _sgd_step(weights, bias, xb, Y[idx], model.head,
+                                      cfg.learning_rate)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            weights -= cfg.learning_rate * gw
-            bias -= cfg.learning_rate * gb
             # histories report the cost metric: NLL, or RMSE for regression
             if model.head == HEAD_REGRESSION:
                 loss = np.sqrt(loss)
@@ -287,7 +328,8 @@ def train(model, train_set, val_set, cfg):
         report.epochs_run = epoch + 1
         if val_loss < best_val:
             best_val = val_loss
-            best_weights, best_bias = weights.copy(), bias.copy()
+            np.copyto(best_weights, weights)
+            np.copyto(best_bias, bias)
             report.best_epoch = epoch
         if val_loss < reference_val - cfg.min_delta:
             reference_val = val_loss

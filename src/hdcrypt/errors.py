@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 2, DataFormatError
 (and subclasses) -> 3, TrainingDivergedError -> 4.
 """
 
+import math
+
 
 class HdcryptError(Exception):
     pass
@@ -15,6 +17,20 @@ class ConfigError(HdcryptError, ValueError):
     def __init__(self, field, message):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def require_finite(field, *values):
+    """Raise ConfigError(field) unless every value is a finite real number.
+
+    Range checks such as `value < 0` are all false for NaN, so config
+    classes call this before them."""
+    for value in values:
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ConfigError(field, f"must be a finite number, got {value!r}")
 
 
 class DimensionError(HdcryptError, ValueError):

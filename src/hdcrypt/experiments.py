@@ -19,7 +19,7 @@ from .crossbar import Crossbar, CrossbarConfig
 from .decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder, TrainConfig,
                       train)
 from .encoder import IdealEncoder, calibrate_epsilon, crossbar_pre_threshold_batch
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, require_finite
 from .imagecrypto import BenchmarkEncoder
 from .rng import derive_seed, spawn_rng
 from .textcrypto import (NUM_CLASSES, SecretKeyTable, build_dataset,
@@ -264,6 +264,11 @@ class ExperimentSpec:
             raise ConfigError("multipliers", "sweep list must be nonempty")
         if not self.sigmas:
             raise ConfigError("sigmas", "sweep list must be nonempty")
+        for name in ("r_lrs", "r_hrs", "p_stuck_on", "p_stuck_off", "learning_rate",
+                     "min_delta"):
+            require_finite(name, getattr(self, name))
+        require_finite("multipliers", *self.multipliers)
+        require_finite("sigmas", *self.sigmas)
         if any(m < 1 for m in self.multipliers):
             raise ConfigError("multipliers", "must be >= 1")
         if any(s < 0 for s in self.sigmas):
@@ -291,14 +296,10 @@ class ExperimentSpec:
     def from_json_dict(cls, doc):
         jsondoc.check(doc, "experiment-spec")
         fields = {k: v for k, v in doc.items() if k not in ("format", "version")}
-        known = set(cls.__dataclass_fields__)
-        unknown = set(fields) - known
-        if unknown:
-            raise DataFormatError(f"unknown spec fields: {sorted(unknown)}")
         for key in ("multipliers", "sigmas"):
             if key in fields:
                 fields[key] = tuple(fields[key])
-        return cls(**fields)
+        return jsondoc.build(cls, fields, "experiment-spec document")
 
     def save(self, path):
         jsondoc.save(path, self.to_json_dict(), indent=2)
@@ -395,7 +396,11 @@ class ExperimentReport:
     @classmethod
     def from_json_dict(cls, doc):
         jsondoc.check(doc, "experiment-report", ("spec", "rows"))
-        return cls(rows=[ReportRow(**r) for r in doc["rows"]], spec_echo=doc["spec"])
+        if not isinstance(doc["rows"], list):
+            raise DataFormatError("experiment-report field 'rows' must be a JSON list")
+        rows = [jsondoc.build(ReportRow, r, f"experiment-report row {i}")
+                for i, r in enumerate(doc["rows"])]
+        return cls(rows=rows, spec_echo=doc["spec"])
 
     @classmethod
     def from_csv_text(cls, text):

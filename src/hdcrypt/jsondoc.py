@@ -3,11 +3,13 @@
 Every JSON file hdcrypt writes (crossbar, secret-keys, linear-decoder,
 experiment-spec and experiment-report) is one object carrying a
 `"format"` name and `"version": 1` ahead of its fields. This module owns
-that envelope: it builds it, checks it, and maps every way a file can
-fail to be such a document onto DataFormatError, naming the file, the
-byte offset or the missing field.
+that envelope: it builds it, checks it, builds the config and row
+objects nested in it, and maps every way a file can fail to be such a
+document onto DataFormatError, naming the file, the byte offset or the
+missing or unknown field.
 """
 
+import dataclasses
 import json
 
 from .errors import DataFormatError
@@ -32,6 +34,24 @@ def check(doc, fmt, required=()):
     if missing:
         raise DataFormatError(f"{fmt} document has no {missing[0]!r} field")
     return doc
+
+
+def build(cls, fields, where):
+    """`cls(**fields)` for the dataclass `cls`, from a JSON object nested
+    in a document; a non-object, a missing or an unknown field raises
+    DataFormatError naming `where` and the field."""
+    if not isinstance(fields, dict):
+        raise DataFormatError(f"{where} must be a JSON object, got {type(fields).__name__}")
+    declared = dataclasses.fields(cls)
+    unknown = sorted(set(fields) - {f.name for f in declared})
+    if unknown:
+        raise DataFormatError(f"{where} has unknown field {unknown[0]!r}")
+    missing = [f.name for f in declared if f.name not in fields
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise DataFormatError(f"{where} has no {missing[0]!r} field")
+    return cls(**fields)
 
 
 def save(path, doc, indent=None):

@@ -234,3 +234,36 @@ def test_json_document_missing_field_exits_3(key_material, fmt, field, capsys):
     assert main(_document_argv(fmt, str(bad), key_material)) == 3
     err = capsys.readouterr().err
     assert "data error" in err and repr(field) in err
+
+
+# a well-formed envelope around a malformed nested object: (format, edit, field named)
+NESTED_CASES = {
+    "crossbar-config-empty": ("crossbar", lambda doc: doc.update(config={}), "rows"),
+    "crossbar-config-unknown": ("crossbar", lambda doc: doc["config"].update(mystery=1),
+                                "mystery"),
+    "report-row-unknown": ("experiment-report", lambda doc: doc.update(rows=[{"x": 1}]), "x"),
+    "report-row-empty": ("experiment-report", lambda doc: doc.update(rows=[{}]), "task"),
+    "report-rows-not-list": ("experiment-report", lambda doc: doc.update(rows=5), "rows"),
+}
+
+
+@pytest.mark.parametrize("case", NESTED_CASES)
+def test_malformed_nested_field_exits_3(key_material, case, capsys):
+    fmt, edit, field = NESTED_CASES[case]
+    doc = _valid_document(fmt, key_material)
+    edit(doc)
+    bad = key_material["dir"] / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_document_argv(fmt, str(bad), key_material)) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and repr(field) in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_crossbar_flag_exits_2(tmp_path, value, capsys):
+    out = tmp_path / "x.json"
+    code = main(["gen-crossbar", "--rows", "4", "--cols", "8", f"--sigma={value}",
+                 "--out", str(out)])
+    assert code == 2
+    assert "sigma_frac" in capsys.readouterr().err
+    assert not out.exists()

@@ -59,6 +59,15 @@ def test_invalid_config_names_field(field, overrides):
     assert excinfo.value.field == field
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["r_lrs", "r_hrs", "sigma_frac", "p_stuck_on",
+                                   "p_stuck_off"])
+def test_non_finite_config_names_field(field, value):
+    with pytest.raises(ConfigError) as excinfo:
+        make_config(**{field: value})
+    assert excinfo.value.field == field
+
+
 def test_vmm_uniform_conductance_sums_rows(rng):
     cfg = make_config(sigma_frac=0.0, p_stuck_on=0.0, p_stuck_off=0.0)
     xbar = Crossbar.new_random(cfg).program(np.full((4, 8), 4e-4))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder,
                              TrainConfig, analytic_gradient_norm, grad_check,
                              load_model, loss_nll, loss_rmse, save_model,
-                             train, _batch_loss_grads)
+                             train, _batch_loss_grads, _sgd_step)
 from hdcrypt.errors import (ConfigError, DimensionError,
                             TrainingDivergedError)
 from hdcrypt.hypervector import BinaryHypervector
@@ -131,6 +133,72 @@ def test_full_batch_step_decreases_loss():
     assert loss1 < loss0
 
 
+def _step_case(head, out_dim, in_dim, batch, seed):
+    """Weights, bias and one float64 batch (X, Y) for the given head."""
+    rng = spawn_rng(seed, "sgd-step")
+    W = rng.normal(scale=0.1, size=(out_dim, in_dim))
+    b = rng.normal(scale=0.1, size=out_dim)
+    X = rng.integers(0, 2, size=(batch, in_dim)).astype(np.float64)
+    if head == HEAD_SOFTMAX:
+        Y = rng.integers(0, out_dim, size=batch)
+    else:
+        Y = rng.uniform(0, 1, size=(batch, out_dim))
+    return W, b, X, Y
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+def test_sgd_step_equals_reference_update(head, order):
+    W, b, X, Y = _step_case(head, 9, 40, 16, seed=15)
+    lr = 0.3
+    loss_ref, gw, gb = _batch_loss_grads(W, b, X, Y, head)
+    W_ref, b_ref = W - lr * gw, b - lr * gb
+    # F-ordered weights make dgemm work on a copy: the returned array counts
+    loss, W_new = _sgd_step(np.asarray(W, order=order), b, X, Y, head, lr)
+    assert loss == loss_ref
+    assert np.max(np.abs(W_new - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
+    assert np.max(np.abs(b - b_ref)) <= 1e-12 * np.max(np.abs(b_ref))
+
+
+@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+def test_sgd_step_updates_weights_in_place(head):
+    W, b, X, Y = _step_case(head, 9, 40, 16, seed=16)
+    _, W_new = _sgd_step(W, b, X, Y, head, 0.3)
+    assert np.shares_memory(W_new, W)
+    assert W_new.flags.c_contiguous
+
+
+def test_sgd_step_allocates_no_weight_sized_buffer():
+    # the image decoder's shape: 784 pixels out, 3136 hypervector bits in
+    W, b, X, Y = _step_case(HEAD_REGRESSION, 784, 3136, 16, seed=17)
+    tracemalloc.start()
+    try:
+        _sgd_step(W, b, X, Y, HEAD_REGRESSION, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < W.nbytes / 4
+
+
+def test_train_leaves_features_unchanged():
+    X, y = _toy_classification(n=100)
+    X_before = X.copy()
+    cfg = TrainConfig(learning_rate=0.1, batch_size=16, max_epochs=3, seed=18)
+    model = LinearDecoder.new_random(12, 5, HEAD_SOFTMAX, seed=19)
+    train(model, (X, y), (X[:20], y[:20]), cfg)
+    assert np.array_equal(X, X_before)
+
+
+def test_train_rejects_wrong_width_validation_targets():
+    rng = spawn_rng(20, "val-width")
+    X = rng.normal(size=(32, 6))
+    Y = rng.normal(size=(32, 4))
+    model = LinearDecoder.new_random(6, 4, HEAD_REGRESSION, seed=21)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=8, max_epochs=3)
+    with pytest.raises(DimensionError, match="val target dim 1"):
+        train(model, (X, Y), (X, Y[:, :1]), cfg)
+
+
 def _toy_classification(n=400, d=12, classes=5, seed=4):
     rng = spawn_rng(seed, "toy")
     protos = rng.normal(size=(classes, d))
@@ -214,6 +282,15 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.1, batch_size=8, patience=0)
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=0.1, batch_size=8, min_delta=-1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["learning_rate", "min_delta"])
+def test_train_config_rejects_non_finite(name, value):
+    fields = {"learning_rate": 0.1, "batch_size": 8, name: value}
+    with pytest.raises(ConfigError) as excinfo:
+        TrainConfig(**fields)
+    assert excinfo.value.field == name
 
 
 def test_model_file_roundtrip(tmp_path):

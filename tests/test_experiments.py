@@ -73,6 +73,17 @@ def test_spec_json_rejects_unknown_fields():
         ExperimentSpec.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["r_lrs", "r_hrs", "p_stuck_on", "p_stuck_off",
+                                   "learning_rate", "min_delta", "multipliers", "sigmas"])
+def test_spec_rejects_non_finite_values(field, value):
+    if field in ("multipliers", "sigmas"):
+        value = (1.0, value)
+    with pytest.raises(ConfigError) as excinfo:
+        small_spec(**{field: value})
+    assert excinfo.value.field == field
+
+
 def test_grid_cells_cover_cross_product():
     spec = small_spec(multipliers=(2, 4, 8), sigmas=(0.0, 0.5))
     cells = grid_cells(spec)
