@@ -31,9 +31,10 @@ STUCK_OFF = 2
 _STUCK_TO_CODE = {STUCK_FREE: "F", STUCK_ON: "N", STUCK_OFF: "P"}
 _CODE_TO_STUCK = {v: k for k, v in _STUCK_TO_CODE.items()}
 
-# Per-sample noise matrices for batched reads are generated in slices no
-# larger than this many float64 values.
-_BATCH_BUDGET = 8_000_000
+# Batched reads draw their noise into one reusable buffer of about this
+# many bytes, a few reads at a time, so that the draws, the scaling and the
+# clamp of each block stay in cache.
+_READ_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,14 @@ class CrossbarConfig:
     seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.rows, (int, np.integer)) and self.rows > 0):
-            raise ConfigError("rows", f"must be a positive integer, got {self.rows!r}")
-        if not (isinstance(self.cols, (int, np.integer)) and self.cols > 0):
-            raise ConfigError("cols", f"must be a positive integer, got {self.cols!r}")
+        for name in ("rows", "cols", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass, so `"rows": true` would pass as 1
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(name, f"must be an integer, got {value!r}")
+        for name in ("rows", "cols"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(name, f"must be a positive integer, got {getattr(self, name)!r}")
         for name in ("r_lrs", "r_hrs", "sigma_frac", "p_stuck_on", "p_stuck_off"):
             require_finite(name, getattr(self, name))
         if not (0 < self.r_lrs < self.r_hrs):
@@ -101,7 +106,7 @@ class CrossbarConfig:
 class Crossbar:
     """An instantiated array: target conductances plus a stuck-cell mask."""
 
-    __slots__ = ("config", "g_target", "stuck_mask")
+    __slots__ = ("config", "g_target", "stuck_mask", "_noise_scale")
 
     def __init__(self, config, g_target, stuck_mask):
         shape = (config.rows, config.cols)
@@ -117,11 +122,14 @@ class Crossbar:
             raise ConfigError("g_target", "stuck-on cells must sit at G_on")
         if not np.all(g_target[stuck_mask == STUCK_OFF] == config.g_off):
             raise ConfigError("g_target", "stuck-off cells must sit at G_off")
-        g_target.setflags(write=False)
-        stuck_mask.setflags(write=False)
+        # per-cell read-noise std: noise_std on free cells, 0 on stuck ones
+        noise_scale = config.noise_std * (stuck_mask == STUCK_FREE)
+        for arr in (g_target, stuck_mask, noise_scale):
+            arr.setflags(write=False)
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "g_target", g_target)
         object.__setattr__(self, "stuck_mask", stuck_mask)
+        object.__setattr__(self, "_noise_scale", noise_scale)
 
     def __setattr__(self, name, value):
         raise AttributeError("Crossbar is immutable")
@@ -153,16 +161,18 @@ class Crossbar:
     def cols(self):
         return self.config.cols
 
-    def _read_matrices(self, n, rng):
-        """Effective conductances of `n` reads: fresh noise on every free
-        cell, clamped to the rails, as an (n, rows, cols) array. Consumes
-        n*rows*cols normal draws when sigma_frac > 0. Without noise every
-        read sees g_target, returned once as (1, rows, cols)."""
+    def _read_matrices(self, rng, out):
+        """Effective conductances of `len(out)` reads: fresh noise on every
+        free cell, clamped to the rails, written into the C-contiguous
+        float64 buffer `out` of shape (n, rows, cols), which is returned.
+        Consumes n*rows*cols normal draws when sigma_frac > 0. Without
+        noise every read sees g_target, returned once as (1, rows, cols)
+        and `out` is left untouched."""
         cfg = self.config
         if cfg.sigma_frac == 0:
             return self.g_target[None]
-        g = rng.standard_normal((n, self.rows, self.cols))
-        g *= cfg.noise_std * (self.stuck_mask == STUCK_FREE)
+        g = rng.standard_normal(out=out)
+        g *= self._noise_scale
         g += self.g_target
         np.clip(g, cfg.g_off, cfg.g_on, out=g)
         return g
@@ -173,7 +183,7 @@ class Crossbar:
         Consumes rows*cols normal draws from `rng` when sigma_frac > 0,
         none otherwise. Exposed so tests can instrument single reads.
         """
-        return self._read_matrices(1, rng)[0].copy()
+        return self._read_matrices(rng, np.empty((1, self.rows, self.cols)))[0].copy()
 
     def read_vmm(self, v, rng):
         """Analog multiply: returns v @ G_effective for one noisy read."""
@@ -192,13 +202,14 @@ class Crossbar:
             raise ValueError("input vectors must be finite")
         n = vs.shape[0]
         out = np.empty((n, self.cols))
-        chunk = max(1, _BATCH_BUDGET // (self.rows * self.cols))
+        chunk = max(1, _READ_BLOCK_BYTES // (8 * self.rows * self.cols))
+        buf = np.empty((min(n, chunk), self.rows, self.cols))
         for start in range(0, n, chunk):
             stop = min(n, start + chunk)
-            g = self._read_matrices(stop - start, rng)
+            g = self._read_matrices(rng, buf[:stop - start])
             # a vector-matrix product per row keeps each read independent
             # of the batch size; one GEMM over the batch rounds differently
-            out[start:stop] = (vs[start:stop, None, :] @ g)[:, 0, :]
+            np.matmul(vs[start:stop, None, :], g, out=out[start:stop, None, :])
         return out
 
     def program(self, g_desired):

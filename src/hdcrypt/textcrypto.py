@@ -119,36 +119,79 @@ class SecretKeyTable:
         return cls.from_json_dict(jsondoc.load(path))
 
 
-@dataclass(frozen=True)
 class CipherText:
-    """Ordered hypervector blocks, one per plaintext character."""
+    """Ordered ciphertext blocks, one per plaintext character.
 
-    dim: int
-    blocks: tuple
+    `packed` is one read-only (n, ceil(dim / 8)) uint8 matrix, row i the
+    LSB-first packed bits of block i with zero padding bits past `dim`:
+    exactly the HLCT payload.
+    """
 
-    def __post_init__(self):
-        for b in self.blocks:
-            if b.dim != self.dim:
-                raise DimensionError(f"block dim {b.dim}, ciphertext dim {self.dim}")
+    __slots__ = ("dim", "packed")
+
+    def __init__(self, dim, packed):
+        dim = int(dim)
+        if dim < 0:
+            raise DimensionError(f"ciphertext dim must be >= 0, got {dim}")
+        packed = np.ascontiguousarray(packed)
+        if packed.dtype != np.uint8:
+            raise TypeError(f"packed blocks must be uint8, got {packed.dtype}")
+        if packed.ndim != 2 or packed.shape[1] != (dim + 7) // 8:
+            raise DimensionError(
+                f"packed blocks shape {packed.shape}, expected (n, {(dim + 7) // 8})")
+        if dim == 0 and len(packed):
+            raise DimensionError("dim must be positive for nonempty ciphertext")
+        bad = _first_bad_padding(dim, packed)
+        if bad is not None:
+            raise DataFormatError(f"padding bits beyond dim must be zero in block {bad}")
+        packed.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "packed", packed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CipherText is immutable")
+
+    @classmethod
+    def from_blocks(cls, dim, blocks):
+        """Ciphertext of a sequence of BinaryHypervector blocks of dimension dim."""
+        for b in blocks:
+            if b.dim != dim:
+                raise DimensionError(f"block dim {b.dim}, ciphertext dim {dim}")
+        payload = b"".join(b.packed_payload() for b in blocks)
+        packed = np.frombuffer(payload, dtype=np.uint8).reshape(len(blocks), (dim + 7) // 8)
+        return cls(dim, packed)
+
+    @property
+    def blocks(self):
+        """The blocks as a tuple of BinaryHypervector, built on each access."""
+        return tuple(BinaryHypervector._from_packed_bytes(self.dim, row.tobytes())
+                     for row in self.packed)
 
     def __len__(self):
-        return len(self.blocks)
+        return len(self.packed)
+
+    def __eq__(self, other):
+        if not isinstance(other, CipherText):
+            return NotImplemented
+        return self.dim == other.dim and bool(np.array_equal(self.packed, other.packed))
+
+    def __hash__(self):
+        return hash((self.dim, self.packed.tobytes()))
+
+    def __repr__(self):
+        return f"CipherText(dim={self.dim}, blocks={len(self)})"
 
     def bit_matrix(self):
-        if not self.blocks:
-            return np.zeros((0, self.dim), dtype=np.uint8)
-        return np.stack([b.to_bits() for b in self.blocks])
+        """Unpacked (n, dim) uint8 array of the blocks' bits."""
+        return np.unpackbits(self.packed, axis=1, count=self.dim, bitorder="little")
 
     def to_bytes(self):
-        out = bytearray(_CT_MAGIC)
-        out += len(self.blocks).to_bytes(8, "little")
-        out += self.dim.to_bytes(8, "little")
-        for b in self.blocks:
-            out += b.packed_payload()
-        return bytes(out)
+        header = _CT_MAGIC + len(self).to_bytes(8, "little") + self.dim.to_bytes(8, "little")
+        return header + self.packed.tobytes()
 
     @classmethod
     def from_bytes(cls, data):
+        data = bytes(data)  # `packed` views these bytes, so they must not change
         if data[:4] != _CT_MAGIC:
             raise DataFormatError(f"bad magic {data[:4]!r}, expected {_CT_MAGIC!r}", offset=0)
         if len(data) < _CT_HEADER_LEN:
@@ -165,11 +208,13 @@ class CipherText:
                 f"expected {count} blocks of {block_len} bytes, data ends inside block {whole}",
                 offset=_CT_HEADER_LEN + min(whole, count) * block_len,
             )
-        blocks = []
-        for i in range(count):
-            start = _CT_HEADER_LEN + i * block_len
-            blocks.append(BinaryHypervector._from_packed_bytes(dim, data[start:start + block_len]))
-        return cls(dim, tuple(blocks))
+        packed = np.frombuffer(data, dtype=np.uint8, offset=_CT_HEADER_LEN)
+        packed = packed.reshape(count, block_len)
+        bad = _first_bad_padding(dim, packed)
+        if bad is not None:
+            raise DataFormatError("padding bits beyond dim must be zero",
+                                  offset=_CT_HEADER_LEN + (bad + 1) * block_len - 1)
+        return cls(dim, packed)
 
     def save(self, path):
         with open(path, "wb") as fh:
@@ -181,6 +226,15 @@ class CipherText:
             return cls.from_bytes(fh.read())
 
 
+def _first_bad_padding(dim, packed):
+    """Index of the first row of `packed` with a set bit past `dim`, or None."""
+    used = dim % 8
+    if not used:
+        return None
+    bad = np.flatnonzero(packed[:, -1] >> used)
+    return int(bad[0]) if bad.size else None
+
+
 def _classes_for_text(text):
     return np.array([char_to_class(ch, i) for i, ch in enumerate(text)], dtype=np.int64)
 
@@ -190,10 +244,8 @@ def encrypt_text(text, keys, xbar, epsilon, rng):
     if keys.key_dim != xbar.rows:
         raise DimensionError(f"key_dim {keys.key_dim} != crossbar rows {xbar.rows}")
     classes = _classes_for_text(text)
-    if classes.size == 0:
-        return CipherText(xbar.cols, ())
     bits = encode_crossbar_batch(xbar, keys.vectors[classes], epsilon, rng)
-    return CipherText(xbar.cols, tuple(BinaryHypervector.from_bits(row) for row in bits))
+    return CipherText(xbar.cols, np.packbits(bits, axis=1, bitorder="little"))
 
 
 def decrypt_text(ct, model):

@@ -163,6 +163,18 @@ def test_non_finite_epsilon_exits_2(key_material, epsilon, capsys):
     assert not ct.exists()
 
 
+def test_non_finite_epsilon_on_empty_plaintext_exits_2(key_material, capsys):
+    plain = key_material["dir"] / "empty.txt"
+    plain.write_text("", encoding="ascii")
+    ct = key_material["dir"] / "msg.hlct"
+    code = main(["encrypt", "--crossbar", str(key_material["xbar"]),
+                 "--keys", str(key_material["keys"]), "--epsilon=nan",
+                 "--in", str(plain), "--out", str(ct)])
+    assert code == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not ct.exists()
+
+
 def test_grid_config_directory_exits_3(tmp_path, capsys):
     config_dir = tmp_path / "spec-dir"
     config_dir.mkdir()
@@ -267,3 +279,26 @@ def test_non_finite_crossbar_flag_exits_2(tmp_path, value, capsys):
     assert code == 2
     assert "sigma_frac" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("seed", "abc"), ("seed", 1.5), ("rows", True)])
+def test_wrong_typed_crossbar_config_exits_2(key_material, field, value, capsys):
+    doc = json.loads(key_material["xbar"].read_text())
+    doc["config"][field] = value
+    bad = key_material["dir"] / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = key_material["dir"] / "c"
+    assert main(_document_argv("crossbar", str(bad), key_material)) == 2
+    assert f"configuration error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ciphertext_padding_bits_exit_3(artifacts, tmp_path, capsys):
+    ct = tmp_path / "c.hlct"
+    # one 96-bit block whose last byte sets bit 95 of a 95-bit ciphertext
+    ct.write_bytes(b"HLCT" + (1).to_bytes(8, "little") + (95).to_bytes(8, "little")
+                   + b"\x00" * 11 + b"\x80")
+    assert main(["decrypt", "--model", str(artifacts["model"]),
+                 "--in", str(ct), "--out", str(tmp_path / "o.txt")]) == 3
+    err = capsys.readouterr().err
+    assert "padding bits" in err and "byte offset 31" in err

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hdcrypt.crossbar import (STUCK_FREE, STUCK_OFF, STUCK_ON, Crossbar,
-                              CrossbarConfig)
+from hdcrypt.crossbar import (_READ_BLOCK_BYTES, STUCK_FREE, STUCK_OFF,
+                              STUCK_ON, Crossbar, CrossbarConfig)
 from hdcrypt.errors import ConfigError, DataFormatError, DimensionError
 from hdcrypt.rng import spawn_rng
 
@@ -52,6 +54,11 @@ def test_stuck_count_matches_monte_carlo_expectation():
     ("p_stuck_on", dict(p_stuck_on=-0.5)),
     ("p_stuck_off", dict(p_stuck_off=-1e-9)),
     ("p_stuck_on", dict(p_stuck_on=0.6, p_stuck_off=0.6)),
+    ("rows", dict(rows=True)),
+    ("cols", dict(cols=True)),
+    ("seed", dict(seed="abc")),
+    ("seed", dict(seed=1.5)),
+    ("seed", dict(seed=False)),
 ])
 def test_invalid_config_names_field(field, overrides):
     with pytest.raises(ConfigError) as excinfo:
@@ -209,6 +216,40 @@ def test_noiseless_batch_reads_match_sequential_reads_bitwise():
     looped = np.array([xbar.read_vmm(v, spawn_rng(6, "stream")) for v in vs])
     assert np.array_equal(batched, looped)
     assert np.array_equal(looped, np.array([v @ xbar.g_target for v in vs]))
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.0])
+def test_blocked_reads_match_sequential_reads_bitwise(sigma):
+    cfg = make_config(rows=6, cols=40, sigma_frac=sigma, p_stuck_on=0.1, p_stuck_off=0.1)
+    xbar = Crossbar.new_random(cfg)
+    chunk = _READ_BLOCK_BYTES // (8 * 6 * 40)
+    # two full blocks of reads and a half-full last one
+    vs = spawn_rng(7, "inputs").uniform(-1, 1, size=(5 * chunk // 2, 6))
+    batched = xbar.read_vmm_batch(vs, spawn_rng(8, "stream"))
+    stream = spawn_rng(8, "stream")
+    looped = np.array([xbar.read_vmm(v, stream) for v in vs])
+    assert np.array_equal(batched, looped)
+
+
+def test_empty_batch_read_consumes_no_draws():
+    xbar = Crossbar.new_random(make_config(sigma_frac=0.3))
+    rng = spawn_rng(9, "stream")
+    before = rng.bit_generator.state
+    out = xbar.read_vmm_batch(np.empty((0, 4)), rng)
+    assert out.shape == (0, 8)
+    assert rng.bit_generator.state == before
+
+
+def test_batch_read_memory_stays_near_output_size():
+    xbar = Crossbar.new_random(make_config(rows=10, cols=500))
+    vs = spawn_rng(10, "inputs").uniform(-1, 1, size=(20_000, 10))
+    tracemalloc.start()
+    try:
+        out = xbar.read_vmm_batch(vs, spawn_rng(11, "stream"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + (8 << 20)
 
 
 def test_json_roundtrip(tmp_path):

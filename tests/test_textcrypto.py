@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder
+from hdcrypt.encoder import encode_crossbar_batch
 from hdcrypt.errors import CharsetError, DataFormatError, DimensionError
-from hdcrypt.hypervector import hamming
+from hdcrypt.hypervector import BinaryHypervector, hamming
 from hdcrypt.rng import spawn_rng
 from hdcrypt.textcrypto import (CHARSET, NUM_CLASSES, CipherText,
                                 SecretKeyTable, build_dataset, char_to_class,
@@ -122,7 +125,7 @@ def test_decrypt_roundtrip_full_charset(noiseless_system):
 
 
 def test_decrypt_empty(noiseless_system):
-    ct = CipherText(noiseless_system["model"].in_dim, ())
+    ct = CipherText.from_blocks(noiseless_system["model"].in_dim, ())
     assert decrypt_text(ct, noiseless_system["model"]) == ""
 
 
@@ -132,7 +135,7 @@ def test_decrypt_blocks_independent(noiseless_system):
     ct = encrypt_text(text, s["keys"], s["xbar"], s["epsilon"], spawn_rng(6, "e"))
     whole = decrypt_text(ct, s["model"])
     for i, block in enumerate(ct.blocks):
-        single = decrypt_text(CipherText(ct.dim, (block,)), s["model"])
+        single = decrypt_text(CipherText.from_blocks(ct.dim, (block,)), s["model"])
         assert single == whole[i]
 
 
@@ -215,7 +218,7 @@ def test_ciphertext_wire_roundtrip(tmp_path):
 
 
 def test_ciphertext_empty_roundtrip():
-    ct = CipherText(16, ())
+    ct = CipherText.from_blocks(16, ())
     assert CipherText.from_bytes(ct.to_bytes()) == ct
 
 
@@ -233,3 +236,71 @@ def test_ciphertext_bad_magic():
     with pytest.raises(DataFormatError) as excinfo:
         CipherText.from_bytes(b"NOPE" + b"\x00" * 16)
     assert excinfo.value.offset == 0
+
+
+def test_ciphertext_bytes_match_per_block_payloads():
+    xbar, keys = _system(sigma=0.1, rows=5, cols=45, seed=32)
+    text = "Per-block oracle, 45 bits a block!"
+    blob = encrypt_text(text, keys, xbar, 0.0, spawn_rng(16, "e")).to_bytes()
+    # oracle: the same reads, packed one BinaryHypervector at a time
+    classes = [CHARSET.index(ch) for ch in text]
+    bits = encode_crossbar_batch(xbar, keys.vectors[classes], 0.0, spawn_rng(16, "e"))
+    header = b"HLCT" + len(text).to_bytes(8, "little") + (45).to_bytes(8, "little")
+    payload = b"".join(BinaryHypervector.from_bits(row).packed_payload() for row in bits)
+    assert blob == header + payload
+
+
+def test_ciphertext_padding_bits_name_byte_offset():
+    # one block of dim 95: 12 payload bytes, bit 95 set in the last one
+    blob = (b"HLCT" + (1).to_bytes(8, "little") + (95).to_bytes(8, "little")
+            + b"\x00" * 11 + b"\x80")
+    with pytest.raises(DataFormatError) as excinfo:
+        CipherText.from_bytes(blob)
+    assert excinfo.value.offset == 20 + 12 - 1
+
+
+def test_ciphertext_equality_hash_and_immutability():
+    xbar, keys = _system(sigma=0.1, rows=4, cols=21, seed=33)
+    ct = encrypt_text("abc", keys, xbar, 0.0, spawn_rng(17, "e"))
+    same = CipherText.from_bytes(ct.to_bytes())
+    other = encrypt_text("abc", keys, xbar, 0.0, spawn_rng(18, "e"))
+    assert ct == same and hash(ct) == hash(same)
+    assert ct != other and ct != ct.to_bytes()
+    assert CipherText.from_blocks(ct.dim, ct.blocks) == ct
+    assert len({ct, same, other}) == 2
+    with pytest.raises(ValueError):
+        ct.packed[0, 0] ^= 1
+    with pytest.raises(AttributeError):
+        ct.packed = other.packed
+
+
+@pytest.mark.parametrize("dim, packed, error", [
+    (21, np.zeros((2, 3), dtype=np.int64), TypeError),
+    (21, np.zeros((2, 4), dtype=np.uint8), DimensionError),
+    (21, np.zeros(3, dtype=np.uint8), DimensionError),
+    (0, np.zeros((1, 0), dtype=np.uint8), DimensionError),
+    (21, np.array([[0, 0, 0], [0, 0, 0x20]], dtype=np.uint8), DataFormatError),
+])
+def test_ciphertext_constructor_rejects_bad_blocks(dim, packed, error):
+    with pytest.raises(error):
+        CipherText(dim, packed)
+
+
+_FUZZ_XBAR, _FUZZ_KEYS = _system(sigma=0.1, rows=4, cols=21, seed=34)
+_FUZZ_BLOB = encrypt_text("fuzz!", _FUZZ_KEYS, _FUZZ_XBAR, 0.0, spawn_rng(19, "e")).to_bytes()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_ciphertext_fuzzed_bytes_parse_or_raise_data_format_error(data):
+    blob = bytearray(_FUZZ_BLOB)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(blob) - 1))
+        blob[i] = data.draw(st.integers(0, 255))
+    blob = bytes(blob[:data.draw(st.integers(0, len(blob)))] if data.draw(st.booleans())
+                 else blob + data.draw(st.binary(max_size=12)))
+    try:
+        ct = CipherText.from_bytes(blob)
+    except DataFormatError:
+        return
+    assert ct.to_bytes() == blob
