@@ -11,12 +11,20 @@ Gradients are hand-written and verified against central finite
 differences (see grad_check). Training stops when the validation loss
 fails to improve by min_delta for `patience` consecutive epochs and the
 weights of the best-validation epoch are returned.
+
+Every SGD step of `train` runs in float32: the forward GEMM, the softmax
+or residual, and the weight and bias updates. The features are binary
+hypervector bits, which float32 holds exactly, and halving the width
+halves the memory each step streams. All else is float64: the validation
+loss and best-epoch choice (on the float64 widening of the float32
+weights), the returned LinearDecoder, inference, grad_check and the
+model files.
 """
 
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import get_blas_funcs
 
 from . import jsondoc
 from .errors import (ConfigError, DataFormatError, DimensionError, TrainingDivergedError,
@@ -52,8 +60,14 @@ def _softmax(z):
     return z
 
 
+def _gemm(weights):
+    """scipy's GEMM for the weights' dtype: sgemm in training steps,
+    dgemm everywhere else."""
+    return get_blas_funcs("gemm", dtype=weights.dtype)
+
+
 def _affine(weights, bias, X):
-    """X @ W.T + b for float64 rows X, C-contiguous.
+    """X @ W.T + b for rows X of the weights' dtype, C-contiguous.
 
     Every GEMM of training and inference goes through scipy's BLAS, which
     the in-place SGD update (_sgd_step) needs. numpy may bundle a second
@@ -61,7 +75,7 @@ def _affine(weights, bias, X):
     alternating calls between the two pools made a softmax SGD step 26
     times slower.
     """
-    Z = dgemm(1.0, weights.T, X.T, trans_a=True).T
+    Z = _gemm(weights)(1.0, weights.T, X.T, trans_a=True).T
     Z += bias
     return Z
 
@@ -206,19 +220,20 @@ def _batch_loss_dz(weights, bias, X, Y, head):
     squared error, the smooth surrogate whose minimizers are exactly
     those of the reported RMSE cost; descending the square root itself
     would rescale steps by 1/(2*rmse) and oscillate near the optimum.
+    dZ has the weights' dtype; the loss is a float64 mean.
     """
     Z = _affine(weights, bias, X)
     if head == HEAD_SOFTMAX:
         P = _softmax(Z)
         n = X.shape[0]
         picked = np.maximum(P[np.arange(n), Y], PROB_FLOOR)
-        loss = float(-np.log(picked).mean())
+        loss = float(-np.log(picked).mean(dtype=np.float64))
         dZ = P
         dZ[np.arange(n), Y] -= 1.0
         dZ /= n
     else:
-        R = Z - Y
-        loss = float(np.mean(R * R))
+        R = np.subtract(Z, Y, dtype=Z.dtype)
+        loss = float(np.mean(R * R, dtype=np.float64))
         dZ = R * (2.0 / R.size)
     return loss, dZ
 
@@ -230,16 +245,17 @@ def _batch_loss_grads(weights, bias, X, Y, head):
 
 
 def _sgd_step(weights, bias, X, Y, head, lr):
-    """One SGD step on a float64 batch, updating weights and bias in place.
+    """One SGD step on a batch X of the weights' dtype, updating weights
+    and bias in place; train runs it in float32.
 
     The weight update W -= lr * dZ^T X is one BLAS rank-k update into W's
-    own memory: W^T of a C-contiguous W is Fortran-ordered, as dgemm
+    own memory: W^T of a C-contiguous W is Fortran-ordered, as GEMM
     wants, so no weight-sized temporary is made. Returns (loss, weights);
     use the returned array, which is a copy only if W was not C-contiguous.
     """
     loss, dZ = _batch_loss_dz(weights, bias, X, Y, head)
-    weights = dgemm(-lr, X.T, dZ.T, beta=1.0, c=weights.T,
-                    trans_b=True, overwrite_c=True).T
+    weights = _gemm(weights)(-lr, X.T, dZ.T, beta=1.0, c=weights.T,
+                             trans_b=True, overwrite_c=True).T
     bias -= lr * dZ.sum(axis=0)
     return loss, weights
 
@@ -283,6 +299,10 @@ def _check_set(name, data, model):
 def train(model, train_set, val_set, cfg):
     """Mini-batch SGD with per-epoch shuffling and patience early stopping.
 
+    The steps run on float32 working copies of the weights, bias and
+    features; each epoch's validation loss is computed in float64 on the
+    widened weights, which are what the returned model holds.
+
     Returns (best_model, TrainReport). The returned weights come from the
     epoch with the lowest validation loss seen. Raises
     TrainingDivergedError when a non-finite loss appears.
@@ -290,13 +310,13 @@ def train(model, train_set, val_set, cfg):
     X, Y = _check_set("train", train_set, model)
     Xv, Yv = _check_set("val", val_set, model)
 
-    weights = model.weights.copy()
-    bias = model.bias.copy()
+    weights = model.weights.astype(np.float32)
+    bias = model.bias.astype(np.float32)
     rng = spawn_rng(cfg.seed, "epoch-shuffle")
     n = X.shape[0]
-    # Small sets are cheaper to convert to float64 once than per batch;
-    # float64 features are used as they are, never written to.
-    dense = np.asarray(X, dtype=np.float64) if X.size <= 40_000_000 else None
+    # Small sets are cheaper to convert to float32 once than per batch;
+    # float32 features are used as they are, never written to.
+    dense = np.asarray(X, dtype=np.float32) if X.size <= 40_000_000 else None
 
     report = TrainReport()
     best_val = np.inf
@@ -310,7 +330,7 @@ def train(model, train_set, val_set, cfg):
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb = dense[idx] if dense is not None else X[idx].astype(np.float64)
+            xb = dense[idx] if dense is not None else X[idx].astype(np.float32)
             loss, weights = _sgd_step(weights, bias, xb, Y[idx], model.head,
                                       cfg.learning_rate)
             if not np.isfinite(loss):
@@ -319,7 +339,8 @@ def train(model, train_set, val_set, cfg):
             if model.head == HEAD_REGRESSION:
                 loss = np.sqrt(loss)
             loss_sum += loss * len(idx)
-        val_loss = _full_loss(weights, bias, Xv, Yv, model.head)
+        val_loss = _full_loss(weights.astype(np.float64), bias.astype(np.float64),
+                              Xv, Yv, model.head)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(epoch, "non-finite validation loss")
 

@@ -398,8 +398,10 @@ class ExperimentReport:
         jsondoc.check(doc, "experiment-report", ("spec", "rows"))
         if not isinstance(doc["rows"], list):
             raise DataFormatError("experiment-report field 'rows' must be a JSON list")
-        rows = [jsondoc.build(ReportRow, r, f"experiment-report row {i}")
-                for i, r in enumerate(doc["rows"])]
+        rows = []
+        for i, r in enumerate(doc["rows"]):
+            where = f"experiment-report row {i}"
+            rows.append(jsondoc.check_types(jsondoc.build(ReportRow, r, where), where))
         return cls(rows=rows, spec_echo=doc["spec"])
 
     @classmethod

@@ -88,12 +88,11 @@ class BinaryHypervector:
                 f"payload length {len(data) - _HEADER_LEN}, expected {payload_len}",
                 offset=min(len(data), _HEADER_LEN + payload_len),
             )
-        hv = cls._from_packed_bytes(dim, data[_HEADER_LEN:])
-        pad = hv.words.size * 64 - dim
-        if pad and int(hv.words[-1]) >> (64 - pad):
+        # bits past dim can only be set in the payload's last byte
+        if dim % 8 and data[-1] >> (dim % 8):
             raise DataFormatError("padding bits beyond dim must be zero",
                                   offset=_HEADER_LEN + payload_len - 1)
-        return hv
+        return cls._from_packed_bytes(dim, data[_HEADER_LEN:])
 
     def __eq__(self, other):
         if not isinstance(other, BinaryHypervector):

@@ -6,11 +6,12 @@ experiment-spec and experiment-report) is one object carrying a
 that envelope: it builds it, checks it, builds the config and row
 objects nested in it, and maps every way a file can fail to be such a
 document onto DataFormatError, naming the file, the byte offset or the
-missing or unknown field.
+missing, unknown or wrongly typed field.
 """
 
 import dataclasses
 import json
+import typing
 
 from .errors import DataFormatError
 
@@ -52,6 +53,32 @@ def build(cls, fields, where):
     if missing:
         raise DataFormatError(f"{where} has no {missing[0]!r} field")
     return cls(**fields)
+
+
+# JSON types a field annotated with each Python type may hold
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
+               bool: "true or false", type(None): "null"}
+
+
+def _has_json_type(value, kind):
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_types(obj, where):
+    """Raise DataFormatError naming `where` and the field unless every
+    field of the dataclass instance `obj` holds the JSON type of its
+    annotation: str, int (not bool), float (any number but bool), bool,
+    or one of these or null for an `X | None` annotation."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        kinds = typing.get_args(f.type) or (f.type,)
+        if not any(_has_json_type(value, kind) for kind in kinds):
+            expected = " or ".join(_JSON_NAMES[kind] for kind in kinds)
+            raise DataFormatError(f"{where} field {f.name!r} must be {expected}, "
+                                  f"got {value!r}")
+    return obj
 
 
 def save(path, doc, indent=None):

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import hdcrypt
 from hdcrypt.cli import main
 from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder, save_model
-from hdcrypt.experiments import ExperimentReport, ExperimentSpec
+from hdcrypt.experiments import ExperimentReport, ExperimentSpec, ReportRow
 
 
 @pytest.fixture()
@@ -271,6 +276,38 @@ def test_malformed_nested_field_exits_3(key_material, case, capsys):
     assert "data error" in err and repr(field) in err
 
 
+def _report_with_row(tmp_path, **changes):
+    row = asdict(ReportRow(task="text", cell="m50-s0.1", multiplier=50.0, sigma=0.1,
+                           p_on=0.02, p_off=0.02, rows=10, cols=500, test_accuracy=1.0,
+                           epochs=3, good_flag=True))
+    doc = ExperimentReport().to_json_dict()
+    doc["rows"] = [row | changes]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("field, value", [
+    ("test_accuracy", "high"), ("rows", "ten"), ("epochs", 2.5), ("rows", True),
+    ("multiplier", None), ("good_flag", 1), ("cell", 7), ("wall_time_s", False),
+])
+def test_wrong_typed_report_row_exits_3(tmp_path, field, value, capsys):
+    path = _report_with_row(tmp_path, **{field: value})
+    out = tmp_path / "o"
+    assert main(["report", "--in", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "row 0" in err and repr(field) in err
+    assert not (out / "report.csv").exists()
+
+
+def test_report_row_accepts_integral_numbers_and_nulls(tmp_path):
+    path = _report_with_row(tmp_path, multiplier=50, sigma=0, test_accuracy=None,
+                            good_flag=None, rmse=0.25)
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "report.csv").read_text().splitlines()[1].startswith(
+        "text,m50-s0.1,")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_crossbar_flag_exits_2(tmp_path, value, capsys):
     out = tmp_path / "x.json"
@@ -302,3 +339,13 @@ def test_ciphertext_padding_bits_exit_3(artifacts, tmp_path, capsys):
                  "--in", str(ct), "--out", str(tmp_path / "o.txt")]) == 3
     err = capsys.readouterr().err
     assert "padding bits" in err and "byte offset 31" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(hdcrypt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "hdcrypt", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == hdcrypt.__version__

@@ -180,6 +180,60 @@ def test_sgd_step_allocates_no_weight_sized_buffer():
     assert peak < W.nbytes / 4
 
 
+def _float32_step_case(head, out_dim, in_dim, batch, seed):
+    W, b, X, Y = _step_case(head, out_dim, in_dim, batch, seed)
+    return W.astype(np.float32), b.astype(np.float32), X.astype(np.float32), Y
+
+
+@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+def test_float32_sgd_step_stays_float32_and_in_place(head):
+    W, b, X, Y = _float32_step_case(head, 9, 40, 16, seed=22)
+    b_before = b
+    loss, W_new = _sgd_step(W, b, X, Y, head, 0.3)
+    assert W_new.dtype == np.float32 and b.dtype == np.float32
+    assert np.shares_memory(W_new, W) and b is b_before
+    assert isinstance(loss, float)
+
+
+@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+def test_float32_sgd_step_matches_float64_reference(head):
+    W, b, X, Y = _float32_step_case(head, 9, 40, 16, seed=23)
+    lr = 0.3
+    # oracle: the float64 update from the same (float32-exact) starting point
+    W64, b64, X64 = (a.astype(np.float64) for a in (W, b, X))
+    loss_ref, gw, gb = _batch_loss_grads(W64, b64, X64, Y, head)
+    W_ref, b_ref = W64 - lr * gw, b64 - lr * gb
+    loss, W_new = _sgd_step(W, b, X, Y, head, lr)
+    tol = 2 * np.finfo(np.float32).eps
+    assert abs(loss - loss_ref) <= tol * abs(loss_ref)
+    assert np.max(np.abs(W_new - W_ref)) <= tol * np.max(np.abs(W_ref))
+    assert np.max(np.abs(b - b_ref)) <= tol * np.max(np.abs(b_ref))
+
+
+def test_float32_sgd_step_allocates_no_weight_sized_buffer():
+    W, b, X, Y = _float32_step_case(HEAD_REGRESSION, 784, 3136, 16, seed=24)
+    tracemalloc.start()
+    try:
+        _sgd_step(W, b, X, Y, HEAD_REGRESSION, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < W.nbytes / 4
+
+
+@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+def test_train_returns_float64_widening_of_float32_weights(head):
+    X, y = _toy_classification(n=120)
+    Y = y if head == HEAD_SOFTMAX else np.eye(5)[y]
+    cfg = TrainConfig(learning_rate=0.1, batch_size=16, max_epochs=4, seed=25)
+    model = LinearDecoder.new_random(12, 5, head, seed=26)
+    trained, _ = train(model, (X, Y), (X[:30], Y[:30]), cfg)
+    for a in (trained.weights, trained.bias):
+        assert a.dtype == np.float64
+        assert np.array_equal(a.astype(np.float32).astype(np.float64), a)
+    assert not np.array_equal(trained.weights, model.weights)
+
+
 def test_train_leaves_features_unchanged():
     X, y = _toy_classification(n=100)
     X_before = X.copy()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdcrypt.errors import DataFormatError, DimensionError
+from hdcrypt.errors import DataFormatError, DimensionError, HdcryptError
 from hdcrypt.hypervector import BinaryHypervector, hamming
 
 
@@ -50,6 +50,34 @@ def test_padding_bits_must_be_zero():
     words = np.array([1 << 63], dtype=np.uint64)
     with pytest.raises(DataFormatError):
         BinaryHypervector(10, words)   # bit 63 is padding for dim 10
+
+
+def test_wire_format_padding_bits_name_byte_offset():
+    # dim 95: 12 payload bytes, and bit 7 of the last one is padding
+    blob = b"HBV1" + (95).to_bytes(8, "little") + b"\x00" * 11 + b"\x80"
+    with pytest.raises(DataFormatError) as excinfo:
+        BinaryHypervector.from_bytes(blob)
+    assert excinfo.value.offset == 23
+
+
+_FUZZ_BLOB = BinaryHypervector.from_bits(
+    np.random.default_rng(3).integers(0, 2, size=95, dtype=np.uint8)).to_bytes()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_bytes_roundtrip_or_raise_hdcrypt_error(data):
+    blob = bytearray(_FUZZ_BLOB)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(blob) - 1))
+        blob[i] = data.draw(st.integers(0, 255))
+    blob = bytes(blob[:data.draw(st.integers(0, len(blob)))] if data.draw(st.booleans())
+                 else blob + data.draw(st.binary(max_size=12)))
+    try:
+        hv = BinaryHypervector.from_bytes(blob)
+    except HdcryptError:
+        return
+    assert hv.to_bytes() == blob
 
 
 def test_equality_and_hash():
