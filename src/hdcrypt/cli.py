@@ -56,7 +56,8 @@ def _cmd_train_text(args):
                train_config=DEFAULT_TEXT_TRAIN, seed=args.seed)
     print(json.dumps({"model": args.out, "epsilon": epsilon,
                       "test_accuracy": round(accuracy, 4),
-                      "epochs": report.epochs_run}))
+                      "epochs": report.epochs_run, "best_epoch": report.best_epoch,
+                      "init_val_loss": report.init_val_loss}))
 
 
 def _epsilon_from_args(args):

@@ -8,9 +8,15 @@ Two heads share the same affine map z = W x + b:
                  (image reconstruction).
 
 Gradients are hand-written and verified against central finite
-differences (see grad_check). Training stops when the validation loss
-fails to improve by min_delta for `patience` consecutive epochs and the
-weights of the best-validation epoch are returned.
+differences (see grad_check). Training scores the initial weights on the
+validation set as epoch -1, stops when the validation loss fails to
+improve by min_delta for `patience` consecutive epochs, and returns the
+weights of the best-validation epoch, the initial ones included.
+
+The softmax head has a closed-form start, fit_naive_bayes: the bits of
+one ciphertext block are independent given the class, since every cell
+draws its own read noise, so the Bayes-optimal decoder is linear and its
+weights follow from per-class bit counts.
 
 Every SGD step of `train` runs in float32: the forward GEMM, the softmax
 or residual, and the weight and bias updates. The features are binary
@@ -38,6 +44,7 @@ __all__ = [
     "LinearDecoder",
     "TrainConfig",
     "TrainReport",
+    "fit_naive_bayes",
     "loss_rmse",
     "loss_nll",
     "train",
@@ -54,7 +61,20 @@ _EVAL_CHUNK = 8192
 
 
 def _softmax(z):
+    """Row softmax into a new array of z's dtype.
+
+    Logits more than half the dtype's exponent range below their row's
+    maximum are raised to that floor: about -354 in float64 and -44 in
+    float32. exp of a logit under about -708 (float64) or -87 (float32)
+    is subnormal or zero and takes a path up to a hundred times slower,
+    and subnormal gradient entries slow the GEMMs that read them; a
+    confident model puts many logits there. At the floor a probability
+    is at least sqrt(tiny) / classes, so it, and the gradient divided by
+    any practical batch size, stays normal. The raise changes a row's
+    probability sum by less than the dtype's rounding.
+    """
     z = z - z.max(axis=-1, keepdims=True)
+    np.maximum(z, 0.5 * np.log(np.finfo(z.dtype).tiny), out=z)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
@@ -179,6 +199,35 @@ class LinearDecoder:
         return preds
 
 
+def fit_naive_bayes(features, labels, num_classes):
+    """Closed-form softmax decoder from binary features and class labels.
+
+    With p_cj = (count_cj + 1) / (n_c + 2), the Laplace-smoothed frequency
+    of bit j in class c, the weights are w_cj = log p_cj - log(1 - p_cj)
+    and the bias b_c = sum_j log(1 - p_cj): naive Bayes under equal class
+    priors. A class without examples gets zero weights and the bias of
+    p = 1/2 on every bit. Features must be 0/1 and labels in
+    [0, num_classes); anything else raises DimensionError.
+    """
+    X = np.asarray(features)
+    Y = np.asarray(labels)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise DimensionError("features must be a nonempty (n, d) array")
+    if Y.shape != (X.shape[0],) or not np.issubdtype(Y.dtype, np.integer):
+        raise DimensionError("labels must be one integer class index per row")
+    if Y.min() < 0 or Y.max() >= num_classes:
+        raise DimensionError(f"labels must lie in [0, {num_classes})")
+    if not np.all((X == 0) | (X == 1)):
+        raise DimensionError("features must be 0/1 bits")
+    counts = np.zeros((num_classes, X.shape[1]))
+    for c in range(num_classes):
+        counts[c] = X[Y == c].sum(axis=0)
+    totals = np.bincount(Y, minlength=num_classes)[:, None] + 2.0
+    log_on = np.log((counts + 1.0) / totals)
+    log_off = np.log((totals - 1.0 - counts) / totals)
+    return LinearDecoder(log_on - log_off, log_off.sum(axis=1), HEAD_SOFTMAX)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float
@@ -209,7 +258,8 @@ class TrainReport:
     train_loss_history: list = field(default_factory=list)
     val_loss_history: list = field(default_factory=list)
     stopped_early: bool = False
-    best_epoch: int = -1
+    best_epoch: int = -1        # -1: no epoch beat the initial weights
+    init_val_loss: float | None = None
 
 
 def _batch_loss_dz(weights, bias, X, Y, head):
@@ -303,8 +353,10 @@ def train(model, train_set, val_set, cfg):
     features; each epoch's validation loss is computed in float64 on the
     widened weights, which are what the returned model holds.
 
-    Returns (best_model, TrainReport). The returned weights come from the
-    epoch with the lowest validation loss seen. Raises
+    The initial weights are scored first, as epoch -1, and set the loss
+    the first epochs must improve on. Returns (best_model, TrainReport):
+    the weights of the epoch with the lowest validation loss seen, or
+    `model` itself, with best_epoch -1, when no epoch beat it. Raises
     TrainingDivergedError when a non-finite loss appears.
     """
     X, Y = _check_set("train", train_set, model)
@@ -319,10 +371,12 @@ def train(model, train_set, val_set, cfg):
     dense = np.asarray(X, dtype=np.float32) if X.size <= 40_000_000 else None
 
     report = TrainReport()
-    best_val = np.inf
+    best_val = _full_loss(model.weights, model.bias, Xv, Yv, model.head)
+    if not np.isfinite(best_val):
+        raise TrainingDivergedError(-1, "non-finite validation loss")
+    report.init_val_loss = reference_val = best_val
     # buffers for the best epoch's parameters, allocated once
     best_weights, best_bias = weights.copy(), bias.copy()
-    reference_val = np.inf
     epochs_since_improve = 0
 
     for epoch in range(cfg.max_epochs):
@@ -361,6 +415,8 @@ def train(model, train_set, val_set, cfg):
                 report.stopped_early = True
                 break
 
+    if report.best_epoch == -1:
+        return model, report
     return LinearDecoder(best_weights, best_bias, model.head), report
 
 
@@ -404,13 +460,6 @@ def grad_check(model, example, h=1e-5):
 
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def analytic_gradient_norm(model, example):
-    """L2 norm of the analytic gradient at one example (test hook)."""
-    X, Y = _one_example(model, example)
-    _, gw, gb = _batch_loss_grads(model.weights, model.bias, X, Y, model.head)
-    return float(np.sqrt(np.sum(gw * gw) + np.sum(gb * gb)))
 
 
 # --- model files ----------------------------------------------------------

@@ -60,7 +60,8 @@ class CharsetError(DataFormatError):
 
 
 class TrainingDivergedError(HdcryptError, ArithmeticError):
-    """Non-finite loss encountered while training. `epoch` is 0-based."""
+    """Non-finite loss encountered while training. `epoch` is 0-based;
+    -1 means the initial weights' validation loss."""
 
     def __init__(self, epoch, message="non-finite loss"):
         self.epoch = epoch

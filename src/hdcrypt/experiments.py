@@ -16,7 +16,7 @@ import numpy as np
 
 from . import jsondoc
 from .crossbar import Crossbar, CrossbarConfig
-from .decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder, TrainConfig,
+from .decoder import (HEAD_REGRESSION, LinearDecoder, TrainConfig, fit_naive_bayes,
                       train)
 from .encoder import IdealEncoder, calibrate_epsilon, crossbar_pre_threshold_batch
 from .errors import ConfigError, DataFormatError, require_finite
@@ -102,14 +102,14 @@ def make_text_datasets(xbar, keys, epsilon, sizes, master_seed):
 
 
 def train_text_system(xbar, keys, sizes, train_cfg, master_seed):
-    """Calibrate, generate data, train the 94-class decoder, evaluate.
+    """Calibrate, generate data, train the 94-class decoder from its
+    closed-form fit (decoder.fit_naive_bayes), evaluate.
 
     Returns (model, epsilon, accuracy, report).
     """
     epsilon = calibrate_text_epsilon(xbar, keys, master_seed)
     train_set, val_set, test_set = make_text_datasets(xbar, keys, epsilon, sizes, master_seed)
-    init = LinearDecoder.new_random(xbar.cols, NUM_CLASSES, HEAD_SOFTMAX,
-                                    derive_seed(master_seed, "decoder"))
+    init = fit_naive_bayes(*train_set, NUM_CLASSES)
     cfg = replace(train_cfg, seed=derive_seed(master_seed, "shuffle"))
     model, report = train(init, train_set, val_set, cfg)
     accuracy = evaluate_accuracy(model, test_set)
@@ -356,18 +356,6 @@ def _fmt(value, column):
     return str(value)
 
 
-def _parse(text, column):
-    if column in ("task", "cell", "status", "reason"):
-        return text
-    if column in ("rows", "cols", "epochs"):
-        return int(text)
-    if column == "good_flag":
-        return None if text == "" else text == "true"
-    if column == "multiplier":
-        return float(text)
-    return None if text == "" else float(text)
-
-
 @dataclass
 class ExperimentReport:
     rows: list = field(default_factory=list)
@@ -403,19 +391,6 @@ class ExperimentReport:
             where = f"experiment-report row {i}"
             rows.append(jsondoc.check_types(jsondoc.build(ReportRow, r, where), where))
         return cls(rows=rows, spec_echo=doc["spec"])
-
-    @classmethod
-    def from_csv_text(cls, text):
-        import csv as _csv
-        reader = _csv.reader(text.splitlines())
-        header = next(reader, None)
-        if header is None or header[0] != "task":
-            raise DataFormatError("missing report CSV header")
-        rows = []
-        for record in reader:
-            fields = {col: _parse(val, col) for col, val in zip(header, record)}
-            rows.append(ReportRow(**fields))
-        return cls(rows=rows)
 
     def save(self, csv_path=None, json_path=None):
         if csv_path is not None:

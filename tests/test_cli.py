@@ -349,3 +349,21 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == hdcrypt.__version__
+
+
+def test_train_text_prints_init_loss_and_best_epoch(tmp_path, capsys):
+    xbar, keys, model = (tmp_path / n for n in ("xbar.json", "keys.json", "model.json"))
+    assert main(["gen-crossbar", "--rows", "6", "--cols", "96", "--sigma", "0.0",
+                 "--seed", "11", "--out", str(xbar)]) == 0
+    assert main(["gen-keys", "--key-dim", "6", "--seed", "12", "--out", str(keys)]) == 0
+    capsys.readouterr()
+    assert main(["train-text", "--crossbar", str(xbar), "--keys", str(keys),
+                 "--train-size", "2500", "--val-size", "600", "--test-size", "800",
+                 "--seed", "13", "--out", str(model)]) == 0
+    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    # noiseless codes: the closed-form fit is nearly exact, so no epoch
+    # improves on it by min_delta and training stops after `patience`
+    assert isinstance(doc["init_val_loss"], float)
+    assert 0.0 <= doc["init_val_loss"] < 1e-4
+    assert doc["epochs"] == 5
+    assert -1 <= doc["best_epoch"] < doc["epochs"]

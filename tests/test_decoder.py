@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder,
-                             TrainConfig, analytic_gradient_norm, grad_check,
+                             TrainConfig, fit_naive_bayes, grad_check,
                              load_model, loss_nll, loss_rmse, save_model,
-                             train, _batch_loss_grads, _sgd_step)
+                             train, _batch_loss_dz, _batch_loss_grads,
+                             _one_example, _sgd_step, _softmax)
 from hdcrypt.errors import (ConfigError, DimensionError,
                             TrainingDivergedError)
 from hdcrypt.hypervector import BinaryHypervector
@@ -114,6 +115,12 @@ def test_grad_check_regression_head():
 
 
 def test_zero_gradient_at_exact_fit():
+    def analytic_gradient_norm(model, example):
+        """L2 norm of the analytic gradient at one example."""
+        X, Y = _one_example(model, example)
+        _, gw, gb = _batch_loss_grads(model.weights, model.bias, X, Y, model.head)
+        return float(np.sqrt(np.sum(gw * gw) + np.sum(gb * gb)))
+
     model = LinearDecoder(np.zeros((2, 3)), np.array([0.5, -0.5]), HEAD_REGRESSION)
     x = np.array([1.0, 2.0, 3.0])
     target = model.forward(x)
@@ -322,9 +329,90 @@ def test_train_divergence_raises_with_epoch():
     assert 0 <= excinfo.value.epoch < 10
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_train_rejects_init_with_non_finite_validation_loss():
+    X = np.ones((8, 3))
+    model = LinearDecoder(np.full((2, 3), 1e308), np.zeros(2), HEAD_REGRESSION)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=4, max_epochs=3)
+    with pytest.raises(TrainingDivergedError) as excinfo:
+        train(model, (X, np.zeros((8, 2))), (X, np.zeros((8, 2))), cfg)
+    assert excinfo.value.epoch == -1
+
+
 def test_noiseless_codes_reach_perfect_validation(noiseless_system):
     # separability oracle: distinct noiseless codes are linearly separable
     assert noiseless_system["accuracy"] == 1.0
+
+
+def test_naive_bayes_fit_matches_hand_laplace_logits():
+    X = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)
+    y = np.array([0, 0, 1])
+    model = fit_naive_bayes(X, y, 3)
+    # p_cj = (count + 1) / (n_c + 2); class 2 has no examples, so p = 1/2
+    p = np.array([[3 / 4, 2 / 4, 2 / 4],
+                  [1 / 3, 1 / 3, 2 / 3],
+                  [1 / 2, 1 / 2, 1 / 2]])
+    assert model.head == HEAD_SOFTMAX
+    np.testing.assert_allclose(model.weights, np.log(p) - np.log(1 - p),
+                               rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(model.bias, np.log(1 - p).sum(axis=1),
+                               rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("features, labels", [
+    ([[0, 2], [1, 0]], [0, 1]),
+    ([[0.5, 1], [1, 0]], [0, 1]),
+    ([[0, 1], [1, 0]], [0, 3]),
+    ([[0, 1], [1, 0]], [-1, 1]),
+    ([[0, 1], [1, 0]], [0.5, 1]),
+    ([[0, 1], [1, 0]], [0]),
+])
+def test_naive_bayes_fit_rejects_non_bits_and_bad_labels(features, labels):
+    with pytest.raises(DimensionError):
+        fit_naive_bayes(np.array(features), np.array(labels), 3)
+
+
+def test_train_returns_optimal_init_bit_for_bit():
+    # four classes with distinct 40-bit codes: the fit's validation NLL is
+    # exactly 0 in float64, so no epoch can beat it
+    rng = spawn_rng(27, "separable")
+    codes = rng.integers(0, 2, size=(4, 40))
+    y = rng.integers(0, 4, size=200)
+    X = codes[y].astype(np.uint8)
+    init = fit_naive_bayes(X, y, 4)
+    cfg = TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=30, patience=3, seed=28)
+    trained, report = train(init, (X, y), (X[:60], y[:60]), cfg)
+    assert report.init_val_loss == 0.0
+    assert report.best_epoch == -1
+    assert report.stopped_early and report.epochs_run == 3
+    assert len(report.val_loss_history) == report.epochs_run
+    assert trained.weights.tobytes() == init.weights.tobytes()
+    assert trained.bias.tobytes() == init.bias.tobytes()
+
+
+def _spread_logits(dtype):
+    """64 rows of 94 logits evenly spread over [-1500, 0]."""
+    return np.tile(np.linspace(0.0, -1500.0, 94), (64, 1)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_of_widely_spread_logits_has_no_subnormals(dtype):
+    P = _softmax(_spread_logits(dtype))
+    assert P.dtype == dtype
+    assert np.all(P >= np.finfo(dtype).tiny)
+    assert np.allclose(P.sum(axis=1), 1.0)
+
+
+def test_float32_softmax_gradient_has_no_subnormals():
+    Z = _spread_logits(np.float32)
+    W = np.zeros((94, 8), dtype=np.float32)
+    X = np.ones((64, 8), dtype=np.float32)
+    Y = spawn_rng(29, "labels").integers(0, 94, size=64)
+    _, dZ = _batch_loss_dz(W, Z[0], X, Y, HEAD_SOFTMAX)
+    assert dZ.dtype == np.float32
+    nonzero = np.abs(dZ[dZ != 0])
+    assert nonzero.size > 0.9 * dZ.size
+    assert np.all(nonzero >= np.finfo(np.float32).tiny)
 
 
 def test_train_config_validation():
