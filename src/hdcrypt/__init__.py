@@ -11,10 +11,9 @@ from .crossbar import Crossbar, CrossbarConfig
 from .decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder,
                       TrainConfig, TrainReport, fit_naive_bayes, grad_check,
                       load_model, loss_nll, loss_rmse, save_model, train)
-from .encoder import (EncoderParams, IdealEncoder, calibrate_epsilon,
-                      crossbar_pre_threshold, crossbar_pre_threshold_batch,
-                      encode_crossbar, encode_crossbar_batch,
-                      threshold_binarize)
+from .encoder import (IdealEncoder, calibrate_epsilon, crossbar_pre_threshold,
+                      crossbar_pre_threshold_batch, encode_crossbar,
+                      encode_crossbar_batch, threshold_binarize)
 from .errors import (CharsetError, ConfigError, DataFormatError,
                      DegenerateStatisticError, DimensionError, HdcryptError,
                      TrainingDivergedError)

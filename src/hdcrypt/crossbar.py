@@ -33,8 +33,9 @@ _CODE_TO_STUCK = {v: k for k, v in _STUCK_TO_CODE.items()}
 
 # Batched reads draw their noise into one reusable buffer of about this
 # many bytes, a few reads at a time, so that the draws, the scaling and the
-# clamp of each block stay in cache.
-_READ_BLOCK_BYTES = 2 << 20
+# clamp of each block stay in cache. The ideal encoder's streamed weights
+# and batch noise use the same budget.
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ class Crossbar:
             raise ValueError("input vectors must be finite")
         n = vs.shape[0]
         out = np.empty((n, self.cols))
-        chunk = max(1, _READ_BLOCK_BYTES // (8 * self.rows * self.cols))
+        chunk = max(1, _BLOCK_BYTES // (8 * self.rows * self.cols))
         buf = np.empty((min(n, chunk), self.rows, self.cols))
         for start in range(0, n, chunk):
             stop = min(n, start + chunk)

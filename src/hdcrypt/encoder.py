@@ -17,17 +17,16 @@ balances the 0/1 bit budget of the ciphertext. Single-input calls
 For IdealEncoder the fresh noise is sampled in its exact projected form:
 since N has i.i.d. Normal(0, sigma^2) entries, N @ x is a vector of
 independent Normal(0, sigma^2 * ||x||^2) draws, so we sample that
-directly instead of materializing a D x k matrix per pass. The
-materializing path is kept as `project_with_noise_matrix` for reference
-and testing. The image pipeline's no-expansion control,
-`imagecrypto.BenchmarkEncoder`, is an IdealEncoder with a square
-projection and no threshold, and inherits these projection paths.
+directly instead of materializing a D x k matrix per pass; the tests
+keep the materializing form as their oracle. The image pipeline's
+no-expansion control, `imagecrypto.BenchmarkEncoder`, is an
+IdealEncoder with a square projection and no threshold, and inherits
+these projection paths.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
+from .crossbar import _BLOCK_BYTES
 from .errors import ConfigError, DimensionError
 from .hypervector import BinaryHypervector
 from .rng import spawn_rng
@@ -39,7 +38,6 @@ __all__ = [
     "encode_crossbar",
     "encode_crossbar_batch",
     "IdealEncoder",
-    "EncoderParams",
 ]
 
 
@@ -106,42 +104,46 @@ def _weight_blocks(label, seed, rows, cols, init_low, init_high, block_rows):
     """Projection entries i.i.d. uniform in (init_low, init_high) from the
     seeded `label` stream, yielded as (first row, block) `block_rows` rows
     at a time. The stream is consumed row-major, so the blocks stack to
-    the same matrix whatever the block size."""
-    if init_low >= init_high:
-        raise ConfigError("init_low", "init interval must be nonempty")
+    the same matrix whatever the block size, and each entry is
+    init_low + (init_high - init_low) * u, bitwise what `rng.uniform`
+    draws. Every block is written into one buffer, so it is valid only
+    until the next one is drawn."""
+    if not init_low < init_high or not np.isfinite(init_high - init_low):
+        raise ConfigError("init_low", "init interval must be nonempty and finite")
     rng = spawn_rng(seed, label)
+    buf = np.empty((min(block_rows, rows), cols))
     for start in range(0, rows, block_rows):
-        yield start, rng.uniform(init_low, init_high,
-                                 size=(min(block_rows, rows - start), cols))
+        block = buf[:rows - start]
+        rng.random(out=block)
+        block *= init_high - init_low
+        block += init_low
+        yield start, block
 
 
 def _add_noise(ys, xs, sigma, rng):
     """Add the fresh-noise term N @ x to projections `ys` of input(s) `xs`,
-    sampled in its projected form (see the module docstring)."""
+    sampled in its projected form (see the module docstring).
+
+    The draws go into one reusable buffer a block of rows at a time, then
+    are scaled and added in place. They come in the order of one
+    `standard_normal(ys.shape)` call and every element sees the same
+    operations, so the result is bitwise that of the one-shot form
+    `ys + sigma * norms * rng.standard_normal(ys.shape)`."""
     if sigma > 0:
         # a single input's norm is a BLAS dot, a batch's a row-wise sum;
         # the two can differ in the last bit, and both results are pinned
         norms = np.linalg.norm(xs) if xs.ndim == 1 else np.linalg.norm(xs, axis=1, keepdims=True)
-        ys += sigma * norms * rng.standard_normal(ys.shape)
+        scales = np.reshape(sigma * norms, (-1, 1))
+        rows = ys if ys.ndim == 2 else ys[None]
+        n, cols = rows.shape
+        step = max(1, _BLOCK_BYTES // (8 * max(1, cols)))
+        buf = np.empty((min(step, n), cols))
+        for start in range(0, n, step):
+            z = buf[:n - start]
+            rng.standard_normal(out=z)
+            z *= scales[start:start + step]
+            rows[start:start + step] += z
     return ys
-
-
-@dataclass(frozen=True)
-class EncoderParams:
-    """Dimensioning of an encoder: D = input_dim * multiplier."""
-
-    input_dim: int
-    multiplier: int
-
-    def __post_init__(self):
-        if self.input_dim < 1:
-            raise ConfigError("input_dim", "must be >= 1")
-        if self.multiplier < 1:
-            raise ConfigError("multiplier", "must be >= 1")
-
-    @property
-    def output_dim(self):
-        return self.input_dim * self.multiplier
 
 
 class IdealEncoder:
@@ -167,8 +169,13 @@ class IdealEncoder:
     @classmethod
     def new_random(cls, input_dim, multiplier, sigma, seed,
                    init_low=-2.0, init_high=2.0, epsilon=0.0):
-        """Projection entries i.i.d. uniform in (init_low, init_high)."""
-        rows = EncoderParams(input_dim, multiplier).output_dim
+        """D = input_dim * multiplier rows of projection entries, i.i.d.
+        uniform in (init_low, init_high)."""
+        if input_dim < 1:
+            raise ConfigError("input_dim", "must be >= 1")
+        if multiplier < 1:
+            raise ConfigError("multiplier", "must be >= 1")
+        rows = input_dim * multiplier
         _, w = next(_weight_blocks(_INIT_LABEL, seed, rows, input_dim,
                                    init_low, init_high, block_rows=rows))
         return cls(w, sigma, epsilon, seed)
@@ -203,16 +210,6 @@ class IdealEncoder:
             raise DimensionError(f"input shape {xs.shape}, expected (n, {self.input_dim})")
         return _add_noise(xs @ self.weights.T, xs, self.sigma, rng)
 
-    def project_with_noise_matrix(self, x, noise_matrix):
-        """Reference path: y = (W + N) x with an explicit noise matrix N."""
-        x = self._check_input(x)
-        noise_matrix = np.asarray(noise_matrix, dtype=np.float64)
-        if noise_matrix.shape != self.weights.shape:
-            raise DimensionError(
-                f"noise shape {noise_matrix.shape}, expected {self.weights.shape}"
-            )
-        return (self.weights + noise_matrix) @ x
-
     def encode(self, x, rng):
         return threshold_binarize(self.project(x, rng), self.epsilon)
 
@@ -220,13 +217,19 @@ class IdealEncoder:
         return binarize_batch(self.project_batch(xs, rng), self.epsilon)
 
 
-def project_streamed(x, output_dim, sigma, seed, rng,
-                     init_low=-2.0, init_high=2.0, block_rows=4096):
+def project_streamed(x, output_dim, sigma, seed, rng, init_low=-2.0, init_high=2.0):
     """Pre-threshold output of an IdealEncoder too large to materialize.
 
-    Regenerates the projection block by block from the same seeded stream
-    new_random would use, so the result matches an in-memory encoder with
-    identical parameters; memory stays O(block_rows * len(x)).
+    Regenerates the projection from the same seeded stream new_random
+    would use, so the result matches an in-memory encoder with identical
+    parameters. The weights are drawn into one reusable buffer of about
+    _BLOCK_BYTES (2 MiB), so the working memory beyond the output vector
+    stays about that size whatever the input length. Blocks hold a
+    multiple of 4 rows, and at least 4 (one 4-row block exceeds the
+    budget for inputs above 65,536 entries): OpenBLAS's matrix-vector
+    kernels work on groups of four rows and round a shorter group
+    differently, so whole groups keep the output independent of the
+    block size.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -234,7 +237,8 @@ def project_streamed(x, output_dim, sigma, seed, rng,
     if not np.all(np.isfinite(x)):
         raise ValueError("input vector must be finite")
     y = np.empty(output_dim)
+    block_rows = max(4, _BLOCK_BYTES // (8 * x.size) // 4 * 4)
     for start, block in _weight_blocks(_INIT_LABEL, seed, output_dim, x.size,
                                        init_low, init_high, block_rows):
-        y[start:start + len(block)] = block @ x
+        np.matmul(block, x, out=y[start:start + len(block)])
     return _add_noise(y, x, sigma, rng)

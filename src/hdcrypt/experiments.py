@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import jsondoc
-from .crossbar import Crossbar, CrossbarConfig
+from .crossbar import _BLOCK_BYTES, Crossbar, CrossbarConfig
 from .decoder import (HEAD_REGRESSION, LinearDecoder, TrainConfig, fit_naive_bayes,
                       train)
 from .encoder import IdealEncoder, calibrate_epsilon, crossbar_pre_threshold_batch
@@ -417,6 +417,21 @@ class ImageCellResult:
     wall_time_s: float
 
 
+def _standardized_float32(X, center, scale):
+    """(X - center) / scale as float32 training features: each block of
+    rows is widened, standardized in float64, then stored, so no float64
+    copy of the whole matrix is made. `train` steps on float32 features
+    as they are, and these are the values it would round them to."""
+    out = np.empty(X.shape, dtype=np.float32)
+    step = max(1, _BLOCK_BYTES // (8 * max(1, X.shape[1])))
+    for start in range(0, len(X), step):
+        block = X[start:start + step].astype(np.float64)
+        block -= center
+        block /= scale
+        out[start:start + step] = block
+    return out
+
+
 def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
                    multiplier=4, pipeline="bhv", init_range=(-2.0, 2.0),
                    val_fraction=0.1, encode_repeats=4):
@@ -461,8 +476,8 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
                                       init_low=init_range[0], init_high=init_range[1])
         enc = enc.with_epsilon(calibrate_epsilon(enc.project_batch(flats[:64], calib_rng)))
         feat_dim = enc.output_dim
-        X = enc.encode_batch(repeated, spawn_rng(master_seed, "train-data")).astype(np.float64)
-        X_val = enc.encode_batch(val_flats, spawn_rng(master_seed, "val-data")).astype(np.float64)
+        X = enc.encode_batch(repeated, spawn_rng(master_seed, "train-data"))
+        X_val = enc.encode_batch(val_flats, spawn_rng(master_seed, "val-data"))
         X_test = enc.encode_batch(test_flats, spawn_rng(master_seed, "test-data"))
     else:
         enc = BenchmarkEncoder.new_random(k, sigma, derive_seed(master_seed, "encoder"),
@@ -472,10 +487,10 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
         X_val = enc.project_batch(val_flats, spawn_rng(master_seed, "val-data"))
         X_test = enc.project_batch(test_flats, spawn_rng(master_seed, "test-data"))
 
-    center = X[:64].mean(axis=0)
-    scale = (float(X[:64].std()) or 1.0) * np.sqrt(feat_dim / k)
-    X -= center
-    X /= scale
+    head = X[:64].astype(np.float64)
+    center = head.mean(axis=0)
+    scale = (float(head.std()) or 1.0) * np.sqrt(feat_dim / k)
+    X = _standardized_float32(X, center, scale)
     X_val = (X_val - center) / scale
 
     train_set = (X, repeated)

@@ -40,3 +40,13 @@ def noisy_system():
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.PCG64(12345))
+
+
+@pytest.fixture()
+def project_with_noise_matrix():
+    """Reference form of an ideal encoder pass, y = (W + N) x with an
+    explicit noise matrix N; the package samples N x in projected form."""
+    def project(enc, x, noise_matrix):
+        assert noise_matrix.shape == enc.weights.shape
+        return (enc.weights + noise_matrix) @ x
+    return project

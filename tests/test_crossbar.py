@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hdcrypt.crossbar import (_READ_BLOCK_BYTES, STUCK_FREE, STUCK_OFF,
+from hdcrypt.crossbar import (_BLOCK_BYTES, STUCK_FREE, STUCK_OFF,
                               STUCK_ON, Crossbar, CrossbarConfig)
 from hdcrypt.errors import ConfigError, DataFormatError, DimensionError
 from hdcrypt.rng import spawn_rng
@@ -222,7 +222,7 @@ def test_noiseless_batch_reads_match_sequential_reads_bitwise():
 def test_blocked_reads_match_sequential_reads_bitwise(sigma):
     cfg = make_config(rows=6, cols=40, sigma_frac=sigma, p_stuck_on=0.1, p_stuck_off=0.1)
     xbar = Crossbar.new_random(cfg)
-    chunk = _READ_BLOCK_BYTES // (8 * 6 * 40)
+    chunk = _BLOCK_BYTES // (8 * 6 * 40)
     # two full blocks of reads and a half-full last one
     vs = spawn_rng(7, "inputs").uniform(-1, 1, size=(5 * chunk // 2, 6))
     batched = xbar.read_vmm_batch(vs, spawn_rng(8, "stream"))

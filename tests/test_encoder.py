@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdcrypt import encoder
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
-from hdcrypt.encoder import (EncoderParams, IdealEncoder, binarize_batch,
+from hdcrypt.encoder import (_BLOCK_BYTES, IdealEncoder, binarize_batch,
                              calibrate_epsilon, crossbar_pre_threshold,
                              crossbar_pre_threshold_batch, encode_crossbar,
                              encode_crossbar_batch, project_streamed,
@@ -137,6 +140,14 @@ def test_ideal_init_interval_respected():
     assert enc.weights.min() < -1.5 and enc.weights.max() > 1.5
 
 
+@pytest.mark.parametrize("low, high", [(1.0, 1.0), (2.0, -2.0), (np.nan, 1.0),
+                                       (-1e308, 1e308)])
+def test_ideal_init_interval_must_be_nonempty_and_finite(low, high):
+    with pytest.raises(ConfigError) as excinfo:
+        IdealEncoder.new_random(3, 2, sigma=0.0, seed=9, init_low=low, init_high=high)
+    assert excinfo.value.field == "init_low"
+
+
 def test_ideal_hand_computed_row_sums(rng):
     w = np.array([[1.0, 2.0], [-3.0, 1.0], [0.5, -0.5]])
     enc = IdealEncoder(w, sigma=0.0, epsilon=0.5)
@@ -154,13 +165,13 @@ def test_ideal_noise_equals_scaled_standard_normals():
     assert np.array_equal(y, expected)
 
 
-def test_ideal_noise_distribution_matches_matrix_form():
+def test_ideal_noise_distribution_matches_matrix_form(project_with_noise_matrix):
     # oracle: materialized noise-matrix path, per-entry variance sigma^2 ||x||^2
     enc = IdealEncoder.new_random(6, 40, sigma=0.3, seed=12)
     x = spawn_rng(13, "x").uniform(-1, 1, 6)
     mat_rng = spawn_rng(14, "mat")
     mat_draws = np.array([
-        enc.project_with_noise_matrix(x, 0.3 * mat_rng.standard_normal(enc.weights.shape))
+        project_with_noise_matrix(enc, x, 0.3 * mat_rng.standard_normal(enc.weights.shape))
         for _ in range(4000)
     ])
     fast_rng = spawn_rng(15, "fast")
@@ -190,12 +201,25 @@ def test_ideal_batch_matches_single(rng):
 
 
 def test_encoder_params_validation():
-    params = EncoderParams(input_dim=10, multiplier=50)
-    assert params.output_dim == 500
-    with pytest.raises(ConfigError):
-        EncoderParams(input_dim=0, multiplier=5)
-    with pytest.raises(ConfigError):
-        EncoderParams(input_dim=5, multiplier=0)
+    assert IdealEncoder.new_random(input_dim=10, multiplier=50, sigma=0.0, seed=1).output_dim == 500
+    with pytest.raises(ConfigError) as excinfo:
+        IdealEncoder.new_random(input_dim=0, multiplier=5, sigma=0.0, seed=1)
+    assert excinfo.value.field == "input_dim"
+    with pytest.raises(ConfigError) as excinfo:
+        IdealEncoder.new_random(input_dim=5, multiplier=0, sigma=0.0, seed=1)
+    assert excinfo.value.field == "multiplier"
+
+
+def test_blocked_batch_noise_matches_one_shot_draws():
+    enc = IdealEncoder.new_random(8, 40, sigma=0.6, seed=35)
+    step = _BLOCK_BYTES // (8 * enc.output_dim)
+    # two full noise blocks and a half-full last one
+    xs = spawn_rng(36, "xs").uniform(-1, 1, (5 * step // 2, 8))
+    got = enc.project_batch(xs, spawn_rng(37, "s"))
+    # oracle: the one-shot form, drawing the whole batch's noise at once
+    norms = np.linalg.norm(xs, axis=1, keepdims=True)
+    expected = xs @ enc.weights.T + 0.6 * norms * spawn_rng(37, "s").standard_normal(got.shape)
+    assert np.array_equal(got, expected)
 
 
 # --- calibration -------------------------------------------------------------
@@ -239,17 +263,40 @@ def test_packed_encoding_agrees_with_unpacked_reference(rng):
     assert hv.popcount() == int(reference.sum())
 
 
-def test_streamed_projection_matches_in_memory_encoder():
+def test_streamed_projection_matches_in_memory_encoder(monkeypatch):
     enc = IdealEncoder.new_random(12, 30, sigma=0.4, seed=31)
     x = spawn_rng(32, "x").uniform(0, 1, 12)
     direct = enc.project(x, spawn_rng(33, "s"))
-    streamed = project_streamed(x, enc.output_dim, 0.4, 31, spawn_rng(33, "s"),
-                                block_rows=7)
+    # 8-row blocks: the 360 rows are streamed in 45 blocks
+    monkeypatch.setattr(encoder, "_BLOCK_BYTES", 8 * 12 * 8)
+    streamed = project_streamed(x, enc.output_dim, 0.4, 31, spawn_rng(33, "s"))
     assert np.allclose(streamed, direct, rtol=1e-12, atol=1e-12)
     # the sigma=0 part is the same seeded weight stream, exactly
-    clean = project_streamed(x, enc.output_dim, 0.0, 31, spawn_rng(34, "t"),
-                             block_rows=360)
+    monkeypatch.undo()
+    clean = project_streamed(x, enc.output_dim, 0.0, 31, spawn_rng(34, "t"))
     assert np.allclose(clean, enc.weights @ x, rtol=1e-13, atol=0)
+
+
+def test_streamed_projection_is_independent_of_block_budget(monkeypatch):
+    x = spawn_rng(41, "x").uniform(0, 1, 1000)
+    # 4,002 rows: the last block holds a partial group of four rows
+    outputs = []
+    for budget in (1, 8 * 1000 * 12, _BLOCK_BYTES):  # 4, 12 and 260 rows
+        monkeypatch.setattr(encoder, "_BLOCK_BYTES", budget)
+        outputs.append(project_streamed(x, 4002, 0.8, 42, spawn_rng(43, "s")))
+    for y in outputs[1:]:
+        assert np.array_equal(y, outputs[0])
+
+
+def test_streamed_projection_memory_stays_near_output_size():
+    x = spawn_rng(38, "x").uniform(0, 1, 2048)
+    tracemalloc.start()
+    try:
+        y = project_streamed(x, 4 * x.size, 1.0, 39, spawn_rng(40, "s"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < y.nbytes + (8 << 20)
 
 
 def test_small_input_perturbation_flips_no_bits(rng):
