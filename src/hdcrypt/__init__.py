@@ -19,9 +19,8 @@ from .errors import (CharsetError, ConfigError, DataFormatError,
                      TrainingDivergedError)
 from .hypervector import BinaryHypervector, hamming
 from .imagecrypto import (BenchmarkEncoder, GrayImage, adjacency_stats,
-                          adjacent_pixel_correlation, benchmark_roundtrip,
-                          binary_pair_counts, bits_to_plane, decrypt_image,
-                          encrypt_image, image_rmse, pixel_histogram)
+                          adjacent_pixel_correlation, binary_pair_counts,
+                          bits_to_plane, pixel_histogram)
 from .rng import derive_seed, spawn_rng
 from .textcrypto import (CHARSET, NUM_CLASSES, CipherText, SecretKeyTable,
                          build_dataset, decrypt_text, encrypt_text,

@@ -135,6 +135,10 @@ def _cmd_grid(args):
 
 
 def _cmd_image_demo(args):
+    if args.multiplier < 1:
+        raise ConfigError("--multiplier", f"must be >= 1, got {args.multiplier}")
+    if not args.image and args.size < 2:
+        raise ConfigError("--size", f"must be >= 2, got {args.size}")
     import os
     os.makedirs(args.out, exist_ok=True)
     if args.image:

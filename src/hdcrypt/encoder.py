@@ -5,7 +5,9 @@ input x of length k:
 
 * a Crossbar, where y is one noisy analog read of x, and
 * IdealEncoder, where y = (W + N) x with W fixed and N a fresh Gaussian
-  matrix per pass.
+  matrix per pass. W's entries are drawn i.i.d. uniform in the fixed
+  interval (-2, 2) from a seeded stream, and the noise level sigma must
+  be a finite number >= 0.
 
 Binarization compares y against a single global threshold `epsilon`;
 entries >= epsilon map to 1. The threshold is calibrated per model:
@@ -27,7 +29,7 @@ these projection paths.
 import numpy as np
 
 from .crossbar import _BLOCK_BYTES
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, require_finite
 from .hypervector import BinaryHypervector
 from .rng import spawn_rng
 
@@ -98,25 +100,33 @@ def encode_crossbar_batch(xbar, xs, epsilon, rng):
 
 
 _INIT_LABEL = "ideal-encoder-init"
+# every projection entry is drawn uniform in this fixed interval
+_INIT_INTERVAL = (-2.0, 2.0)
 
 
-def _weight_blocks(label, seed, rows, cols, init_low, init_high, block_rows):
-    """Projection entries i.i.d. uniform in (init_low, init_high) from the
-    seeded `label` stream, yielded as (first row, block) `block_rows` rows
-    at a time. The stream is consumed row-major, so the blocks stack to
-    the same matrix whatever the block size, and each entry is
-    init_low + (init_high - init_low) * u, bitwise what `rng.uniform`
-    draws. Every block is written into one buffer, so it is valid only
-    until the next one is drawn."""
-    if not init_low < init_high or not np.isfinite(init_high - init_low):
-        raise ConfigError("init_low", "init interval must be nonempty and finite")
+def _check_sigma(sigma):
+    """The noise level must be finite (NaN would pass as 0) and >= 0."""
+    require_finite("sigma", sigma)
+    if sigma < 0:
+        raise ConfigError("sigma", f"must be >= 0, got {sigma!r}")
+
+
+def _weight_blocks(label, seed, rows, cols, block_rows):
+    """Projection entries i.i.d. uniform in _INIT_INTERVAL from the seeded
+    `label` stream, yielded as (first row, block) `block_rows` rows at a
+    time. The stream is consumed row-major, so the blocks stack to the
+    same matrix whatever the block size, and each entry is
+    low + (high - low) * u, bitwise what `rng.uniform` draws. Every block
+    is written into one buffer, so it is valid only until the next one is
+    drawn."""
+    low, high = _INIT_INTERVAL
     rng = spawn_rng(seed, label)
     buf = np.empty((min(block_rows, rows), cols))
     for start in range(0, rows, block_rows):
         block = buf[:rows - start]
         rng.random(out=block)
-        block *= init_high - init_low
-        block += init_low
+        block *= high - low
+        block += low
         yield start, block
 
 
@@ -149,36 +159,32 @@ def _add_noise(ys, xs, sigma, rng):
 class IdealEncoder:
     """Fixed random projection plus fresh Gaussian matrix noise per pass."""
 
-    __slots__ = ("weights", "sigma", "epsilon", "seed")
+    __slots__ = ("weights", "sigma", "epsilon")
 
-    def __init__(self, weights, sigma, epsilon, seed=0):
+    def __init__(self, weights, sigma, epsilon):
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise DimensionError("weights must be 2-D (output_dim x input_dim)")
-        if sigma < 0:
-            raise ConfigError("sigma", f"must be >= 0, got {sigma!r}")
+        _check_sigma(sigma)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "sigma", float(sigma))
         object.__setattr__(self, "epsilon", float(epsilon))
-        object.__setattr__(self, "seed", int(seed))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def new_random(cls, input_dim, multiplier, sigma, seed,
-                   init_low=-2.0, init_high=2.0, epsilon=0.0):
+    def new_random(cls, input_dim, multiplier, sigma, seed):
         """D = input_dim * multiplier rows of projection entries, i.i.d.
-        uniform in (init_low, init_high)."""
+        uniform in (-2, 2), and threshold 0 until `with_epsilon`."""
         if input_dim < 1:
             raise ConfigError("input_dim", "must be >= 1")
         if multiplier < 1:
             raise ConfigError("multiplier", "must be >= 1")
         rows = input_dim * multiplier
-        _, w = next(_weight_blocks(_INIT_LABEL, seed, rows, input_dim,
-                                   init_low, init_high, block_rows=rows))
-        return cls(w, sigma, epsilon, seed)
+        _, w = next(_weight_blocks(_INIT_LABEL, seed, rows, input_dim, block_rows=rows))
+        return cls(w, sigma, 0.0)
 
     @property
     def input_dim(self):
@@ -189,7 +195,7 @@ class IdealEncoder:
         return self.weights.shape[0]
 
     def with_epsilon(self, epsilon):
-        return IdealEncoder(self.weights, self.sigma, epsilon, self.seed)
+        return IdealEncoder(self.weights, self.sigma, epsilon)
 
     def _check_input(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -217,7 +223,7 @@ class IdealEncoder:
         return binarize_batch(self.project_batch(xs, rng), self.epsilon)
 
 
-def project_streamed(x, output_dim, sigma, seed, rng, init_low=-2.0, init_high=2.0):
+def project_streamed(x, output_dim, sigma, seed, rng):
     """Pre-threshold output of an IdealEncoder too large to materialize.
 
     Regenerates the projection from the same seeded stream new_random
@@ -231,6 +237,7 @@ def project_streamed(x, output_dim, sigma, seed, rng, init_low=-2.0, init_high=2
     differently, so whole groups keep the output independent of the
     block size.
     """
+    _check_sigma(sigma)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise DimensionError("expected a nonempty 1-D input")
@@ -238,7 +245,6 @@ def project_streamed(x, output_dim, sigma, seed, rng, init_low=-2.0, init_high=2
         raise ValueError("input vector must be finite")
     y = np.empty(output_dim)
     block_rows = max(4, _BLOCK_BYTES // (8 * x.size) // 4 * 4)
-    for start, block in _weight_blocks(_INIT_LABEL, seed, output_dim, x.size,
-                                       init_low, init_high, block_rows):
+    for start, block in _weight_blocks(_INIT_LABEL, seed, output_dim, x.size, block_rows):
         np.matmul(block, x, out=y[start:start + len(block)])
     return _add_noise(y, x, sigma, rng)

@@ -79,15 +79,20 @@ TABLE1_ROWS = (
 UNIQUENESS_CHARS = "ABCDE"
 UNIQUENESS_PASSES = 200
 CALIBRATION_PASSES = 4
+# image cells hold out this fraction of the training images for validation,
+# and encode each remaining one this many times with fresh noise
+IMAGE_VAL_FRACTION = 0.1
+IMAGE_ENCODE_REPEATS = 4
+IMAGE_PIPELINES = ("bhv", "benchmark")
 
 
 # --- text pipeline building blocks -----------------------------------------
 
 
-def calibrate_text_epsilon(xbar, keys, master_seed, passes=CALIBRATION_PASSES):
+def calibrate_text_epsilon(xbar, keys, master_seed):
     """Threshold = median pre-threshold output over every key vector,
-    read `passes` times each with fresh noise."""
-    reads = crossbar_pre_threshold_batch(xbar, np.tile(keys.vectors, (passes, 1)),
+    read CALIBRATION_PASSES times each with fresh noise."""
+    reads = crossbar_pre_threshold_batch(xbar, np.tile(keys.vectors, (CALIBRATION_PASSES, 1)),
                                          spawn_rng(master_seed, "calibrate"))
     return calibrate_epsilon(reads)
 
@@ -409,7 +414,7 @@ class ExperimentReport:
 
 @dataclass
 class ImageCellResult:
-    pipeline: str  # "bhv" or "benchmark"
+    pipeline: str  # one of IMAGE_PIPELINES
     sigma: float
     multiplier: int
     rmse: float
@@ -433,15 +438,17 @@ def _standardized_float32(X, center, scale):
 
 
 def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
-                   multiplier=4, pipeline="bhv", init_range=(-2.0, 2.0),
-                   val_fraction=0.1, encode_repeats=4):
+                   multiplier=4, pipeline="bhv"):
     """Train one image-reconstruction decoder and report held-out RMSE.
 
     pipeline "bhv": expanding encoder + threshold; "benchmark": square
-    projection, no threshold. Images are (n, h, w) arrays in [0, 1].
+    projection, no threshold, reported at multiplier 1. Images are
+    (n, h, w) arrays in [0, 1]. The last IMAGE_VAL_FRACTION of the
+    training images (at least one) are held out for validation.
+    Returns (ImageCellResult, trained decoder, encoder).
 
     Because every encoding pass draws fresh noise, each training image is
-    encoded `encode_repeats` times; the decoder then sees the noise
+    encoded IMAGE_ENCODE_REPEATS times; the decoder then sees the noise
     distribution rather than one sample of it, which matters when the
     expanded dimension exceeds the image count. Validation and test
     images are encoded once, matching how a receiver decodes.
@@ -457,6 +464,8 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
     comparable total energy in every pipeline and one step size is
     stable for all cells.
     """
+    if pipeline not in IMAGE_PIPELINES:
+        raise ConfigError("pipeline", f"must be one of {IMAGE_PIPELINES}, got {pipeline!r}")
     started = time.perf_counter()
     train_images = np.asarray(train_images, dtype=np.float64)
     test_images = np.asarray(test_images, dtype=np.float64)
@@ -464,24 +473,21 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
     flats = train_images.reshape(len(train_images), k)
     test_flats = test_images.reshape(len(test_images), k)
 
-    n_val = max(1, int(len(flats) * val_fraction))
+    n_val = max(1, int(len(flats) * IMAGE_VAL_FRACTION))
     train_flats, val_flats = flats[:-n_val], flats[-n_val:]
-    repeated = np.tile(train_flats, (max(1, encode_repeats), 1))
+    repeated = np.tile(train_flats, (IMAGE_ENCODE_REPEATS, 1))
 
     binary = pipeline == "bhv"
     calib_rng = spawn_rng(master_seed, "calibrate")
     if binary:
-        enc = IdealEncoder.new_random(k, multiplier, sigma,
-                                      derive_seed(master_seed, "encoder"),
-                                      init_low=init_range[0], init_high=init_range[1])
+        enc = IdealEncoder.new_random(k, multiplier, sigma, derive_seed(master_seed, "encoder"))
         enc = enc.with_epsilon(calibrate_epsilon(enc.project_batch(flats[:64], calib_rng)))
         feat_dim = enc.output_dim
         X = enc.encode_batch(repeated, spawn_rng(master_seed, "train-data"))
         X_val = enc.encode_batch(val_flats, spawn_rng(master_seed, "val-data"))
         X_test = enc.encode_batch(test_flats, spawn_rng(master_seed, "test-data"))
     else:
-        enc = BenchmarkEncoder.new_random(k, sigma, derive_seed(master_seed, "encoder"),
-                                          init_low=init_range[0], init_high=init_range[1])
+        enc = BenchmarkEncoder.new_random(k, sigma, derive_seed(master_seed, "encoder"))
         feat_dim = k
         X = enc.project_batch(repeated, spawn_rng(master_seed, "train-data"))
         X_val = enc.project_batch(val_flats, spawn_rng(master_seed, "val-data"))

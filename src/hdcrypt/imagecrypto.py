@@ -1,13 +1,16 @@
-"""Image encryption through the ideal stochastic encoder, plus the
-no-expansion benchmark pipeline and the pixel statistics used to judge
-ciphertext quality (histograms and adjacent-pixel correlation).
+"""Image types for the ideal stochastic encoder: the grayscale image,
+the no-expansion benchmark encoder, and the pixel statistics used to
+judge ciphertext quality (histograms and adjacent-pixel correlation).
+
+One image is encrypted by `encoder.project_streamed` plus
+`encoder.threshold_binarize`; `experiments.run_image_cell` trains a
+decoder and reconstructs a held-out batch.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import HEAD_REGRESSION
 from .encoder import IdealEncoder, _weight_blocks
 from .errors import ConfigError, DegenerateStatisticError, DimensionError
 from .hypervector import BinaryHypervector
@@ -15,16 +18,12 @@ from .hypervector import BinaryHypervector
 __all__ = [
     "GrayImage",
     "BenchmarkEncoder",
-    "encrypt_image",
-    "decrypt_image",
-    "benchmark_roundtrip",
     "pixel_histogram",
     "adjacent_pixel_correlation",
     "binary_pair_counts",
     "adjacency_stats",
     "AdjacencyStats",
     "bits_to_plane",
-    "image_rmse",
 ]
 
 
@@ -44,7 +43,8 @@ class GrayImage:
             )
         if self.width < 1 or self.height < 1:
             raise DimensionError("image dimensions must be positive")
-        if pixels.min() < 0.0 or pixels.max() > 1.0:
+        # min and max are NaN if any pixel is, and NaN fails both tests
+        if not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
@@ -53,13 +53,6 @@ class GrayImage:
     def from_array(cls, pixels):
         pixels = np.asarray(pixels)
         return cls(pixels.shape[1], pixels.shape[0], pixels)
-
-    @classmethod
-    def from_flat(cls, flat, width, height):
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != width * height:
-            raise DimensionError(f"{flat.size} pixels cannot fill {width}x{height}")
-        return cls(width, height, flat.reshape(height, width))
 
     def flatten(self):
         return self.pixels.ravel()
@@ -76,58 +69,20 @@ class BenchmarkEncoder(IdealEncoder):
 
     __slots__ = ()
 
-    def __init__(self, weights, sigma, seed=0):
+    def __init__(self, weights, sigma):
         shape = np.shape(weights)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise DimensionError("benchmark weights must be square")
         # epsilon is never read: the benchmark pipeline does not threshold
-        super().__init__(weights, sigma, 0.0, seed)
+        super().__init__(weights, sigma, 0.0)
 
     @classmethod
-    def new_random(cls, dim, sigma, seed, init_low=-2.0, init_high=2.0):
-        _, w = next(_weight_blocks("benchmark-encoder-init", seed, dim, dim,
-                                   init_low, init_high, block_rows=dim))
-        return cls(w, sigma, seed)
-
-    @property
-    def dim(self):
-        return self.weights.shape[0]
+    def new_random(cls, dim, sigma, seed):
+        _, w = next(_weight_blocks("benchmark-encoder-init", seed, dim, dim, block_rows=dim))
+        return cls(w, sigma)
 
     # own entry, so the traced span imagecrypto.BenchmarkEncoder.project_batch resolves
     project_batch = IdealEncoder.project_batch
-
-
-def encrypt_image(img, enc, rng):
-    """Flatten row-major, project with fresh noise, binarize."""
-    flat = img.flatten()
-    if flat.size != enc.input_dim:
-        raise DimensionError(
-            f"image has {flat.size} pixels, encoder expects {enc.input_dim}"
-        )
-    return enc.encode(flat, rng)
-
-
-def decrypt_image(bhv, model, width, height):
-    """Regression forward pass, clamped to [0, 1], reshaped row-major."""
-    if model.head != HEAD_REGRESSION:
-        raise ConfigError("head", "image decryption needs a regression decoder")
-    if model.out_dim != width * height:
-        raise DimensionError(
-            f"decoder emits {model.out_dim} values, image needs {width * height}"
-        )
-    pred = model.forward(bhv)
-    return GrayImage.from_flat(np.clip(pred, 0.0, 1.0), width, height)
-
-
-def benchmark_roundtrip(img, benc, model, rng):
-    """Encrypt with the no-expansion benchmark and reconstruct."""
-    flat = img.flatten()
-    if flat.size != benc.dim:
-        raise DimensionError(f"image has {flat.size} pixels, benchmark expects {benc.dim}")
-    if model.out_dim != flat.size:
-        raise DimensionError("decoder output does not match image size")
-    pred = model.forward(benc.project(flat, rng))
-    return GrayImage.from_flat(np.clip(pred, 0.0, 1.0), img.width, img.height)
 
 
 # --- pixel statistics ------------------------------------------------------
@@ -137,24 +92,20 @@ def _is_binary(values):
     return bool(np.isin(values, (0, 1)).all())
 
 
-def pixel_histogram(values, binary=None):
+def pixel_histogram(values):
     """Histogram counts at one pipeline stage.
 
-    Binary data (auto-detected unless `binary` is given) gets 2 bins.
-    Real data gets 256 uniform bins over [0, 1] when the values fit that
-    range, else over [min, max]; a constant input lands in bin 0. Counts
-    always sum to the number of values.
+    Binary data (every value 0 or 1) gets 2 bins. Real data gets 256
+    uniform bins over [0, 1] when the values fit that range, else over
+    [min, max]; a constant input lands in bin 0. Counts always sum to the
+    number of values.
     """
     values = np.asarray(values).ravel()
     if values.size == 0:
         raise DimensionError("histogram input must be nonempty")
     if values.dtype == bool:
         values = values.astype(np.uint8)
-    if binary is None:
-        binary = _is_binary(values)
-    if binary:
-        if not _is_binary(values):
-            raise ValueError("binary histogram requested on non-binary data")
+    if _is_binary(values):
         ones = int(values.astype(np.int64).sum())
         return np.array([values.size - ones, ones], dtype=np.int64)
     values = values.astype(np.float64)
@@ -245,10 +196,3 @@ def bits_to_plane(bhv, height, width, multiplier):
     a = max(d for d in range(1, int(np.sqrt(multiplier)) + 1) if multiplier % d == 0)
     return bits.reshape(height * a, width * (multiplier // a))
 
-
-def image_rmse(a, b):
-    """Root mean square pixel difference between two images."""
-    if a.width != b.width or a.height != b.height:
-        raise DimensionError("images differ in size")
-    diff = a.pixels - b.pixels
-    return float(np.sqrt(np.mean(diff * diff)))

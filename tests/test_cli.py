@@ -144,6 +144,19 @@ def test_image_demo_writes_stats(tmp_path):
     assert (out_dir / "original.pgm").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--noise-sigma", "nan"], "sigma"),
+    (["--noise-sigma", "inf"], "sigma"),
+    (["--noise-sigma", "-1"], "sigma"),
+    (["--multiplier", "0"], "--multiplier"),
+    (["--size", "1"], "--size"),
+])
+def test_image_demo_bad_flag_exits_2(tmp_path, capsys, flags, named):
+    code = main(["image-demo", "--size", "16", *flags, "--out", str(tmp_path / "demo")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.fixture()
 def key_material(tmp_path):
     """Crossbar and key files from the CLI, plus a short plaintext."""

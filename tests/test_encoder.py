@@ -134,18 +134,19 @@ def test_ideal_sigma_zero_is_pure_function():
 
 
 def test_ideal_init_interval_respected():
-    enc = IdealEncoder.new_random(30, 20, sigma=0.0, seed=9,
-                                  init_low=-2.0, init_high=2.0)
+    enc = IdealEncoder.new_random(30, 20, sigma=0.0, seed=9)
     assert enc.weights.min() >= -2.0 and enc.weights.max() <= 2.0
     assert enc.weights.min() < -1.5 and enc.weights.max() > 1.5
 
 
-@pytest.mark.parametrize("low, high", [(1.0, 1.0), (2.0, -2.0), (np.nan, 1.0),
-                                       (-1e308, 1e308)])
-def test_ideal_init_interval_must_be_nonempty_and_finite(low, high):
-    with pytest.raises(ConfigError) as excinfo:
-        IdealEncoder.new_random(3, 2, sigma=0.0, seed=9, init_low=low, init_high=high)
-    assert excinfo.value.field == "init_low"
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+def test_ideal_sigma_must_be_finite_and_non_negative(sigma):
+    for make in (lambda: IdealEncoder(np.ones((4, 2)), sigma, 0.0),
+                 lambda: IdealEncoder.new_random(2, 2, sigma, seed=9),
+                 lambda: project_streamed(np.ones(2), 4, sigma, 9, spawn_rng(1, "s"))):
+        with pytest.raises(ConfigError) as excinfo:
+            make()
+        assert excinfo.value.field == "sigma"
 
 
 def test_ideal_hand_computed_row_sums(rng):

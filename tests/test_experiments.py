@@ -5,7 +5,8 @@ from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import TrainConfig
 from hdcrypt.encoder import crossbar_pre_threshold
 from hdcrypt.errors import ConfigError, DataFormatError
-from hdcrypt.experiments import (DEFAULT_TEXT_TRAIN, TABLE1_ROWS, ExperimentReport,
+from hdcrypt.experiments import (DEFAULT_IMAGE_TRAIN, DEFAULT_TEXT_TRAIN,
+                                 TABLE1_ROWS, ExperimentReport,
                                  ExperimentSpec, ReportRow, calibrate_text_epsilon,
                                  grid_cells, run_grid, run_image_cell, run_table1,
                                  run_text_cell, train_text_system)
@@ -45,7 +46,7 @@ def test_calibrated_threshold_equals_looped_median(row):
     # reference: one single read per key vector per pass, in order
     rng = spawn_rng(33, "calibrate")
     reads = [crossbar_pre_threshold(xbar, v, rng) for _ in range(4) for v in keys.vectors]
-    assert calibrate_text_epsilon(xbar, keys, 33, passes=4) == float(np.median(reads))
+    assert calibrate_text_epsilon(xbar, keys, 33) == float(np.median(reads))
 
 
 def test_spec_validation():
@@ -175,6 +176,13 @@ def test_text_cell_wall_time_excluded_column():
     assert "wall_time_s" not in without.splitlines()[0]
 
 
+def test_image_cell_rejects_unknown_pipeline():
+    images = np.zeros((20, 4, 4))
+    with pytest.raises(ConfigError) as excinfo:
+        run_image_cell(images, images[:5], 1.0, DEFAULT_IMAGE_TRAIN, 0, pipeline="bvh")
+    assert excinfo.value.field == "pipeline"
+
+
 def test_image_cell_multiplier_monotonic_reconstruction():
     # trend oracle: same seeds, reconstruction improves with expansion;
     # pooled to 14x14 so training data covers the largest model
@@ -188,7 +196,7 @@ def test_image_cell_multiplier_monotonic_reconstruction():
     for m in (1, 2, 4, 8):
         result, _, _ = run_image_cell(train_imgs, test_imgs, sigma=1.0,
                                       train_cfg=cfg, master_seed=9,
-                                      multiplier=m, encode_repeats=4)
+                                      multiplier=m)
         rmses.append(result.rmse)
     assert all(b < a + 0.005 for a, b in zip(rmses, rmses[1:]))
     assert rmses[-1] < rmses[0]
