@@ -17,7 +17,7 @@ from .encoder import (IdealEncoder, calibrate_epsilon, crossbar_pre_threshold,
 from .errors import (CharsetError, ConfigError, DataFormatError,
                      DegenerateStatisticError, DimensionError, HdcryptError,
                      TrainingDivergedError)
-from .hypervector import BinaryHypervector, hamming
+from .hypervector import BinaryHypervector
 from .imagecrypto import (BenchmarkEncoder, GrayImage, adjacency_stats,
                           adjacent_pixel_correlation, binary_pair_counts,
                           bits_to_plane, pixel_histogram)

@@ -15,7 +15,8 @@ from . import __version__
 from .crossbar import Crossbar, CrossbarConfig
 from .datasets import load_digits, synthetic_natural_image
 from .decoder import load_model, save_model
-from .errors import ConfigError, DataFormatError, TrainingDivergedError
+from .errors import (ConfigError, DataFormatError, DegenerateStatisticError,
+                     DimensionError, TrainingDivergedError)
 from .experiments import (DEFAULT_IMAGE_TRAIN, DEFAULT_TEXT_TRAIN, DESK_SIZES,
                           PAPER_SIZES, ExperimentReport, ExperimentSpec,
                           run_grid, run_image_cell, run_table1,
@@ -139,10 +140,16 @@ def _cmd_image_demo(args):
         raise ConfigError("--multiplier", f"must be >= 1, got {args.multiplier}")
     if not args.image and args.size < 2:
         raise ConfigError("--size", f"must be >= 2, got {args.size}")
+    if args.reconstruct and args.digits < 2:
+        raise ConfigError("--digits", f"must be >= 2, got {args.digits}")
     import os
     os.makedirs(args.out, exist_ok=True)
     if args.image:
-        img = GrayImage.from_array(read_pgm(args.image))
+        pixels = read_pgm(args.image)
+        if min(pixels.shape) < 2:
+            raise DataFormatError(f"{args.image}: image is {pixels.shape[1]}x{pixels.shape[0]}"
+                                  " pixels, need at least 2x2 for adjacent pixel pairs")
+        img = GrayImage.from_array(pixels)
     else:
         img = synthetic_natural_image(args.size, args.seed)
         write_pgm(os.path.join(args.out, "original.pgm"), img.pixels)
@@ -297,10 +304,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DimensionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, OSError) as exc:
+    except (DataFormatError, DegenerateStatisticError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except TrainingDivergedError as exc:

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg.blas import get_blas_funcs
 
 from . import jsondoc
-from .errors import (ConfigError, DataFormatError, DimensionError, TrainingDivergedError,
+from .errors import (ConfigError, DimensionError, TrainingDivergedError,
                      require_finite)
 from .hypervector import BinaryHypervector
 from .rng import spawn_rng
@@ -179,10 +179,14 @@ class LinearDecoder:
         """Regression: W x + b. Softmax head: class probabilities."""
         return self.forward_batch(self._as_features(x)[None])[0]
 
-    def forward_batch(self, xs):
+    def _as_batch(self, xs):
         xs = np.asarray(xs)
         if xs.ndim != 2 or xs.shape[1] != self.in_dim:
             raise DimensionError(f"input shape {xs.shape}, expected (n, {self.in_dim})")
+        return xs
+
+    def forward_batch(self, xs):
+        xs = self._as_batch(xs)
         out = np.empty((xs.shape[0], self.out_dim))
         for rows, z in _affine_chunks(self.weights, self.bias, xs):
             out[rows] = _softmax(z) if self.head == HEAD_SOFTMAX else z
@@ -192,7 +196,7 @@ class LinearDecoder:
         """Argmax class per row; ties break toward the lowest index."""
         if self.head != HEAD_SOFTMAX:
             raise ConfigError("head", "predict_classes needs the softmax head")
-        xs = np.asarray(xs)
+        xs = self._as_batch(xs)
         preds = np.empty(xs.shape[0], dtype=np.int64)
         for rows, z in _affine_chunks(self.weights, self.bias, xs):
             preds[rows] = np.argmax(z, axis=1)
@@ -482,14 +486,14 @@ def save_model(path, model, epsilon=None, train_config=None, seed=None):
 
 def load_model(path):
     """Returns (LinearDecoder, metadata dict with epsilon/train_config/seed)."""
-    doc = jsondoc.check(jsondoc.load(path), "linear-decoder",
-                        ("head", "in_dim", "out_dim", "weights", "bias"))
-    w = np.asarray(doc["weights"], dtype=np.float64)
-    expected = doc["out_dim"] * doc["in_dim"]
-    if w.size != expected:
-        raise DataFormatError(f"weights have {w.size} entries, expected {expected}")
-    model = LinearDecoder(w.reshape(doc["out_dim"], doc["in_dim"]),
-                          np.asarray(doc["bias"], dtype=np.float64), doc["head"])
-    meta = {"epsilon": doc.get("epsilon"), "train_config": doc.get("train_config"),
-            "seed": doc.get("seed")}
+    fmt = "linear-decoder"
+    doc = jsondoc.check(jsondoc.load(path), fmt, ("head", "in_dim", "out_dim", "weights", "bias"))
+    in_dim, out_dim = (jsondoc.integer(doc, name, fmt, low=1) for name in ("in_dim", "out_dim"))
+    w = jsondoc.numbers(doc["weights"], "weights", fmt, (out_dim * in_dim,))
+    model = LinearDecoder(w.reshape(out_dim, in_dim),
+                          jsondoc.numbers(doc["bias"], "bias", fmt, (out_dim,)), doc["head"])
+    epsilon = doc.get("epsilon")
+    if epsilon is not None:
+        epsilon = float(jsondoc.numbers(epsilon, "epsilon", fmt, ()))
+    meta = {"epsilon": epsilon, "train_config": doc.get("train_config"), "seed": doc.get("seed")}
     return model, meta

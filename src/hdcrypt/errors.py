@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataFormatError
-(and subclasses) -> 3, TrainingDivergedError -> 4.
+The CLI maps these onto exit codes: ConfigError and DimensionError -> 2,
+DataFormatError (and subclasses) and DegenerateStatisticError -> 3,
+TrainingDivergedError -> 4.
 """
 
 import math

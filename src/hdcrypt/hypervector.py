@@ -1,45 +1,51 @@
-"""Bit-packed binary hypervectors.
+"""Binary hypervectors: the D bits of one thresholded crossbar read.
 
-Storage is little-endian throughout: bit i lives in packed byte i // 8 at
-bit position i % 8, and bytes are grouped into 64-bit words in memory
-order. Padding bits past `dim` are always zero, which makes equality,
-hashing and popcounts safe on the raw words.
-
-Wire format (HBV1): 4-byte magic b"HBV1", unsigned 64-bit little-endian
-dimension, then ceil(dim / 8) payload bytes, LSB-first within each byte.
+A hypervector stores its bits packed LSB-first in ceil(D / 8) uint8
+bytes: bit i lives in byte i // 8 at bit position i % 8, and the padding
+bits past D are zero. That is exactly one block of an HLCT ciphertext
+(see textcrypto): `CipherText.packed` holds one such row per character,
+`CipherText.blocks` views each row as a hypervector without a copy, and a
+hypervector's file is a one-block HLCT file. Zero padding makes equality,
+hashing and popcounts safe on the raw bytes.
 """
 
 import numpy as np
 
 from .errors import DataFormatError, DimensionError
 
-__all__ = ["BinaryHypervector", "hamming"]
+__all__ = ["BinaryHypervector"]
 
-MAGIC = b"HBV1"
-_HEADER_LEN = 12
+
+def _first_bad_padding(dim, packed):
+    """Index of the first row of the (n, ceil(dim / 8)) uint8 matrix
+    `packed` with a set bit past `dim`, or None."""
+    used = dim % 8
+    if not used:
+        return None
+    bad = np.flatnonzero(packed[:, -1] >> used)
+    return int(bad[0]) if bad.size else None
 
 
 class BinaryHypervector:
-    """Immutable D-dimensional binary vector packed into uint64 words."""
+    """Immutable D-dimensional binary vector: one packed HLCT block."""
 
-    __slots__ = ("dim", "words")
+    __slots__ = ("dim", "packed")
 
-    def __init__(self, dim, words):
+    def __init__(self, dim, packed):
         dim = int(dim)
         if dim <= 0:
             raise DimensionError("hypervector dim must be positive")
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        n_words = (dim + 63) // 64
-        if words.shape != (n_words,):
+        packed = np.ascontiguousarray(packed)
+        if packed.dtype != np.uint8:
+            raise TypeError(f"packed bits must be uint8, got {packed.dtype}")
+        if packed.shape != ((dim + 7) // 8,):
             raise DimensionError(
-                f"expected {n_words} words for dim {dim}, got shape {words.shape}"
-            )
-        pad = n_words * 64 - dim
-        if pad and int(words[-1]) >> (64 - pad):
+                f"expected {(dim + 7) // 8} bytes for dim {dim}, got shape {packed.shape}")
+        if _first_bad_padding(dim, packed[None]) is not None:
             raise DataFormatError("padding bits beyond dim must be zero")
-        words.setflags(write=False)
+        packed.setflags(write=False)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "packed", packed)
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryHypervector is immutable")
@@ -49,68 +55,25 @@ class BinaryHypervector:
         bits = np.asarray(bits)
         if bits.ndim != 1 or bits.size == 0:
             raise DimensionError("bits must be a nonempty 1-D array")
-        packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-        return cls._from_packed_bytes(bits.size, packed.tobytes())
-
-    @classmethod
-    def _from_packed_bytes(cls, dim, payload):
-        n_words = (dim + 63) // 64
-        buf = payload.ljust(n_words * 8, b"\x00")
-        return cls(dim, np.frombuffer(buf, dtype="<u8").copy())
+        return cls(bits.size, np.packbits(bits.astype(np.uint8), bitorder="little"))
 
     def to_bits(self):
         """Unpacked uint8 array of length dim, entries in {0, 1}."""
-        as_bytes = self.words.view(np.uint8)
-        return np.unpackbits(as_bytes, bitorder="little")[: self.dim]
+        return np.unpackbits(self.packed, count=self.dim, bitorder="little")
 
     def popcount(self):
-        return int(np.bitwise_count(self.words).sum())
-
-    def packed_payload(self):
-        """The ceil(dim / 8) payload bytes (no header)."""
-        return self.words.tobytes()[: (self.dim + 7) // 8]
-
-    def to_bytes(self):
-        return MAGIC + self.dim.to_bytes(8, "little") + self.packed_payload()
-
-    @classmethod
-    def from_bytes(cls, data):
-        if data[:4] != MAGIC:
-            raise DataFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", offset=0)
-        if len(data) < _HEADER_LEN:
-            raise DataFormatError("truncated header", offset=len(data))
-        dim = int.from_bytes(data[4:12], "little")
-        if dim == 0:
-            raise DataFormatError("dim must be positive", offset=4)
-        payload_len = (dim + 7) // 8
-        if len(data) != _HEADER_LEN + payload_len:
-            raise DataFormatError(
-                f"payload length {len(data) - _HEADER_LEN}, expected {payload_len}",
-                offset=min(len(data), _HEADER_LEN + payload_len),
-            )
-        # bits past dim can only be set in the payload's last byte
-        if dim % 8 and data[-1] >> (dim % 8):
-            raise DataFormatError("padding bits beyond dim must be zero",
-                                  offset=_HEADER_LEN + payload_len - 1)
-        return cls._from_packed_bytes(dim, data[_HEADER_LEN:])
+        return int(np.bitwise_count(self.packed).sum())
 
     def __eq__(self, other):
         if not isinstance(other, BinaryHypervector):
             return NotImplemented
-        return self.dim == other.dim and bool(np.array_equal(self.words, other.words))
+        return self.dim == other.dim and bool(np.array_equal(self.packed, other.packed))
 
     def __hash__(self):
-        return hash((self.dim, self.words.tobytes()))
+        return hash((self.dim, self.packed.tobytes()))
 
     def __len__(self):
         return self.dim
 
     def __repr__(self):
         return f"BinaryHypervector(dim={self.dim}, popcount={self.popcount()})"
-
-
-def hamming(a, b):
-    """Number of differing bits between two hypervectors of equal dim."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dim mismatch: {a.dim} vs {b.dim}")
-    return int(np.bitwise_count(a.words ^ b.words).sum())

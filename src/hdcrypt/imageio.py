@@ -1,4 +1,4 @@
-"""Grayscale image file I/O: binary PGM (P5) and IDX datasets.
+"""Grayscale image file I/O: binary PGM (P5) files and IDX dataset reading.
 
 IDX follows the classic big-endian layout: images carry magic 0x00000803
 then count / rows / cols as unsigned 32-bit integers and one byte per
@@ -16,9 +16,7 @@ __all__ = [
     "read_pgm",
     "write_pgm",
     "read_idx_images",
-    "write_idx_images",
     "read_idx_labels",
-    "write_idx_labels",
 ]
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -82,18 +80,6 @@ def read_pgm(path):
     return raw.reshape(height, width).astype(np.float64) / 255.0
 
 
-def write_idx_images(path, images):
-    """Write (n, rows, cols) pixels in [0, 1] as an IDX image file."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 3:
-        raise DataFormatError("IDX image output needs an (n, rows, cols) array")
-    n, rows, cols = images.shape
-    data = np.rint(np.clip(images, 0.0, 1.0) * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(data.tobytes())
-
-
 def read_idx_images(path):
     """Read an IDX image file into (n, rows, cols) floats in [0, 1]."""
     with open(path, "rb") as fh:
@@ -111,15 +97,6 @@ def read_idx_images(path):
         )
     raw = np.frombuffer(data, dtype=np.uint8, offset=16)
     return raw.reshape(n, rows, cols).astype(np.float64) / 255.0
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.min() < 0 or labels.max() > 255:
-        raise DataFormatError("IDX labels must be a 1-D array of bytes")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.size))
-        fh.write(labels.astype(np.uint8).tobytes())
 
 
 def read_idx_labels(path):

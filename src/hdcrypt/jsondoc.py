@@ -4,14 +4,17 @@ Every JSON file hdcrypt writes (crossbar, secret-keys, linear-decoder,
 experiment-spec and experiment-report) is one object carrying a
 `"format"` name and `"version": 1` ahead of its fields. This module owns
 that envelope: it builds it, checks it, builds the config and row
-objects nested in it, and maps every way a file can fail to be such a
-document onto DataFormatError, naming the file, the byte offset or the
-missing, unknown or wrongly typed field.
+objects nested in it, checks its integer and number-array fields, and
+maps every way a file can fail to be such a document onto
+DataFormatError, naming the file, the byte offset or the missing,
+unknown, wrongly typed or wrongly shaped field.
 """
 
 import dataclasses
 import json
 import typing
+
+import numpy as np
 
 from .errors import DataFormatError
 
@@ -79,6 +82,30 @@ def check_types(obj, where):
             raise DataFormatError(f"{where} field {f.name!r} must be {expected}, "
                                   f"got {value!r}")
     return obj
+
+
+def integer(doc, name, where, low=None):
+    """doc[name] if it is a JSON integer (not true or false) of at least
+    `low`; raise DataFormatError naming `where` and the field otherwise."""
+    value = doc[name]
+    if not _has_json_type(value, int) or (low is not None and value < low):
+        expected = "an integer" if low is None else f"an integer >= {low}"
+        raise DataFormatError(f"{where} field {name!r} must be {expected}, got {value!r}")
+    return value
+
+
+def numbers(value, name, where, shape):
+    """`value`, a field's JSON number (shape ()) or array, as a float64
+    array of `shape` holding finite numbers; raise DataFormatError naming
+    `where` and the field otherwise."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not all numbers
+        array = None
+    if array is None or array.shape != shape or not np.all(np.isfinite(array)):
+        expected = "a finite number" if shape == () else f"a {shape} array of finite numbers"
+        raise DataFormatError(f"{where} field {name!r} must be {expected}")
+    return array
 
 
 def save(path, doc, indent=None):

@@ -21,7 +21,7 @@ import numpy as np
 from . import jsondoc
 from .encoder import encode_crossbar_batch
 from .errors import CharsetError, DataFormatError, DimensionError
-from .hypervector import BinaryHypervector
+from .hypervector import BinaryHypervector, _first_bad_padding
 from .rng import spawn_rng
 
 __all__ = [
@@ -69,10 +69,10 @@ class SecretKeyTable:
             raise DimensionError(
                 f"vectors shape {vectors.shape}, expected ({NUM_CLASSES}, {key_dim})"
             )
-        if vectors.min() < -1 or vectors.max() > 1:
-            raise ValueError("secret vector entries must lie in [-1, 1]")
+        if not np.all(np.abs(vectors) <= 1):
+            raise DataFormatError("secret 'vectors' entries must lie in [-1, 1]")
         if len(np.unique(vectors, axis=0)) != NUM_CLASSES:
-            raise ValueError("secret vectors must be pairwise distinct")
+            raise DataFormatError("secret 'vectors' must be pairwise distinct")
         vectors.setflags(write=False)
         object.__setattr__(self, "key_dim", int(key_dim))
         object.__setattr__(self, "seed", int(seed))
@@ -104,12 +104,13 @@ class SecretKeyTable:
     @classmethod
     def from_json_dict(cls, doc):
         jsondoc.check(doc, "secret-keys", ("key_dim", "seed", "vectors"))
+        key_dim = jsondoc.integer(doc, "key_dim", "secret-keys", low=1)
         table = doc["vectors"]
-        missing = [ch for ch in CHARSET if ch not in table]
-        if missing:
-            raise DataFormatError(f"missing vectors for {len(missing)} characters")
-        vectors = np.array([table[ch] for ch in CHARSET], dtype=np.float64)
-        return cls(doc["key_dim"], doc["seed"], vectors)
+        if not isinstance(table, dict) or not table.keys() >= set(CHARSET):
+            raise DataFormatError("secret-keys field 'vectors' needs one vector per character")
+        vectors = jsondoc.numbers([table[ch] for ch in CHARSET], "vectors", "secret-keys",
+                                  (NUM_CLASSES, key_dim))
+        return cls(key_dim, jsondoc.integer(doc, "seed", "secret-keys"), vectors)
 
     def save(self, path):
         jsondoc.save(path, self.to_json_dict())
@@ -151,21 +152,11 @@ class CipherText:
     def __setattr__(self, name, value):
         raise AttributeError("CipherText is immutable")
 
-    @classmethod
-    def from_blocks(cls, dim, blocks):
-        """Ciphertext of a sequence of BinaryHypervector blocks of dimension dim."""
-        for b in blocks:
-            if b.dim != dim:
-                raise DimensionError(f"block dim {b.dim}, ciphertext dim {dim}")
-        payload = b"".join(b.packed_payload() for b in blocks)
-        packed = np.frombuffer(payload, dtype=np.uint8).reshape(len(blocks), (dim + 7) // 8)
-        return cls(dim, packed)
-
     @property
     def blocks(self):
-        """The blocks as a tuple of BinaryHypervector, built on each access."""
-        return tuple(BinaryHypervector._from_packed_bytes(self.dim, row.tobytes())
-                     for row in self.packed)
+        """The blocks as a tuple of BinaryHypervector views of the rows of
+        `packed`, built on each access."""
+        return tuple(BinaryHypervector(self.dim, row) for row in self.packed)
 
     def __len__(self):
         return len(self.packed)
@@ -226,24 +217,11 @@ class CipherText:
             return cls.from_bytes(fh.read())
 
 
-def _first_bad_padding(dim, packed):
-    """Index of the first row of `packed` with a set bit past `dim`, or None."""
-    used = dim % 8
-    if not used:
-        return None
-    bad = np.flatnonzero(packed[:, -1] >> used)
-    return int(bad[0]) if bad.size else None
-
-
-def _classes_for_text(text):
-    return np.array([char_to_class(ch, i) for i, ch in enumerate(text)], dtype=np.int64)
-
-
 def encrypt_text(text, keys, xbar, epsilon, rng):
     """Encrypt a string block by block; each block gets fresh read noise."""
     if keys.key_dim != xbar.rows:
         raise DimensionError(f"key_dim {keys.key_dim} != crossbar rows {xbar.rows}")
-    classes = _classes_for_text(text)
+    classes = np.array([char_to_class(ch, i) for i, ch in enumerate(text)], dtype=np.int64)
     bits = encode_crossbar_batch(xbar, keys.vectors[classes], epsilon, rng)
     return CipherText(xbar.cols, np.packbits(bits, axis=1, bitorder="little"))
 

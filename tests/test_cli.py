@@ -11,6 +11,8 @@ import hdcrypt
 from hdcrypt.cli import main
 from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder, save_model
 from hdcrypt.experiments import ExperimentReport, ExperimentSpec, ReportRow
+from hdcrypt.imageio import write_pgm
+from hdcrypt.textcrypto import SecretKeyTable
 
 
 @pytest.fixture()
@@ -150,11 +152,29 @@ def test_image_demo_writes_stats(tmp_path):
     (["--noise-sigma", "-1"], "sigma"),
     (["--multiplier", "0"], "--multiplier"),
     (["--size", "1"], "--size"),
+    (["--reconstruct", "--digits", "1"], "--digits"),
+    (["--reconstruct", "--digits", "-5"], "--digits"),
 ])
 def test_image_demo_bad_flag_exits_2(tmp_path, capsys, flags, named):
     code = main(["image-demo", "--size", "16", *flags, "--out", str(tmp_path / "demo")])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("height, width, pixels, problem", [
+    (1, 8, 0.5, "8x1"),     # width x height: no vertical or diagonal pairs
+    (8, 1, 0.5, "1x8"),
+    (6, 6, 0.5, "zero variance"),
+])
+def test_image_demo_unusable_pgm_exits_3(tmp_path, capsys, height, width, pixels, problem):
+    image = tmp_path / "in.pgm"
+    write_pgm(image, np.full((height, width), pixels))
+    code = main(["image-demo", "--image", str(image), "--out", str(tmp_path / "demo")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and problem in err
+    if min(height, width) < 2:
+        assert str(image) in err
 
 
 @pytest.fixture()
@@ -274,6 +294,29 @@ NESTED_CASES = {
     "report-row-unknown": ("experiment-report", lambda doc: doc.update(rows=[{"x": 1}]), "x"),
     "report-row-empty": ("experiment-report", lambda doc: doc.update(rows=[{}]), "task"),
     "report-rows-not-list": ("experiment-report", lambda doc: doc.update(rows=5), "rows"),
+    "keys-ragged-vector": ("secret-keys", lambda doc: doc["vectors"].update(A=[0.5]),
+                           "vectors"),
+    "keys-wider-than-key-dim": ("secret-keys", lambda doc: doc.update(key_dim=3), "vectors"),
+    "keys-entry-out-of-range": ("secret-keys",
+                                lambda doc: doc["vectors"]["A"].__setitem__(0, 2.0), "vectors"),
+    "keys-entry-nan": ("secret-keys",
+                       lambda doc: doc["vectors"]["A"].__setitem__(0, float("nan")), "vectors"),
+    "keys-repeated-vector": ("secret-keys",
+                             lambda doc: doc["vectors"].update(B=doc["vectors"]["A"]), "vectors"),
+    "keys-vectors-not-object": ("secret-keys", lambda doc: doc.update(vectors=5), "vectors"),
+    "keys-key-dim-string": ("secret-keys", lambda doc: doc.update(key_dim="x"), "key_dim"),
+    "keys-key-dim-fraction": ("secret-keys", lambda doc: doc.update(key_dim=4.5), "key_dim"),
+    "keys-seed-string": ("secret-keys", lambda doc: doc.update(seed="x"), "seed"),
+    "model-bias-short": ("linear-decoder", lambda doc: doc["bias"].pop(), "bias"),
+    "model-weights-short": ("linear-decoder", lambda doc: doc["weights"].pop(), "weights"),
+    "model-weights-ragged": ("linear-decoder",
+                             lambda doc: doc["weights"].__setitem__(0, [0.0, 1.0]), "weights"),
+    "model-weights-inf": ("linear-decoder",
+                          lambda doc: doc["weights"].__setitem__(0, float("inf")), "weights"),
+    "model-in-dim-string": ("linear-decoder", lambda doc: doc.update(in_dim="x"), "in_dim"),
+    "model-out-dim-true": ("linear-decoder", lambda doc: doc.update(out_dim=True), "out_dim"),
+    "model-in-dim-zero": ("linear-decoder", lambda doc: doc.update(in_dim=0), "in_dim"),
+    "model-epsilon-string": ("linear-decoder", lambda doc: doc.update(epsilon="x"), "epsilon"),
 }
 
 
@@ -287,6 +330,66 @@ def test_malformed_nested_field_exits_3(key_material, case, capsys):
     assert main(_document_argv(fmt, str(bad), key_material)) == 3
     err = capsys.readouterr().err
     assert "data error" in err and repr(field) in err
+
+
+def test_model_with_unknown_head_exits_2(key_material, capsys):
+    doc = _valid_document("linear-decoder", key_material)
+    doc["head"] = "mystery"
+    bad = key_material["dir"] / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_document_argv("linear-decoder", str(bad), key_material)) == 2
+    assert "configuration error: head:" in capsys.readouterr().err
+
+
+def _zero_model(path, in_dim):
+    save_model(path, LinearDecoder(np.zeros((94, in_dim)), np.zeros(94), HEAD_SOFTMAX),
+               epsilon=0.0)
+    return str(path)
+
+
+def _wide_keys(path):
+    SecretKeyTable.new_random(10, 1).save(path)
+    return str(path)
+
+
+def _ciphertext(km):
+    """A 40-bit ciphertext of the key material's plaintext."""
+    path = km["dir"] / "msg.hlct"
+    assert main(["encrypt", "--crossbar", str(km["xbar"]), "--keys", str(km["keys"]),
+                 "--epsilon", "0", "--in", str(km["plain"]), "--out", str(path)]) == 0
+    return str(path)
+
+
+# subcommands whose flags or files disagree on a dimension; the key
+# material is a 4x40 crossbar and 4-dimensional keys
+DIMENSION_CASES = {
+    "zero-key-dim": lambda km: ["gen-keys", "--key-dim", "0", "--out", str(km["dir"] / "k")],
+    "zero-train-size": lambda km: ["train-text", "--crossbar", str(km["xbar"]),
+                                   "--keys", str(km["keys"]), "--train-size", "0",
+                                   "--out", str(km["dir"] / "m")],
+    "zero-eval-size": lambda km: ["eval", "--crossbar", str(km["xbar"]),
+                                  "--keys", str(km["keys"]), "--n", "0",
+                                  "--model", _zero_model(km["dir"] / "m.json", 40)],
+    "keys-wider-than-crossbar": lambda km: ["encrypt", "--crossbar", str(km["xbar"]),
+                                            "--keys", _wide_keys(km["dir"] / "k.json"),
+                                            "--epsilon", "0", "--in", str(km["plain"]),
+                                            "--out", str(km["dir"] / "c")],
+    "ciphertext-wider-than-model": lambda km: ["decrypt", "--in", _ciphertext(km),
+                                               "--model", _zero_model(km["dir"] / "m.json", 30),
+                                               "--out", str(km["dir"] / "p")],
+    "crossbar-wider-than-model": lambda km: ["eval", "--crossbar", str(km["xbar"]),
+                                             "--keys", str(km["keys"]), "--n", "50",
+                                             "--model", _zero_model(km["dir"] / "m.json", 30)],
+}
+
+
+@pytest.mark.parametrize("case", DIMENSION_CASES)
+def test_dimension_mismatch_exits_2(key_material, case, capsys):
+    argv = DIMENSION_CASES[case](key_material)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (key_material["dir"] / "k").exists()
 
 
 def _report_with_row(tmp_path, **changes):

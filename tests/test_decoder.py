@@ -62,6 +62,15 @@ def test_forward_dimension_mismatch():
         model.forward(np.ones(5))
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (3, 3), (4,), (2, 4, 1)])
+def test_batch_width_mismatch(shape):
+    model = LinearDecoder(np.zeros((2, 4)), np.zeros(2), HEAD_SOFTMAX)
+    with pytest.raises(DimensionError, match="expected \\(n, 4\\)"):
+        model.forward_batch(np.ones(shape))
+    with pytest.raises(DimensionError, match="expected \\(n, 4\\)"):
+        model.predict_classes(np.ones(shape))
+
+
 def test_softmax_properties_hold():
     rng = spawn_rng(0, "softmax")
     model = LinearDecoder(rng.normal(size=(7, 5)), rng.normal(size=7), HEAD_SOFTMAX)

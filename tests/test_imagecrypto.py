@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from hdcrypt.imagecrypto import (AdjacencyStats, BenchmarkEncoder, GrayImage,
                                  adjacency_stats, adjacent_pixel_correlation,
                                  binary_pair_counts, bits_to_plane,
                                  pixel_histogram)
-from hdcrypt.imageio import (read_idx_images, read_idx_labels, read_pgm,
-                             write_idx_images, write_idx_labels, write_pgm)
+from hdcrypt.imageio import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, read_idx_images,
+                             read_idx_labels, read_pgm, write_pgm)
 from hdcrypt.rng import spawn_rng
 
 
@@ -57,6 +59,19 @@ def test_pgm_errors(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(DataFormatError):
         read_pgm(path)
+
+
+def write_idx_images(path, images):
+    """Write (n, rows, cols) pixels in [0, 1] as an IDX image file."""
+    n, rows, cols = images.shape
+    data = np.rint(np.clip(images, 0.0, 1.0) * 255).astype(np.uint8)
+    path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols) + data.tobytes())
+
+
+def write_idx_labels(path, labels):
+    """Write a 1-D array of byte-sized labels as an IDX label file."""
+    data = np.asarray(labels, dtype=np.uint8).tobytes()
+    path.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)) + data)
 
 
 def test_idx_roundtrip(tmp_path):

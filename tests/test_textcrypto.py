@@ -7,7 +7,7 @@ from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder
 from hdcrypt.encoder import encode_crossbar_batch
 from hdcrypt.errors import CharsetError, DataFormatError, DimensionError
-from hdcrypt.hypervector import BinaryHypervector, hamming
+from hdcrypt.hypervector import BinaryHypervector
 from hdcrypt.rng import spawn_rng
 from hdcrypt.textcrypto import (CHARSET, NUM_CLASSES, CipherText,
                                 SecretKeyTable, build_dataset, char_to_class,
@@ -125,7 +125,8 @@ def test_decrypt_roundtrip_full_charset(noiseless_system):
 
 
 def test_decrypt_empty(noiseless_system):
-    ct = CipherText.from_blocks(noiseless_system["model"].in_dim, ())
+    in_dim = noiseless_system["model"].in_dim
+    ct = CipherText(in_dim, np.zeros((0, (in_dim + 7) // 8), dtype=np.uint8))
     assert decrypt_text(ct, noiseless_system["model"]) == ""
 
 
@@ -135,7 +136,7 @@ def test_decrypt_blocks_independent(noiseless_system):
     ct = encrypt_text(text, s["keys"], s["xbar"], s["epsilon"], spawn_rng(6, "e"))
     whole = decrypt_text(ct, s["model"])
     for i, block in enumerate(ct.blocks):
-        single = decrypt_text(CipherText.from_blocks(ct.dim, (block,)), s["model"])
+        single = decrypt_text(CipherText(ct.dim, block.packed[None]), s["model"])
         assert single == whole[i]
 
 
@@ -183,7 +184,7 @@ def test_uniqueness_matches_naive_oracle():
     pairs = 0
     for i in range(n_passes):
         for j in range(i + 1, n_passes):
-            total += hamming(hvs[i], hvs[j])
+            total += int(np.count_nonzero(hvs[i].to_bits() != hvs[j].to_bits()))
             pairs += 1
     assert stats.distinct_fraction == pytest.approx(distinct / n_passes)
     assert stats.mean_pairwise_hamming == pytest.approx(total / pairs / 40)
@@ -218,7 +219,7 @@ def test_ciphertext_wire_roundtrip(tmp_path):
 
 
 def test_ciphertext_empty_roundtrip():
-    ct = CipherText.from_blocks(16, ())
+    ct = CipherText(16, np.zeros((0, 2), dtype=np.uint8))
     assert CipherText.from_bytes(ct.to_bytes()) == ct
 
 
@@ -246,7 +247,7 @@ def test_ciphertext_bytes_match_per_block_payloads():
     classes = [CHARSET.index(ch) for ch in text]
     bits = encode_crossbar_batch(xbar, keys.vectors[classes], 0.0, spawn_rng(16, "e"))
     header = b"HLCT" + len(text).to_bytes(8, "little") + (45).to_bytes(8, "little")
-    payload = b"".join(BinaryHypervector.from_bits(row).packed_payload() for row in bits)
+    payload = b"".join(BinaryHypervector.from_bits(row).packed.tobytes() for row in bits)
     assert blob == header + payload
 
 
@@ -266,12 +267,22 @@ def test_ciphertext_equality_hash_and_immutability():
     other = encrypt_text("abc", keys, xbar, 0.0, spawn_rng(18, "e"))
     assert ct == same and hash(ct) == hash(same)
     assert ct != other and ct != ct.to_bytes()
-    assert CipherText.from_blocks(ct.dim, ct.blocks) == ct
+    assert CipherText(ct.dim, [block.packed for block in ct.blocks]) == ct
     assert len({ct, same, other}) == 2
     with pytest.raises(ValueError):
         ct.packed[0, 0] ^= 1
     with pytest.raises(AttributeError):
         ct.packed = other.packed
+
+
+def test_ciphertext_blocks_view_the_packed_rows():
+    xbar, keys = _system(sigma=0.1, rows=4, cols=21, seed=35)
+    ct = encrypt_text("views", keys, xbar, 0.0, spawn_rng(20, "e"))
+    bits = ct.bit_matrix()
+    for i, block in enumerate(ct.blocks):
+        assert block.dim == 21
+        assert np.shares_memory(block.packed, ct.packed)
+        assert np.array_equal(block.to_bits(), bits[i])
 
 
 @pytest.mark.parametrize("dim, packed, error", [
