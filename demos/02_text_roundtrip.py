@@ -2,7 +2,7 @@
 character, noisy crossbar encoding into binary hypervectors, a trained
 softmax decoder, and the pass-to-pass uniqueness of the ciphertext.
 
-Run:  python demos/02_text_roundtrip.py        (about a minute)
+Run:  python demos/02_text_roundtrip.py        (a few seconds)
 """
 
 from hdcrypt import (Crossbar, CrossbarConfig, SecretKeyTable, decrypt_text,
@@ -22,7 +22,11 @@ print("training the decoder on 12K noisy encodings ...")
 model, epsilon, accuracy, report = train_text_system(
     xbar, keys, (12_000, 3_000, 5_000), DEFAULT_TEXT_TRAIN, MASTER)
 print(f"  threshold epsilon = {epsilon:.3e}")
-print(f"  epochs            = {report.epochs_run}")
+# epochs = 0 with best_epoch = -1: the closed-form start already had
+# validation loss 0.0, which no SGD epoch can beat
+print(f"  epochs            = {report.epochs_run} "
+      f"(best epoch {report.best_epoch}, initial validation loss "
+      f"{report.init_val_loss:.3g})")
 print(f"  test accuracy     = {accuracy:.4f}\n")
 
 message = "Attack at dawn. Bring 7 kayaks + snacks!"

@@ -42,10 +42,18 @@ def _cmd_gen_keys(args):
     print(f"wrote {args.key_dim}-dimensional key table to {args.out}")
 
 
+def _require_positive(flag, value):
+    if value < 1:
+        raise ConfigError(flag, f"must be >= 1, got {value}")
+
+
 def _sizes(args):
     if getattr(args, "paper_scale", False):
         return PAPER_SIZES
-    return (args.train_size, args.val_size, args.test_size)
+    sizes = (args.train_size, args.val_size, args.test_size)
+    for flag, n in zip(("--train-size", "--val-size", "--test-size"), sizes):
+        _require_positive(flag, n)
+    return sizes
 
 
 def _cmd_train_text(args):
@@ -96,9 +104,13 @@ def _cmd_decrypt(args):
 
 def _cmd_eval(args):
     from .textcrypto import build_dataset, evaluate_accuracy
+    _require_positive("--n", args.n)
     xbar = Crossbar.load(args.crossbar)
     keys = SecretKeyTable.load(args.keys)
     model, meta = load_model(args.model)
+    if xbar.cols != model.in_dim:
+        raise DimensionError(f"--crossbar has {xbar.cols} columns, "
+                             f"--model expects {model.in_dim} inputs")
     epsilon = args.epsilon if args.epsilon is not None else meta["epsilon"]
     if epsilon is None:
         raise DataFormatError("model file carries no threshold; pass --epsilon")

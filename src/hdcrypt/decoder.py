@@ -11,7 +11,9 @@ Gradients are hand-written and verified against central finite
 differences (see grad_check). Training scores the initial weights on the
 validation set as epoch -1, stops when the validation loss fails to
 improve by min_delta for `patience` consecutive epochs, and returns the
-weights of the best-validation epoch, the initial ones included.
+weights of the best-validation epoch, the initial ones included. Neither
+loss can go below 0, so training stops at once when the best validation
+loss is 0.0: an exact initial model runs no epoch at all.
 
 The softmax head has a closed-form start, fit_naive_bayes: the bits of
 one ciphertext block are independent given the class, since every cell
@@ -258,10 +260,12 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
+    # epochs_run and the histories (one entry per epoch run) read 0 and []
+    # when the initial validation loss is 0.0, which no epoch can beat
     epochs_run: int = 0
     train_loss_history: list = field(default_factory=list)
     val_loss_history: list = field(default_factory=list)
-    stopped_early: bool = False
+    stopped_early: bool = False  # patience ran out, or the best loss is 0.0
     best_epoch: int = -1        # -1: no epoch beat the initial weights
     init_val_loss: float | None = None
 
@@ -358,7 +362,9 @@ def train(model, train_set, val_set, cfg):
     widened weights, which are what the returned model holds.
 
     The initial weights are scored first, as epoch -1, and set the loss
-    the first epochs must improve on. Returns (best_model, TrainReport):
+    the first epochs must improve on. A best validation loss of 0.0, which
+    no epoch can beat, stops training before the next epoch (stopped_early;
+    an exact initial model runs 0 epochs). Returns (best_model, TrainReport):
     the weights of the epoch with the lowest validation loss seen, or
     `model` itself, with best_epoch -1, when no epoch beat it. Raises
     TrainingDivergedError when a non-finite loss appears.
@@ -384,6 +390,9 @@ def train(model, train_set, val_set, cfg):
     epochs_since_improve = 0
 
     for epoch in range(cfg.max_epochs):
+        if best_val == 0.0:     # no loss is lower; later epochs cannot win
+            report.stopped_early = True
+            break
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):

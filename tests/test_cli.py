@@ -360,35 +360,52 @@ def _ciphertext(km):
     return str(path)
 
 
-# subcommands whose flags or files disagree on a dimension; the key
-# material is a 4x40 crossbar and 4-dimensional keys
+# subcommands whose flags or files disagree on a dimension, with what the
+# message must name; the key material is a 4x40 crossbar and 4-dimensional keys
 DIMENSION_CASES = {
-    "zero-key-dim": lambda km: ["gen-keys", "--key-dim", "0", "--out", str(km["dir"] / "k")],
-    "zero-train-size": lambda km: ["train-text", "--crossbar", str(km["xbar"]),
-                                   "--keys", str(km["keys"]), "--train-size", "0",
+    "zero-key-dim": (lambda km: ["gen-keys", "--key-dim", "0", "--out", str(km["dir"] / "k")],
+                     ("key_dim",)),
+    "zero-train-size": (lambda km: ["train-text", "--crossbar", str(km["xbar"]),
+                                    "--keys", str(km["keys"]), "--train-size", "0",
+                                    "--out", str(km["dir"] / "m")],
+                        ("--train-size",)),
+    "zero-val-size": (lambda km: ["train-text", "--crossbar", str(km["xbar"]),
+                                  "--keys", str(km["keys"]), "--val-size", "0",
+                                  "--out", str(km["dir"] / "m")],
+                      ("--val-size",)),
+    "zero-test-size": (lambda km: ["train-text", "--crossbar", str(km["xbar"]),
+                                   "--keys", str(km["keys"]), "--test-size", "0",
                                    "--out", str(km["dir"] / "m")],
-    "zero-eval-size": lambda km: ["eval", "--crossbar", str(km["xbar"]),
-                                  "--keys", str(km["keys"]), "--n", "0",
-                                  "--model", _zero_model(km["dir"] / "m.json", 40)],
-    "keys-wider-than-crossbar": lambda km: ["encrypt", "--crossbar", str(km["xbar"]),
-                                            "--keys", _wide_keys(km["dir"] / "k.json"),
-                                            "--epsilon", "0", "--in", str(km["plain"]),
-                                            "--out", str(km["dir"] / "c")],
-    "ciphertext-wider-than-model": lambda km: ["decrypt", "--in", _ciphertext(km),
-                                               "--model", _zero_model(km["dir"] / "m.json", 30),
-                                               "--out", str(km["dir"] / "p")],
-    "crossbar-wider-than-model": lambda km: ["eval", "--crossbar", str(km["xbar"]),
-                                             "--keys", str(km["keys"]), "--n", "50",
-                                             "--model", _zero_model(km["dir"] / "m.json", 30)],
+                       ("--test-size",)),
+    "zero-eval-size": (lambda km: ["eval", "--crossbar", str(km["xbar"]),
+                                   "--keys", str(km["keys"]), "--n", "0",
+                                   "--model", _zero_model(km["dir"] / "m.json", 40)],
+                       ("--n",)),
+    "keys-wider-than-crossbar": (lambda km: ["encrypt", "--crossbar", str(km["xbar"]),
+                                             "--keys", _wide_keys(km["dir"] / "k.json"),
+                                             "--epsilon", "0", "--in", str(km["plain"]),
+                                             "--out", str(km["dir"] / "c")],
+                                 ("key_dim 10", "crossbar rows 4")),
+    "ciphertext-wider-than-model": (lambda km: ["decrypt", "--in", _ciphertext(km),
+                                                "--model", _zero_model(km["dir"] / "m.json", 30),
+                                                "--out", str(km["dir"] / "p")],
+                                    ("ciphertext dim 40", "30")),
+    "crossbar-wider-than-model": (lambda km: ["eval", "--crossbar", str(km["xbar"]),
+                                              "--keys", str(km["keys"]), "--n", "50",
+                                              "--model", _zero_model(km["dir"] / "m.json", 30)],
+                                  ("--crossbar", "40", "--model", "30")),
 }
 
 
 @pytest.mark.parametrize("case", DIMENSION_CASES)
 def test_dimension_mismatch_exits_2(key_material, case, capsys):
-    argv = DIMENSION_CASES[case](key_material)
+    build_argv, names = DIMENSION_CASES[case]
+    argv = build_argv(key_material)
     capsys.readouterr()
     assert main(argv) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert all(name in err for name in names)
     assert not (key_material["dir"] / "k").exists()
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -381,22 +382,45 @@ def test_naive_bayes_fit_rejects_non_bits_and_bad_labels(features, labels):
         fit_naive_bayes(np.array(features), np.array(labels), 3)
 
 
-def test_train_returns_optimal_init_bit_for_bit():
-    # four classes with distinct 40-bit codes: the fit's validation NLL is
-    # exactly 0 in float64, so no epoch can beat it
+def _separable_codes():
+    """200 rows of four distinct 40-bit class codes, and their labels."""
     rng = spawn_rng(27, "separable")
     codes = rng.integers(0, 2, size=(4, 40))
     y = rng.integers(0, 4, size=200)
-    X = codes[y].astype(np.uint8)
+    return codes[y].astype(np.uint8), y
+
+
+def test_train_returns_optimal_init_bit_for_bit():
+    # the closed-form fit's validation NLL is exactly 0 in float64, so no
+    # epoch can beat it and training stops before the first one
+    X, y = _separable_codes()
     init = fit_naive_bayes(X, y, 4)
     cfg = TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=30, patience=3, seed=28)
     trained, report = train(init, (X, y), (X[:60], y[:60]), cfg)
     assert report.init_val_loss == 0.0
     assert report.best_epoch == -1
-    assert report.stopped_early and report.epochs_run == 3
-    assert len(report.val_loss_history) == report.epochs_run
+    assert report.stopped_early and report.epochs_run == 0
+    assert report.val_loss_history == [] and report.train_loss_history == []
     assert trained.weights.tobytes() == init.weights.tobytes()
     assert trained.bias.tobytes() == init.bias.tobytes()
+
+
+def test_train_stops_after_the_epoch_that_reaches_zero_loss():
+    # full-batch steps at a large rate: the validation NLL is positive
+    # for the first epochs, then exactly 0, long before patience runs out
+    X, y = _separable_codes()
+    init = LinearDecoder.new_random(40, 4, HEAD_SOFTMAX, seed=5)
+    cfg = TrainConfig(learning_rate=500.0, batch_size=200, max_epochs=40, patience=40,
+                      min_delta=0.0, seed=28)
+    trained, report = train(init, (X, y), (X[:60], y[:60]), cfg)
+    e = report.val_loss_history.index(0.0)
+    assert e >= 1 and min(report.val_loss_history[:e]) > 0.0
+    assert report.epochs_run == e + 1 and report.best_epoch == e
+    assert report.stopped_early
+    # the stop only skips epochs: a run capped at e + 1 epochs agrees bit for bit
+    capped, _ = train(init, (X, y), (X[:60], y[:60]), replace(cfg, max_epochs=e + 1))
+    assert trained.weights.tobytes() == capped.weights.tobytes()
+    assert trained.bias.tobytes() == capped.bias.tobytes()
 
 
 def _spread_logits(dtype):

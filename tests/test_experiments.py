@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
-from hdcrypt.decoder import TrainConfig
+from hdcrypt.decoder import TrainConfig, fit_naive_bayes
 from hdcrypt.encoder import crossbar_pre_threshold
 from hdcrypt.errors import ConfigError, DataFormatError
 from hdcrypt.experiments import (DEFAULT_IMAGE_TRAIN, DEFAULT_TEXT_TRAIN,
                                  TABLE1_ROWS, ExperimentReport,
                                  ExperimentSpec, ReportRow, calibrate_text_epsilon,
-                                 grid_cells, run_grid, run_image_cell, run_table1,
-                                 run_text_cell, train_text_system)
+                                 grid_cells, make_text_datasets, run_grid,
+                                 run_image_cell, run_table1, run_text_cell,
+                                 train_text_system)
 from hdcrypt.rng import derive_seed, spawn_rng
-from hdcrypt.textcrypto import SecretKeyTable
+from hdcrypt.textcrypto import NUM_CLASSES, SecretKeyTable
 
 
 SMALL_TRAIN = TrainConfig(learning_rate=0.05, batch_size=64, max_epochs=20,
@@ -204,12 +205,21 @@ def test_image_cell_multiplier_monotonic_reconstruction():
 
 def test_warm_started_text_training_stops_after_patience():
     # the 10x500, sigma 0.1 Table-1 row: SGD started from the closed-form
-    # fit has nothing left to gain and stops after `patience` epochs
+    # fit has nothing left to gain. An exact fit (validation NLL 0.0) runs
+    # no epoch and is returned as it is; any other stops after `patience`.
     cfg = CrossbarConfig(rows=10, cols=500, r_lrs=1e3, r_hrs=1e4, sigma_frac=0.1,
                          p_stuck_on=0.02, p_stuck_off=0.02, seed=31)
     xbar = Crossbar.new_random(cfg)
     keys = SecretKeyTable.new_random(10, 32)
-    _, _, accuracy, report = train_text_system(xbar, keys, (3000, 750, 1500),
-                                               DEFAULT_TEXT_TRAIN, master_seed=33)
-    assert report.epochs_run <= DEFAULT_TEXT_TRAIN.patience + 1
+    sizes = (3000, 750, 1500)
+    model, epsilon, accuracy, report = train_text_system(xbar, keys, sizes,
+                                                         DEFAULT_TEXT_TRAIN, master_seed=33)
+    if report.init_val_loss == 0.0:
+        assert report.epochs_run == 0
+        train_set, _, _ = make_text_datasets(xbar, keys, epsilon, sizes, 33)
+        init = fit_naive_bayes(*train_set, NUM_CLASSES)
+        assert model.weights.tobytes() == init.weights.tobytes()
+        assert model.bias.tobytes() == init.bias.tobytes()
+    else:
+        assert report.epochs_run <= DEFAULT_TEXT_TRAIN.patience + 1
     assert accuracy >= 0.995
