@@ -1,4 +1,4 @@
-"""Tour of the crossbar simulator: programmable conductances, per-read
+"""Tour of the crossbar simulator: random target conductances, per-read
 Gaussian variability, stuck cells, and the clamp at the resistance rails.
 
 Run:  python demos/01_crossbar_noise.py

@@ -2,7 +2,7 @@
 the pixel statistics that make the ciphertext look like noise, and a
 digit-reconstruction comparison against the no-expansion benchmark.
 
-Run:  python demos/03_image_pipeline.py        (a few minutes)
+Run:  python demos/03_image_pipeline.py        (about a minute)
 """
 
 import numpy as np

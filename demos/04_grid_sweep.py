@@ -2,7 +2,7 @@
 99.9% good-model rule, written to CSV/JSON exactly like the CLI's
 `hdcrypt grid` command.
 
-Run:  python demos/04_grid_sweep.py out/        (a few minutes)
+Run:  python demos/04_grid_sweep.py out/        (a few seconds)
 """
 
 import sys

@@ -69,21 +69,26 @@ def _cmd_train_text(args):
                       "init_val_loss": report.init_val_loss}))
 
 
-def _epsilon_from_args(args):
-    if args.epsilon is not None:
-        return args.epsilon
-    if args.model is not None:
-        _, meta = load_model(args.model)
-        if meta["epsilon"] is None:
-            raise DataFormatError(f"model file {args.model} carries no threshold")
-        return meta["epsilon"]
-    raise ConfigError("epsilon", "need --epsilon or --model to fix the threshold")
+def _load_model_for(xbar, path):
+    """load_model(path), checked to decode the ciphertext width of `xbar`."""
+    model, meta = load_model(path)
+    if xbar.cols != model.in_dim:
+        raise DimensionError(f"--crossbar has {xbar.cols} columns, "
+                             f"--model expects {model.in_dim} inputs")
+    return model, meta
 
 
 def _cmd_encrypt(args):
     xbar = Crossbar.load(args.crossbar)
     keys = SecretKeyTable.load(args.keys)
-    epsilon = _epsilon_from_args(args)
+    epsilon = args.epsilon
+    if args.model is not None:
+        meta = _load_model_for(xbar, args.model)[1]
+        epsilon = meta["epsilon"] if epsilon is None else epsilon
+        if epsilon is None:
+            raise DataFormatError(f"model file {args.model} carries no threshold")
+    if epsilon is None:
+        raise ConfigError("epsilon", "need --epsilon or --model to fix the threshold")
     # latin-1 maps bytes one to one; out-of-charset bytes are rejected
     # by the encoder with the offending index
     with open(args.infile, "r", encoding="latin-1") as fh:
@@ -107,10 +112,7 @@ def _cmd_eval(args):
     _require_positive("--n", args.n)
     xbar = Crossbar.load(args.crossbar)
     keys = SecretKeyTable.load(args.keys)
-    model, meta = load_model(args.model)
-    if xbar.cols != model.in_dim:
-        raise DimensionError(f"--crossbar has {xbar.cols} columns, "
-                             f"--model expects {model.in_dim} inputs")
+    model, meta = _load_model_for(xbar, args.model)
     epsilon = args.epsilon if args.epsilon is not None else meta["epsilon"]
     if epsilon is None:
         raise DataFormatError("model file carries no threshold; pass --epsilon")

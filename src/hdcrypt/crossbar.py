@@ -213,19 +213,6 @@ class Crossbar:
             np.matmul(vs[start:stop, None, :], g, out=out[start:stop, None, :])
         return out
 
-    def program(self, g_desired):
-        """New crossbar with free cells set to clamp(g_desired); stuck cells keep their rail."""
-        g_desired = np.asarray(g_desired, dtype=np.float64)
-        if g_desired.shape != self.g_target.shape:
-            raise DimensionError(
-                f"g_desired shape {g_desired.shape}, expected {self.g_target.shape}"
-            )
-        cfg = self.config
-        g = np.clip(g_desired, cfg.g_off, cfg.g_on)
-        free = self.stuck_mask == STUCK_FREE
-        g = np.where(free, g, self.g_target)
-        return Crossbar(cfg, g, self.stuck_mask)
-
     # --- serialization ---------------------------------------------------
 
     def to_json_dict(self):

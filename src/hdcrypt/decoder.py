@@ -7,6 +7,9 @@ Two heads share the same affine map z = W x + b:
 * "regression" - raw z, trained with root mean square error
                  (image reconstruction).
 
+Inference takes batches only, so a single input is a batch of one row,
+and each loss has one implementation (_full_loss, _batch_loss_dz).
+
 Gradients are hand-written and verified against central finite
 differences (see grad_check). Training scores the initial weights on the
 validation set as epoch -1, stops when the validation loss fails to
@@ -37,7 +40,6 @@ from scipy.linalg.blas import get_blas_funcs
 from . import jsondoc
 from .errors import (ConfigError, DimensionError, TrainingDivergedError,
                      require_finite)
-from .hypervector import BinaryHypervector
 from .rng import spawn_rng
 
 __all__ = [
@@ -47,8 +49,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "fit_naive_bayes",
-    "loss_rmse",
-    "loss_nll",
     "train",
     "grad_check",
     "save_model",
@@ -110,24 +110,6 @@ def _affine_chunks(weights, bias, X):
         yield rows, _affine(weights, bias, X[rows].astype(np.float64))
 
 
-def loss_rmse(pred, target):
-    """sqrt(mean((pred - target)^2)); zero iff pred equals target."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise DimensionError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return float(np.sqrt(np.mean((pred - target) ** 2)))
-
-
-def loss_nll(probs, label):
-    """-ln(probs[label]), with probabilities floored at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    label = int(label)
-    if not 0 <= label < probs.shape[-1]:
-        raise DimensionError(f"label {label} out of range for {probs.shape[-1]} classes")
-    return float(-np.log(max(probs[label], PROB_FLOOR)))
-
-
 class LinearDecoder:
     """Affine map plus head; immutable, safe to share once trained."""
 
@@ -169,18 +151,6 @@ class LinearDecoder:
     def out_dim(self):
         return self.weights.shape[0]
 
-    def _as_features(self, x):
-        if isinstance(x, BinaryHypervector):
-            x = x.to_bits()
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.in_dim,):
-            raise DimensionError(f"input shape {x.shape}, expected ({self.in_dim},)")
-        return x
-
-    def forward(self, x):
-        """Regression: W x + b. Softmax head: class probabilities."""
-        return self.forward_batch(self._as_features(x)[None])[0]
-
     def _as_batch(self, xs):
         xs = np.asarray(xs)
         if xs.ndim != 2 or xs.shape[1] != self.in_dim:
@@ -188,6 +158,7 @@ class LinearDecoder:
         return xs
 
     def forward_batch(self, xs):
+        """Regression: W x + b per row x of `xs`. Softmax: class probabilities."""
         xs = self._as_batch(xs)
         out = np.empty((xs.shape[0], self.out_dim))
         for rows, z in _affine_chunks(self.weights, self.bias, xs):
@@ -433,25 +404,18 @@ def train(model, train_set, val_set, cfg):
     return LinearDecoder(best_weights, best_bias, model.head), report
 
 
-def _one_example(model, example):
-    """(x, label) or (x, target) as a one-row training batch (X, Y)."""
-    x, target = example
-    X = model._as_features(x)[None, :]
-    if model.head == HEAD_SOFTMAX:
-        return X, np.asarray([int(target)], dtype=np.int64)
-    return X, np.asarray(target, dtype=np.float64)[None, :]
-
-
 def grad_check(model, example, h=1e-5):
     """Max relative error between analytic and central-difference gradients.
 
     `example` is (x, label) for the softmax head or (x, target) for
-    regression; the loss checked is the head's training objective.
-    Intended for small models only (cost grows with parameter count).
+    regression, checked as a one-row batch; the loss checked is the
+    head's training objective. Intended for small models only (cost
+    grows with parameter count).
     """
     if h <= 0:
         raise ConfigError("h", "step must be > 0")
-    X, Y = _one_example(model, example)
+    x, target = example
+    X, Y = _check_set("example", (np.asarray(x, dtype=np.float64)[None], [target]), model)
     _, gw, gb = _batch_loss_grads(model.weights, model.bias, X, Y, model.head)
     analytic = np.concatenate([gw.ravel(), gb.ravel()])
 

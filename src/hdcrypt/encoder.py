@@ -13,8 +13,10 @@ Binarization compares y against a single global threshold `epsilon`;
 entries >= epsilon map to 1. The threshold is calibrated per model:
 `calibrate_epsilon` takes the pre-threshold outputs of a calibration
 batch, read in one batched call, and returns their median, which
-balances the 0/1 bit budget of the ciphertext. Single-input calls
-(`threshold_binarize`, `crossbar_pre_threshold`) are batches of one.
+balances the 0/1 bit budget of the ciphertext. Single-input calls are
+batches of one: IdealEncoder takes (n, input_dim) batches only, and
+`threshold_binarize`, `crossbar_pre_threshold` and `encode_crossbar`
+run the batched code on one row.
 
 For IdealEncoder the fresh noise is sampled in its exact projected form:
 since N has i.i.d. Normal(0, sigma^2) entries, N @ x is a vector of
@@ -197,27 +199,14 @@ class IdealEncoder:
     def with_epsilon(self, epsilon):
         return IdealEncoder(self.weights, self.sigma, epsilon)
 
-    def _check_input(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.input_dim,):
-            raise DimensionError(f"input shape {x.shape}, expected ({self.input_dim},)")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("input vector must be finite")
-        return x
-
-    def project(self, x, rng):
-        """Pre-threshold output (W + N) x for one fresh noise draw."""
-        x = self._check_input(x)
-        return _add_noise(self.weights @ x, x, self.sigma, rng)
-
     def project_batch(self, xs, rng):
+        """Pre-threshold output (W + N) x of each row x, each with fresh noise."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim:
             raise DimensionError(f"input shape {xs.shape}, expected (n, {self.input_dim})")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("input vectors must be finite")
         return _add_noise(xs @ self.weights.T, xs, self.sigma, rng)
-
-    def encode(self, x, rng):
-        return threshold_binarize(self.project(x, rng), self.epsilon)
 
     def encode_batch(self, xs, rng):
         return binarize_batch(self.project_batch(xs, rng), self.epsilon)

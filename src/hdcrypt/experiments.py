@@ -301,9 +301,9 @@ class ExperimentSpec:
     def from_json_dict(cls, doc):
         jsondoc.check(doc, "experiment-spec")
         fields = {k: v for k, v in doc.items() if k not in ("format", "version")}
-        for key in ("multipliers", "sigmas"):
-            if key in fields:
-                fields[key] = tuple(fields[key])
+        jsondoc.check_types(cls, fields, "experiment-spec document")
+        fields.update((key, tuple(fields[key])) for key in ("multipliers", "sigmas")
+                      if key in fields)
         return jsondoc.build(cls, fields, "experiment-spec document")
 
     def save(self, path):
@@ -394,7 +394,8 @@ class ExperimentReport:
         rows = []
         for i, r in enumerate(doc["rows"]):
             where = f"experiment-report row {i}"
-            rows.append(jsondoc.check_types(jsondoc.build(ReportRow, r, where), where))
+            rows.append(jsondoc.build(ReportRow, r, where))
+            jsondoc.check_types(ReportRow, r, where)
         return cls(rows=rows, spec_echo=doc["spec"])
 
     def save(self, csv_path=None, json_path=None):
@@ -482,16 +483,13 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
     if binary:
         enc = IdealEncoder.new_random(k, multiplier, sigma, derive_seed(master_seed, "encoder"))
         enc = enc.with_epsilon(calibrate_epsilon(enc.project_batch(flats[:64], calib_rng)))
-        feat_dim = enc.output_dim
-        X = enc.encode_batch(repeated, spawn_rng(master_seed, "train-data"))
-        X_val = enc.encode_batch(val_flats, spawn_rng(master_seed, "val-data"))
-        X_test = enc.encode_batch(test_flats, spawn_rng(master_seed, "test-data"))
+        encode = enc.encode_batch
     else:
         enc = BenchmarkEncoder.new_random(k, sigma, derive_seed(master_seed, "encoder"))
-        feat_dim = k
-        X = enc.project_batch(repeated, spawn_rng(master_seed, "train-data"))
-        X_val = enc.project_batch(val_flats, spawn_rng(master_seed, "val-data"))
-        X_test = enc.project_batch(test_flats, spawn_rng(master_seed, "test-data"))
+        encode = enc.project_batch
+    feat_dim = enc.output_dim
+    X, X_val, X_test = (encode(x, spawn_rng(master_seed, f"{name}-data")) for name, x in
+                        (("train", repeated), ("val", val_flats), ("test", test_flats)))
 
     head = X[:64].astype(np.float64)
     center = head.mean(axis=0)

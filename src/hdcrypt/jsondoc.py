@@ -58,30 +58,34 @@ def build(cls, fields, where):
     return cls(**fields)
 
 
-# JSON types a field annotated with each Python type may hold
+# JSON types a field annotated with each Python type may hold; a tuple
+# field is read from a JSON list
 _JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
-               bool: "true or false", type(None): "null"}
+               bool: "true or false", tuple: "a list", type(None): "null"}
 
 
 def _has_json_type(value, kind):
     if kind is bool or isinstance(value, bool):
         return kind is bool and isinstance(value, bool)
+    if kind is tuple:
+        return isinstance(value, list)
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def check_types(obj, where):
-    """Raise DataFormatError naming `where` and the field unless every
-    field of the dataclass instance `obj` holds the JSON type of its
-    annotation: str, int (not bool), float (any number but bool), bool,
-    or one of these or null for an `X | None` annotation."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
+def check_types(cls, fields, where):
+    """Raise DataFormatError naming `where` and the field unless each
+    value in the JSON object `fields` has the JSON type of the dataclass
+    `cls`'s annotation for it: str, int (not bool), float (any number but
+    bool), bool, tuple (a list), or one of these or null for `X | None`.
+    Unknown names are left to `build`; run this first when `cls` checks
+    its values on construction."""
+    for f in dataclasses.fields(cls):
         kinds = typing.get_args(f.type) or (f.type,)
-        if not any(_has_json_type(value, kind) for kind in kinds):
+        if f.name in fields and not any(_has_json_type(fields[f.name], k) for k in kinds):
             expected = " or ".join(_JSON_NAMES[kind] for kind in kinds)
             raise DataFormatError(f"{where} field {f.name!r} must be {expected}, "
-                                  f"got {value!r}")
-    return obj
+                                  f"got {fields[f.name]!r}")
+    return fields
 
 
 def integer(doc, name, where, low=None):

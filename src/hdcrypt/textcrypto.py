@@ -5,6 +5,9 @@ maps a character to its vector, pushes it through one noisy crossbar read
 and thresholds the result into a binary hypervector block. Decryption
 feeds each block to a trained softmax decoder and takes the argmax class.
 
+Both directions work on the whole text at once, and a single character
+is a text of length one.
+
 The charset is the 94 printable ASCII code points 32..125. Code point 126
 ('~') is deliberately excluded to keep the class count at exactly 94; see
 the README's charset note.
@@ -27,8 +30,7 @@ from .rng import spawn_rng
 __all__ = [
     "CHARSET",
     "NUM_CLASSES",
-    "char_to_class",
-    "class_to_char",
+    "text_to_classes",
     "SecretKeyTable",
     "CipherText",
     "encrypt_text",
@@ -45,17 +47,14 @@ _CT_MAGIC = b"HLCT"
 _CT_HEADER_LEN = 20
 
 
-def char_to_class(char, index=0):
-    code = ord(char)
-    if not 32 <= code < 126:
-        raise CharsetError(char, index)
-    return code - 32
-
-
-def class_to_char(cls):
-    if not 0 <= cls < NUM_CLASSES:
-        raise DimensionError(f"class {cls} out of range [0, {NUM_CLASSES})")
-    return chr(cls + 32)
+def text_to_classes(text):
+    """Class index of every character of `text`, as one int64 array;
+    CharsetError names the first character outside the charset."""
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    bad = np.flatnonzero((codes < 32) | (codes >= 32 + NUM_CLASSES))
+    if bad.size:
+        raise CharsetError(text[bad[0]], int(bad[0]))
+    return codes.astype(np.int64) - 32
 
 
 class SecretKeyTable:
@@ -90,9 +89,6 @@ class SecretKeyTable:
         rng = spawn_rng(seed, "secret-keys")
         vectors = rng.uniform(-1.0, 1.0, size=(NUM_CLASSES, key_dim))
         return cls(key_dim, seed, vectors)
-
-    def vector_for(self, char, index=0):
-        return self.vectors[char_to_class(char, index)]
 
     def to_json_dict(self):
         return jsondoc.envelope("secret-keys", {
@@ -221,8 +217,7 @@ def encrypt_text(text, keys, xbar, epsilon, rng):
     """Encrypt a string block by block; each block gets fresh read noise."""
     if keys.key_dim != xbar.rows:
         raise DimensionError(f"key_dim {keys.key_dim} != crossbar rows {xbar.rows}")
-    classes = np.array([char_to_class(ch, i) for i, ch in enumerate(text)], dtype=np.int64)
-    bits = encode_crossbar_batch(xbar, keys.vectors[classes], epsilon, rng)
+    bits = encode_crossbar_batch(xbar, keys.vectors[text_to_classes(text)], epsilon, rng)
     return CipherText(xbar.cols, np.packbits(bits, axis=1, bitorder="little"))
 
 
@@ -234,8 +229,7 @@ def decrypt_text(ct, model):
         return ""
     if ct.dim != model.in_dim:
         raise DimensionError(f"ciphertext dim {ct.dim}, decoder expects {model.in_dim}")
-    classes = model.predict_classes(ct.bit_matrix())
-    return "".join(class_to_char(int(c)) for c in classes)
+    return (model.predict_classes(ct.bit_matrix()) + 32).astype(np.uint8).tobytes().decode("ascii")
 
 
 def build_dataset(n, keys, xbar, epsilon, rng):
@@ -268,8 +262,10 @@ def uniqueness_stats(char, n_passes, keys, xbar, epsilon, rng):
     """
     if n_passes < 2:
         raise DimensionError("need at least 2 passes")
-    vec = keys.vector_for(char)
-    bits = encode_crossbar_batch(xbar, np.tile(vec, (n_passes, 1)), epsilon, rng)
+    vecs = keys.vectors[text_to_classes(char)]
+    if len(vecs) != 1:
+        raise DimensionError(f"expected one character, got {char!r}")
+    bits = encode_crossbar_batch(xbar, np.repeat(vecs, n_passes, axis=0), epsilon, rng)
     packed = np.packbits(bits, axis=1, bitorder="little")
     distinct = len({row.tobytes() for row in packed})
     ones = bits.sum(axis=0, dtype=np.int64)

@@ -46,7 +46,7 @@ def rng():
 def project_with_noise_matrix():
     """Reference form of an ideal encoder pass, y = (W + N) x with an
     explicit noise matrix N; the package samples N x in projected form."""
-    def project(enc, x, noise_matrix):
+    def noisy_projection(enc, x, noise_matrix):
         assert noise_matrix.shape == enc.weights.shape
         return (enc.weights + noise_matrix) @ x
-    return project
+    return noisy_projection

@@ -317,6 +317,10 @@ NESTED_CASES = {
     "model-out-dim-true": ("linear-decoder", lambda doc: doc.update(out_dim=True), "out_dim"),
     "model-in-dim-zero": ("linear-decoder", lambda doc: doc.update(in_dim=0), "in_dim"),
     "model-epsilon-string": ("linear-decoder", lambda doc: doc.update(epsilon="x"), "epsilon"),
+    "spec-train-size-string": ("experiment-spec", lambda doc: doc.update(train_size="10"),
+                               "train_size"),
+    "spec-multipliers-not-list": ("experiment-spec", lambda doc: doc.update(multipliers=5),
+                                  "multipliers"),
 }
 
 
@@ -394,6 +398,11 @@ DIMENSION_CASES = {
                                               "--keys", str(km["keys"]), "--n", "50",
                                               "--model", _zero_model(km["dir"] / "m.json", 30)],
                                   ("--crossbar", "40", "--model", "30")),
+    "crossbar-wider-than-model-encrypt": (
+        lambda km: ["encrypt", "--crossbar", str(km["xbar"]), "--keys", str(km["keys"]),
+                    "--model", _zero_model(km["dir"] / "m.json", 30), "--in", str(km["plain"]),
+                    "--out", str(km["dir"] / "k")],
+        ("--crossbar", "40", "--model", "30")),
 }
 
 

@@ -77,7 +77,7 @@ def test_non_finite_config_names_field(field, value):
 
 def test_vmm_uniform_conductance_sums_rows(rng):
     cfg = make_config(sigma_frac=0.0, p_stuck_on=0.0, p_stuck_off=0.0)
-    xbar = Crossbar.new_random(cfg).program(np.full((4, 8), 4e-4))
+    xbar = Crossbar(cfg, np.full((4, 8), 4e-4), np.zeros((4, 8), dtype=np.int8))
     out = xbar.read_vmm(np.ones(4), rng)
     assert np.allclose(out, 4 * 4e-4)
 
@@ -90,7 +90,7 @@ def test_vmm_zero_vector_is_zero(rng):
 def test_vmm_matches_hand_computed_product(rng):
     cfg = make_config(rows=2, cols=2, sigma_frac=0.0, p_stuck_on=0.0, p_stuck_off=0.0)
     g = np.array([[2e-4, 5e-4], [3e-4, 7e-4]])
-    xbar = Crossbar.new_random(cfg).program(g)
+    xbar = Crossbar(cfg, g, np.zeros((2, 2), dtype=np.int8))
     v = np.array([2.0, -1.0])
     # oracle: scalar arithmetic, entry by entry
     expected = np.array([2.0 * 2e-4 + (-1.0) * 3e-4, 2.0 * 5e-4 + (-1.0) * 7e-4])
@@ -107,27 +107,31 @@ def test_vmm_shape_errors(rng):
         xbar.read_vmm(np.array([np.nan, 0, 0, 0]), rng)
 
 
-def test_program_clamps_to_rails():
-    xbar = Crossbar.new_random(make_config(p_stuck_on=0.0, p_stuck_off=0.0))
-    cfg = xbar.config
-    programmed = xbar.program(np.full((4, 8), 1.0))   # far above G_on
-    assert np.all(programmed.g_target == cfg.g_on)
-    programmed = xbar.program(np.zeros((4, 8)))       # below G_off
-    assert np.all(programmed.g_target == cfg.g_off)
+def test_constructor_rejects_conductances_off_the_rails():
+    cfg = make_config()
+    free = np.zeros((4, 8), dtype=np.int8)
+    for g in (np.full((4, 8), 1.0), np.zeros((4, 8))):   # above G_on, below G_off
+        with pytest.raises(ConfigError) as excinfo:
+            Crossbar(cfg, g, free)
+        assert excinfo.value.field == "g_target"
 
 
-def test_program_leaves_stuck_cells():
-    cfg = make_config(p_stuck_on=0.0, p_stuck_off=1.0)
-    xbar = Crossbar.new_random(cfg)
-    programmed = xbar.program(np.full((4, 8), cfg.g_on))
-    assert np.all(programmed.g_target == cfg.g_off)
-    assert np.all(programmed.stuck_mask == STUCK_OFF)
+@pytest.mark.parametrize("stuck, rail", [(STUCK_ON, "g_off"), (STUCK_OFF, "g_on")],
+                         ids=["stuck-on", "stuck-off"])
+def test_constructor_rejects_stuck_cells_off_their_rail(stuck, rail):
+    cfg = make_config()
+    mask = np.zeros((4, 8), dtype=np.int8)
+    mask[1, 2] = stuck
+    with pytest.raises(ConfigError, match="stuck"):
+        Crossbar(cfg, np.full((4, 8), getattr(cfg, rail)), mask)
 
 
-def test_program_shape_error():
-    xbar = Crossbar.new_random(make_config())
-    with pytest.raises(DimensionError):
-        xbar.program(np.zeros((3, 8)))
+def test_constructor_shape_error():
+    cfg = make_config()
+    with pytest.raises(DimensionError, match="g_target"):
+        Crossbar(cfg, np.full((3, 8), cfg.g_mid), np.zeros((4, 8), dtype=np.int8))
+    with pytest.raises(DimensionError, match="stuck_mask"):
+        Crossbar(cfg, np.full((4, 8), cfg.g_mid), np.zeros((3, 8), dtype=np.int8))
 
 
 def test_effective_conductances_stay_clamped():
@@ -153,7 +157,7 @@ def test_identical_seed_and_stream_is_bit_identical():
 
 def test_unbiased_at_range_midpoint():
     cfg = make_config(rows=3, cols=5, sigma_frac=0.1, p_stuck_on=0.0, p_stuck_off=0.0)
-    xbar = Crossbar.new_random(cfg).program(np.full((3, 5), cfg.g_mid))
+    xbar = Crossbar(cfg, np.full((3, 5), cfg.g_mid), np.zeros((3, 5), dtype=np.int8))
     rng = spawn_rng(1, "unbiased")
     n_reads = 10_000
     acc = np.zeros((3, 5))

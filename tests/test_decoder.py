@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder,
-                             TrainConfig, fit_naive_bayes, grad_check,
-                             load_model, loss_nll, loss_rmse, save_model,
-                             train, _batch_loss_dz, _batch_loss_grads,
-                             _one_example, _sgd_step, _softmax)
+from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX,
+                             LinearDecoder, TrainConfig, fit_naive_bayes,
+                             grad_check, load_model, save_model, train,
+                             _batch_loss_dz, _batch_loss_grads, _full_loss,
+                             _sgd_step, _softmax)
 from hdcrypt.errors import (ConfigError, DimensionError,
                             TrainingDivergedError)
 from hdcrypt.hypervector import BinaryHypervector
@@ -19,14 +19,14 @@ from hdcrypt.rng import spawn_rng
 
 def test_forward_zero_classifier_is_uniform():
     model = LinearDecoder(np.zeros((94, 10)), np.zeros(94), HEAD_SOFTMAX)
-    probs = model.forward(np.ones(10))
+    probs = model.forward_batch(np.ones((1, 10)))
     assert np.allclose(probs, 1 / 94, atol=1e-15)
 
 
 def test_forward_zero_regression_returns_bias():
     bias = np.array([0.2, -0.4, 1.5])
     model = LinearDecoder(np.zeros((3, 5)), bias, HEAD_REGRESSION)
-    assert np.array_equal(model.forward(np.ones(5)), bias)
+    assert np.array_equal(model.forward_batch(np.ones((1, 5)))[0], bias)
 
 
 def test_forward_two_class_hand_softmax():
@@ -37,30 +37,34 @@ def test_forward_two_class_hand_softmax():
     # oracle: scalar arithmetic
     z0, z1 = 1.0 + 0.1, 1.0 - 0.1
     e0, e1 = np.exp(z0), np.exp(z1)
-    probs = model.forward(x)
+    probs = model.forward_batch(x[None])[0]
     assert np.allclose(probs, [e0 / (e0 + e1), e1 / (e0 + e1)], atol=1e-12)
 
 
 def test_forward_accepts_hypervector(noiseless_system):
+    # a hypervector's unpacked uint8 bits decode as their float64 values do
     model = noiseless_system["model"]
     bits = np.zeros(model.in_dim, dtype=np.uint8)
     bits[::3] = 1
     hv = BinaryHypervector.from_bits(bits)
-    assert np.array_equal(model.forward(hv), model.forward(bits.astype(float)))
+    assert np.array_equal(model.forward_batch(hv.to_bits()[None]),
+                          model.forward_batch(bits.astype(float)[None]))
 
 
 @pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
 def test_forward_is_a_batch_of_one(head):
     rng = spawn_rng(1, "batch-of-one")
     model = LinearDecoder(rng.normal(size=(9, 20)), rng.normal(size=9), head)
-    for x in rng.normal(size=(5, 20)):
-        assert np.array_equal(model.forward(x), model.forward_batch(x[None])[0])
+    xs = rng.normal(size=(5, 20))
+    batch = model.forward_batch(xs)
+    for x, row in zip(xs, batch):
+        assert np.array_equal(model.forward_batch(x[None])[0], row)
 
 
 def test_forward_dimension_mismatch():
     model = LinearDecoder(np.zeros((2, 4)), np.zeros(2), HEAD_SOFTMAX)
     with pytest.raises(DimensionError):
-        model.forward(np.ones(5))
+        model.forward_batch(np.ones((1, 5)))
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (3, 3), (4,), (2, 4, 1)])
@@ -76,35 +80,48 @@ def test_softmax_properties_hold():
     rng = spawn_rng(0, "softmax")
     model = LinearDecoder(rng.normal(size=(7, 5)), rng.normal(size=7), HEAD_SOFTMAX)
     x = rng.normal(size=5)
-    probs = model.forward(x)
+    probs = model.forward_batch(x[None])[0]
     assert np.all(probs > 0)
     assert abs(probs.sum() - 1.0) < 1e-9
     shifted = LinearDecoder(model.weights, model.bias + 13.7, HEAD_SOFTMAX)
-    assert np.allclose(shifted.forward(x), probs, atol=1e-9)
+    assert np.allclose(shifted.forward_batch(x[None])[0], probs, atol=1e-9)
+
+
+def _loss_at_output(z, target, head):
+    """_full_loss of one example whose output (logits for the softmax head)
+    is exactly `z`: zero weights, bias z."""
+    z = np.asarray(z, dtype=np.float64)
+    Y = np.array([target]) if head == HEAD_SOFTMAX else np.asarray([target], dtype=np.float64)
+    return _full_loss(np.zeros((z.size, 1)), z, np.zeros((1, 1)), Y, head)
 
 
 def test_loss_rmse_cases():
-    assert loss_rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
+    def rmse(pred, target):
+        return _loss_at_output(pred, target, HEAD_REGRESSION)
+
+    assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
     # oracle: sqrt((3^2 + 4^2) / 2)
-    assert np.isclose(loss_rmse([3.0, 4.0], [0.0, 0.0]), np.sqrt(12.5))
-    base = loss_rmse([1.0, -2.0, 0.5], [0.0, 1.0, 0.25])
-    scaled = loss_rmse([-3.0, 6.0, -1.5], [0.0, -3.0, -0.75])
+    assert np.isclose(rmse([3.0, 4.0], [0.0, 0.0]), np.sqrt(12.5))
+    base = rmse([1.0, -2.0, 0.5], [0.0, 1.0, 0.25])
+    scaled = rmse([-3.0, 6.0, -1.5], [0.0, -3.0, -0.75])
     assert np.isclose(scaled, 3 * base)
-    with pytest.raises(DimensionError):
-        loss_rmse([1.0], [1.0, 2.0])
 
 
 def test_loss_nll_cases():
+    def nll(probs, label):
+        # logits log(p) make softmax return p; log(0) is -inf, which the
+        # logit floor raises to a probability far below PROB_FLOOR
+        with np.errstate(divide="ignore"):
+            return _loss_at_output(np.log(probs), label, HEAD_SOFTMAX)
+
     uniform = np.full(94, 1 / 94)
-    assert np.isclose(loss_nll(uniform, 17), np.log(94))
-    assert np.isclose(loss_nll(uniform, 17), 4.5433, atol=5e-4)
+    assert np.isclose(nll(uniform, 17), np.log(94))
+    assert np.isclose(nll(uniform, 17), 4.5433, atol=5e-4)
     certain = np.zeros(5)
     certain[2] = 1.0
-    assert loss_nll(certain, 2) == 0.0
-    assert np.isclose(loss_nll(np.array([0.7, 0.3]), 1), -np.log(0.3))
-    assert np.isclose(loss_nll(np.array([1.0, 0.0]), 1), -np.log(1e-12))
-    with pytest.raises(DimensionError):
-        loss_nll(np.array([0.5, 0.5]), 2)
+    assert nll(certain, 2) == 0.0
+    assert np.isclose(nll(np.array([0.7, 0.3]), 1), -np.log(0.3))
+    assert np.isclose(nll(np.array([1.0, 0.0]), 1), -np.log(1e-12))
 
 
 def test_grad_check_classifier_head():
@@ -127,13 +144,14 @@ def test_grad_check_regression_head():
 def test_zero_gradient_at_exact_fit():
     def analytic_gradient_norm(model, example):
         """L2 norm of the analytic gradient at one example."""
-        X, Y = _one_example(model, example)
+        x, target = example
+        X, Y = x[None], np.asarray(target, dtype=np.float64)[None]
         _, gw, gb = _batch_loss_grads(model.weights, model.bias, X, Y, model.head)
         return float(np.sqrt(np.sum(gw * gw) + np.sum(gb * gb)))
 
     model = LinearDecoder(np.zeros((2, 3)), np.array([0.5, -0.5]), HEAD_REGRESSION)
     x = np.array([1.0, 2.0, 3.0])
-    target = model.forward(x)
+    target = model.forward_batch(x[None])[0]
     assert analytic_gradient_norm(model, (x, target)) < 1e-12
 
 
@@ -286,7 +304,7 @@ def test_train_overfits_single_example():
                       patience=300, min_delta=0.0)
     trained, report = train(model, (X, y), (X, y), cfg)
     assert report.val_loss_history[-1] < 0.01 or min(report.val_loss_history) < 0.01
-    probs = trained.forward(X[0])
+    probs = trained.forward_batch(X[:1])[0]
     assert -np.log(probs[3]) < 0.01
 
 

@@ -13,6 +13,7 @@ from hdcrypt.encoder import (_BLOCK_BYTES, IdealEncoder, binarize_batch,
                              encode_crossbar_batch, project_streamed,
                              threshold_binarize)
 from hdcrypt.errors import ConfigError, DimensionError
+from hdcrypt.imagecrypto import BenchmarkEncoder
 from hdcrypt.rng import spawn_rng
 
 
@@ -90,7 +91,7 @@ def test_crossbar_encoding_matches_hand_computed_bits(rng):
     xbar = small_crossbar(rows=2, cols=4)
     g = np.array([[2e-4, 4e-4, 6e-4, 8e-4],
                   [3e-4, 1e-4, 9e-4, 2e-4]])
-    xbar = xbar.program(g)
+    xbar = Crossbar(xbar.config, g, xbar.stuck_mask)
     x = np.array([1.0, -0.5])
     # oracle: per-column arithmetic, minus the mid-range reference current
     ref = (1.0 - 0.5) * xbar.config.g_mid
@@ -130,7 +131,8 @@ def test_encode_dimension_mismatch(rng):
 def test_ideal_sigma_zero_is_pure_function():
     enc = IdealEncoder.new_random(4, 8, sigma=0.0, seed=8)
     x = np.array([0.1, 0.9, -0.4, 0.0])
-    assert enc.encode(x, spawn_rng(1, "u")) == enc.encode(x, spawn_rng(2, "v"))
+    assert np.array_equal(enc.encode_batch(x[None], spawn_rng(1, "u")),
+                          enc.encode_batch(x[None], spawn_rng(2, "v")))
 
 
 def test_ideal_init_interval_respected():
@@ -152,15 +154,15 @@ def test_ideal_sigma_must_be_finite_and_non_negative(sigma):
 def test_ideal_hand_computed_row_sums(rng):
     w = np.array([[1.0, 2.0], [-3.0, 1.0], [0.5, -0.5]])
     enc = IdealEncoder(w, sigma=0.0, epsilon=0.5)
-    hv = enc.encode(np.array([1.0, 1.0]), rng)
+    bits = enc.encode_batch(np.array([[1.0, 1.0]]), rng)
     # oracle: row sums are 3, -2, 0 -> thresholded at 0.5
-    assert hv.to_bits().tolist() == [1, 0, 0]
+    assert bits.tolist() == [[1, 0, 0]]
 
 
 def test_ideal_noise_equals_scaled_standard_normals():
     enc = IdealEncoder.new_random(3, 5, sigma=0.7, seed=10)
     x = np.array([0.2, -0.4, 1.0])
-    y = enc.project(x, spawn_rng(11, "n"))
+    y = enc.project_batch(x[None], spawn_rng(11, "n"))[0]
     z = spawn_rng(11, "n").standard_normal(enc.output_dim)
     expected = enc.weights @ x + 0.7 * np.linalg.norm(x) * z
     assert np.array_equal(y, expected)
@@ -176,7 +178,7 @@ def test_ideal_noise_distribution_matches_matrix_form(project_with_noise_matrix)
         for _ in range(4000)
     ])
     fast_rng = spawn_rng(15, "fast")
-    fast_draws = np.array([enc.project(x, fast_rng) for _ in range(4000)])
+    fast_draws = enc.project_batch(np.tile(x, (4000, 1)), fast_rng)
     clean = enc.weights @ x
     for draws in (mat_draws, fast_draws):
         assert np.allclose(draws.mean(axis=0), clean, atol=0.02)
@@ -186,19 +188,32 @@ def test_ideal_noise_distribution_matches_matrix_form(project_with_noise_matrix)
 
 def test_ideal_zero_input_kills_noise(rng):
     enc = IdealEncoder.new_random(5, 10, sigma=3.0, seed=16)
-    y = enc.project(np.zeros(5), rng)
+    y = enc.project_batch(np.zeros((1, 5)), rng)
     assert np.all(y == 0.0)
 
 
 def test_ideal_batch_matches_single(rng):
-    # same noise stream; the clean term may round differently between the
-    # batched and single matmul kernels
+    # same noise stream, one batch of seven against seven batches of one;
+    # the clean term may round differently with the batch size
     enc = IdealEncoder.new_random(4, 6, sigma=0.5, seed=17)
     xs = spawn_rng(18, "xs").uniform(-1, 1, (7, 4))
     batch = enc.project_batch(xs, spawn_rng(19, "s"))
     stream = spawn_rng(19, "s")
-    singles = np.array([enc.project(x, stream) for x in xs])
+    singles = np.concatenate([enc.project_batch(x[None], stream) for x in xs])
     assert np.allclose(batch, singles, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IdealEncoder.new_random(4, 2, sigma=0.5, seed=44),
+    lambda: BenchmarkEncoder.new_random(4, sigma=0.5, seed=45),
+], ids=["ideal", "benchmark"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_non_finite_input(make, bad):
+    enc = make()
+    xs = np.zeros((2, 4))
+    xs[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        enc.project_batch(xs, spawn_rng(46, "s"))
 
 
 def test_encoder_params_validation():
@@ -267,7 +282,7 @@ def test_packed_encoding_agrees_with_unpacked_reference(rng):
 def test_streamed_projection_matches_in_memory_encoder(monkeypatch):
     enc = IdealEncoder.new_random(12, 30, sigma=0.4, seed=31)
     x = spawn_rng(32, "x").uniform(0, 1, 12)
-    direct = enc.project(x, spawn_rng(33, "s"))
+    direct = enc.project_batch(x[None], spawn_rng(33, "s"))[0]
     # 8-row blocks: the 360 rows are streamed in 45 blocks
     monkeypatch.setattr(encoder, "_BLOCK_BYTES", 8 * 12 * 8)
     streamed = project_streamed(x, enc.output_dim, 0.4, 31, spawn_rng(33, "s"))

@@ -108,18 +108,18 @@ def test_idx_bad_magic_and_truncation(tmp_path):
 def test_encrypt_all_zero_image(rng):
     enc = IdealEncoder.new_random(16, 4, sigma=2.0, seed=3).with_epsilon(0.1)
     img = GrayImage.from_array(np.zeros((4, 4)))
-    hv = enc.encode(img.flatten(), rng)
-    assert hv.popcount() == 0          # 0 < epsilon everywhere
+    bits = enc.encode_batch(img.flatten()[None], rng)
+    assert bits.sum() == 0             # 0 < epsilon everywhere
     enc2 = enc.with_epsilon(-0.1)
-    assert enc2.encode(img.flatten(), rng).popcount() == 64
+    assert enc2.encode_batch(img.flatten()[None], rng).sum() == 64
 
 
 def test_encrypt_dimension_is_pixels_times_multiplier(rng):
     images, _ = synthetic_digits(1, seed=4)
     for m in (1, 4):
         enc = IdealEncoder.new_random(784, m, sigma=0.5, seed=5)
-        hv = enc.encode(GrayImage.from_array(images[0]).flatten(), rng)
-        assert hv.dim == 784 * m
+        bits = enc.encode_batch(GrayImage.from_array(images[0]).flatten()[None], rng)
+        assert bits.shape == (1, 784 * m)
 
 
 def test_encrypt_hand_computed_two_by_two(rng):
@@ -138,14 +138,14 @@ def test_encrypt_hand_computed_two_by_two(rng):
     # oracle: y = w @ (1, 0.5, 0, 1) computed row by row; row 4 lands
     # exactly on the threshold and must map to 1
     y = np.array([1.0, -0.5, 2.5, 2.0, 0.25, 2.0, -1.0, -0.5])
-    hv = enc.encode(img.flatten(), rng)
-    assert np.array_equal(hv.to_bits(), (y >= 0.25).astype(np.uint8))
+    bits = enc.encode_batch(img.flatten()[None], rng)
+    assert np.array_equal(bits[0], (y >= 0.25).astype(np.uint8))
 
 
 def test_encrypt_size_mismatch(rng):
     enc = IdealEncoder.new_random(10, 2, sigma=0.0, seed=6)
     with pytest.raises(DimensionError):
-        enc.encode(GrayImage.from_array(np.zeros((3, 3))).flatten(), rng)
+        enc.encode_batch(GrayImage.from_array(np.zeros((3, 3))).flatten()[None], rng)
 
 
 def test_benchmark_exact_inverse_roundtrip(rng):
@@ -173,7 +173,7 @@ def test_benchmark_hand_noise_matrix_oracle(project_with_noise_matrix):
 def test_benchmark_noise_stream_form(rng):
     benc = BenchmarkEncoder.new_random(5, sigma=0.8, seed=11)
     x = np.array([0.2, 0.4, 0.0, -0.3, 0.9])
-    y = benc.project(x, spawn_rng(12, "s"))
+    y = benc.project_batch(x[None], spawn_rng(12, "s"))[0]
     z = spawn_rng(12, "s").standard_normal(5)
     assert np.array_equal(y, benc.weights @ x + 0.8 * np.linalg.norm(x) * z)
 
@@ -225,11 +225,11 @@ def test_histogram_matches_naive_counts():
 def test_histogram_conservation_across_stages(rng):
     img = synthetic_natural_image(30, seed=14)
     enc = IdealEncoder.new_random(900, 4, sigma=1.0, seed=15)
-    pre = enc.project(img.flatten(), rng)
-    hv = enc.with_epsilon(float(np.median(pre))).encode(img.flatten(), rng)
+    pre = enc.project_batch(img.flatten()[None], rng)[0]
+    bits = enc.with_epsilon(float(np.median(pre))).encode_batch(img.flatten()[None], rng)[0]
     assert pixel_histogram(img.pixels).sum() == 900
     assert pixel_histogram(pre).sum() == 3600
-    assert pixel_histogram(hv.to_bits()).sum() == 3600
+    assert pixel_histogram(bits).sum() == 3600
 
 
 def test_correlation_repeated_columns_is_one():
@@ -308,8 +308,8 @@ def test_encrypted_stage_decorrelates_natural_image(rng):
     img = synthetic_natural_image(60, seed=20)
     assert adjacent_pixel_correlation(img.pixels, "horizontal") > 0.7
     enc = IdealEncoder.new_random(3600, 4, sigma=1.0, seed=21)
-    pre = enc.project(img.flatten(), rng)
-    hv = enc.with_epsilon(float(np.median(pre))).encode(img.flatten(), rng)
-    plane = bits_to_plane(hv, 60, 60, 4)
+    pre = enc.project_batch(img.flatten()[None], rng)[0]
+    bits = enc.with_epsilon(float(np.median(pre))).encode_batch(img.flatten()[None], rng)[0]
+    plane = bits_to_plane(bits, 60, 60, 4)
     for direction in ("horizontal", "vertical", "diagonal"):
         assert abs(adjacent_pixel_correlation(plane, direction)) < 0.05

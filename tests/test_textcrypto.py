@@ -10,9 +10,9 @@ from hdcrypt.errors import CharsetError, DataFormatError, DimensionError
 from hdcrypt.hypervector import BinaryHypervector
 from hdcrypt.rng import spawn_rng
 from hdcrypt.textcrypto import (CHARSET, NUM_CLASSES, CipherText,
-                                SecretKeyTable, build_dataset, char_to_class,
-                                class_to_char, decrypt_text, encrypt_text,
-                                evaluate_accuracy, uniqueness_stats)
+                                SecretKeyTable, build_dataset, decrypt_text,
+                                encrypt_text, evaluate_accuracy, text_to_classes,
+                                uniqueness_stats)
 
 
 def test_charset_is_94_classes_without_tilde():
@@ -23,12 +23,22 @@ def test_charset_is_94_classes_without_tilde():
 
 
 def test_char_class_mapping_roundtrip():
-    for i, ch in enumerate(CHARSET):
-        assert char_to_class(ch) == i
-        assert class_to_char(i) == ch
+    classes = text_to_classes(CHARSET)
+    assert classes.dtype == np.int64
+    assert classes.tolist() == list(range(NUM_CLASSES))
+    assert "".join(CHARSET[c] for c in classes) == CHARSET
     with pytest.raises(CharsetError) as excinfo:
-        char_to_class("~", index=5)
-    assert excinfo.value.index == 5
+        text_to_classes("abcde~f\x7f")
+    assert excinfo.value.index == 5 and excinfo.value.char == "~"
+
+
+@pytest.mark.parametrize("text, index", [("ab\u00e9", 2), ("a\ud800b", 1), ("\U0001f600", 0),
+                                         ("ok\n", 2)],
+                         ids=["latin-1", "lone-surrogate", "astral", "control"])
+def test_text_to_classes_rejects_code_points_outside_charset(text, index):
+    with pytest.raises(CharsetError) as excinfo:
+        text_to_classes(text)
+    assert excinfo.value.index == index and excinfo.value.char == text[index]
 
 
 def test_keys_same_seed_identical():
@@ -177,7 +187,7 @@ def test_uniqueness_matches_naive_oracle():
     # oracle: re-encode with the same stream, then nested-loop comparisons
     from hdcrypt.encoder import encode_crossbar
     rng = spawn_rng(10, "u")
-    hvs = [encode_crossbar(xbar, keys.vector_for("k"), 1e-5, rng)
+    hvs = [encode_crossbar(xbar, keys.vectors[CHARSET.index("k")], 1e-5, rng)
            for _ in range(n_passes)]
     distinct = len(set(hvs))
     total = 0
@@ -194,6 +204,13 @@ def test_uniqueness_needs_two_passes():
     xbar, keys = _system()
     with pytest.raises(DimensionError):
         uniqueness_stats("A", 1, keys, xbar, 0.0, spawn_rng(11, "u"))
+
+
+@pytest.mark.parametrize("char", ["", "AB"], ids=["empty", "two"])
+def test_uniqueness_needs_one_character(char):
+    xbar, keys = _system()
+    with pytest.raises(DimensionError):
+        uniqueness_stats(char, 2, keys, xbar, 0.0, spawn_rng(11, "u"))
 
 
 def test_evaluate_accuracy_constant_model():
