@@ -2,7 +2,7 @@
 the pixel statistics that make the ciphertext look like noise, and a
 digit-reconstruction comparison against the no-expansion benchmark.
 
-Run:  python demos/03_image_pipeline.py        (about a minute)
+Run:  python demos/03_image_pipeline.py        (about 20 seconds)
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ import numpy as np
 from hdcrypt import pixel_histogram, spawn_rng, threshold_binarize
 from hdcrypt.datasets import synthetic_digits, synthetic_natural_image
 from hdcrypt.encoder import project_streamed
-from hdcrypt.experiments import DEFAULT_IMAGE_TRAIN, run_image_cell
+from hdcrypt.experiments import run_image_cell
 from hdcrypt.imagecrypto import adjacent_pixel_correlation, bits_to_plane
 from hdcrypt.rng import derive_seed
 
@@ -46,11 +46,10 @@ print("no-expansion benchmark (1250 digits, multiplier 4):")
 images, _ = synthetic_digits(1500, seed=derive_seed(MASTER, "digits"))
 train_imgs, test_imgs = images[:1250], images[1250:]
 for sigma in (0.5, 2.0, 3.0):
-    bhv, _, _ = run_image_cell(train_imgs, test_imgs, sigma, DEFAULT_IMAGE_TRAIN,
+    bhv, _, _ = run_image_cell(train_imgs, test_imgs, sigma, None,
                                derive_seed(MASTER, "bhv"), multiplier=MULT)
-    bench, _, _ = run_image_cell(train_imgs, test_imgs, sigma, DEFAULT_IMAGE_TRAIN,
-                                 derive_seed(MASTER, "bench"),
-                                 pipeline="benchmark")
+    bench, _, _ = run_image_cell(train_imgs, test_imgs, sigma, None,
+                                 derive_seed(MASTER, "bench"), pipeline="benchmark")
     winner = "hypervector" if bhv.rmse < bench.rmse else "benchmark"
     print(f"  sigma={sigma}: bhv rmse={bhv.rmse:.4f}, "
           f"benchmark rmse={bench.rmse:.4f}  -> {winner} wins")

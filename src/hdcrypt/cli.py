@@ -17,10 +17,9 @@ from .datasets import load_digits, synthetic_natural_image
 from .decoder import load_model, save_model
 from .errors import (ConfigError, DataFormatError, DegenerateStatisticError,
                      DimensionError, TrainingDivergedError)
-from .experiments import (DEFAULT_IMAGE_TRAIN, DEFAULT_TEXT_TRAIN, DESK_SIZES,
-                          PAPER_SIZES, ExperimentReport, ExperimentSpec,
-                          run_grid, run_image_cell, run_table1,
-                          train_text_system)
+from .experiments import (DEFAULT_TEXT_TRAIN, DESK_SIZES, PAPER_SIZES,
+                          ExperimentReport, ExperimentSpec, run_grid,
+                          run_image_cell, run_table1, train_text_system)
 from .imagecrypto import (GrayImage, adjacency_stats, bits_to_plane,
                           pixel_histogram)
 from .imageio import read_pgm, write_pgm
@@ -197,14 +196,11 @@ def _cmd_image_demo(args):
     print(f"wrote stage statistics to {stats_path}")
 
     if args.reconstruct:
-        images, _ = load_digits(args.digits + 400, args.seed,
-                                idx_images_path=args.idx_images,
-                                idx_labels_path=args.idx_labels)
-        result, model, enc2 = run_image_cell(
-            images[:args.digits], images[args.digits:], args.noise_sigma,
-            DEFAULT_IMAGE_TRAIN, args.seed, multiplier=args.multiplier)
-        print(json.dumps({"digit_reconstruction_rmse": round(result.rmse, 5),
-                          "epochs": result.epochs}))
+        images = load_digits(args.digits + 400, args.seed, idx_images_path=args.idx_images)
+        result, _, _ = run_image_cell(images[:args.digits], images[args.digits:],
+                                      args.noise_sigma, None, args.seed,
+                                      multiplier=args.multiplier)
+        print(json.dumps({"digit_reconstruction_rmse": round(result.rmse, 5)}))
 
 
 def _cmd_report(args):
@@ -296,10 +292,9 @@ def build_parser():
     p.add_argument("--multiplier", type=int, default=4)
     p.add_argument("--noise-sigma", type=float, default=1.0)
     p.add_argument("--reconstruct", action="store_true",
-                   help="also train a digit-reconstruction decoder")
+                   help="also fit a digit-reconstruction decoder")
     p.add_argument("--digits", type=int, default=600)
     p.add_argument("--idx-images", help="IDX image file for the digit corpus")
-    p.add_argument("--idx-labels", help="IDX label file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_image_demo)

@@ -3,15 +3,16 @@
 `synthetic_digits` renders 28x28 grayscale handwritten-style digits from
 built-in glyph bitmaps with random placement, stroke intensity, blur and
 sensor noise. It exists so the image pipeline runs out of the box in
-offline environments; pass real IDX files to `load_digits` to use an
-actual handwriting corpus instead.
+offline environments; pass a real IDX image file to `load_digits` to use
+an actual handwriting corpus instead.
 """
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .imagecrypto import GrayImage
-from .imageio import read_idx_images, read_idx_labels
+from .errors import DataFormatError
+from .imageio import read_idx_images
 from .rng import spawn_rng
 
 __all__ = ["synthetic_digits", "load_digits", "synthetic_natural_image"]
@@ -69,15 +70,12 @@ def synthetic_natural_image(size, seed):
     return GrayImage.from_array((field - lo) / (hi - lo))
 
 
-def load_digits(n, seed, idx_images_path=None, idx_labels_path=None):
-    """First n images of an IDX corpus, or synthetic digits when no path given."""
+def load_digits(n, seed, idx_images_path=None):
+    """The first n images of an IDX corpus, or n synthetic digits when no
+    path is given. A corpus of fewer than n images raises DataFormatError."""
     if idx_images_path is None:
-        return synthetic_digits(n, seed)
+        return synthetic_digits(n, seed)[0]
     images = read_idx_images(idx_images_path)
-    if idx_labels_path is not None:
-        labels = read_idx_labels(idx_labels_path)[: len(images)]
-    else:
-        labels = np.zeros(len(images), dtype=np.int64)
     if len(images) < n:
-        raise ValueError(f"corpus holds {len(images)} images, need {n}")
-    return images[:n], labels[:n]
+        raise DataFormatError(f"{idx_images_path}: corpus holds {len(images)} images, need {n}")
+    return images[:n]

@@ -1,11 +1,11 @@
-"""Single-layer neural decoder trained by mini-batch SGD.
+"""Single-layer neural decoder: closed-form fits and mini-batch SGD.
 
 Two heads share the same affine map z = W x + b:
 
 * "softmax"    - class probabilities softmax(z), trained with mean
                  negative log likelihood (character decryption),
-* "regression" - raw z, trained with root mean square error
-                 (image reconstruction).
+* "regression" - raw z under root mean square error (image
+                 reconstruction), fit in closed form by fit_ridge.
 
 Inference takes batches only, so a single input is a batch of one row,
 and each loss has one implementation (_full_loss, _batch_loss_dz).
@@ -35,6 +35,7 @@ model files.
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.linalg.blas import get_blas_funcs
 
 from . import jsondoc
@@ -49,6 +50,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "fit_naive_bayes",
+    "fit_ridge",
     "train",
     "grad_check",
     "save_model",
@@ -60,6 +62,9 @@ HEAD_REGRESSION = "regression"
 
 PROB_FLOOR = 1e-12
 _EVAL_CHUNK = 8192
+# fit_ridge's penalties, in units of trace(Gram) / d, the mean eigenvalue
+# of the centered Gram matrix
+_RIDGE_GRID = np.logspace(-4, 1, 11)
 
 
 def _softmax(z):
@@ -91,11 +96,13 @@ def _gemm(weights):
 def _affine(weights, bias, X):
     """X @ W.T + b for rows X of the weights' dtype, C-contiguous.
 
-    Every GEMM of training and inference goes through scipy's BLAS, which
-    the in-place SGD update (_sgd_step) needs. numpy may bundle a second
-    BLAS with its own thread pool: with two BLAS threads on a 2-core host,
-    alternating calls between the two pools made a softmax SGD step 26
-    times slower.
+    Every GEMM of SGD training and inference goes through scipy's BLAS,
+    which the in-place SGD update (_sgd_step) needs. numpy may bundle a
+    second BLAS with its own thread pool: with two BLAS threads on a 2-core
+    host, alternating calls between the two pools made a softmax SGD step
+    26 times slower. fit_ridge's few large products use numpy's: on one
+    BLAS thread they time as scipy's do, and on two the switch around its
+    eigh added 0.1-0.2 s to fits of 1,080 to 7,200 rows on that host.
     """
     Z = _gemm(weights)(1.0, weights.T, X.T, trans_a=True).T
     Z += bias
@@ -205,6 +212,53 @@ def fit_naive_bayes(features, labels, num_classes):
     return LinearDecoder(log_on - log_off, log_off.sum(axis=1), HEAD_SOFTMAX)
 
 
+def fit_ridge(features, targets, val_set):
+    """Ridge regression decoder: W minimizes |Xc W^T - Yc|^2 + lam |W|^2
+    for the centered features and targets Xc and Yc, and the bias absorbs
+    the centering. Of lam in _RIDGE_GRID times trace / d, the one with the
+    lowest (unclipped) validation RMSE wins, the smallest on a tie.
+
+    The Gram matrix on the smaller side, Xc Xc^T if n < d, else Xc^T Xc,
+    is eigendecomposed once as U diag(s) U^T; each lam then only rescales
+    M = diag(1 / (s + lam)) U^T R, where R is Yc or Xc^T Yc, and W is
+    (U M)^T Xc or (U M)^T. No d x n product of Xc and U is formed.
+    """
+    X, Y = np.asarray(features), np.asarray(targets)
+    if X.ndim != 2 or Y.ndim != 2:
+        raise DimensionError("features and targets must be (n, d) and (n, k) arrays")
+    dims = (HEAD_REGRESSION, X.shape[1], Y.shape[1])
+    X, Y = _check_set("train", (X, Y), *dims)
+    Xv, Yv = _check_set("val", val_set, *dims)
+    n, d = X.shape
+    x_mean, y_mean = X.mean(axis=0, dtype=np.float64), Y.mean(axis=0)
+    Xc = X - x_mean
+    dual = n < d
+    gram = Xc @ Xc.T if dual else Xc.T @ Xc
+    lambdas = _RIDGE_GRID * (np.trace(gram) / d or 1.0)
+    # past this point only the dual fit reads Xc, so the primal one frees it
+    if dual:
+        rhs, val_side = Y - y_mean, (Xv - x_mean) @ Xc.T
+    else:
+        rhs, val_side, Xc = Xc.T @ (Y - y_mean), Xv - x_mean, None
+    s, U = eigh(gram)
+    del gram
+    UtY, val_basis = U.T @ rhs, val_side @ U
+    del rhs
+
+    def val_rmse(lam):
+        R = val_basis @ (UtY / (s + lam)[:, None]) + y_mean - Yv
+        return float(np.sqrt(np.mean(R * R)))
+
+    M = UtY
+    M /= (s + min(lambdas, key=val_rmse))[:, None]
+    if dual:    # U is freed before the (k, d) product
+        M, U = U @ M, None
+        weights = M.T @ Xc
+    else:
+        weights = M.T @ U.T
+    return LinearDecoder(weights, y_mean - weights @ x_mean, HEAD_REGRESSION)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float
@@ -305,23 +359,26 @@ def _full_loss(weights, bias, X, Y, head):
     return total / count if head == HEAD_SOFTMAX else float(np.sqrt(total / count))
 
 
-def _check_set(name, data, model):
+def _check_set(name, data, head, in_dim, out_dim):
     X, Y = data
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DimensionError(f"{name} features must be a nonempty (n, d) array")
-    if X.shape[1] != model.in_dim:
-        raise DimensionError(f"{name} feature dim {X.shape[1]}, model expects {model.in_dim}")
-    if model.head == HEAD_SOFTMAX:
-        Y = np.asarray(Y, dtype=np.int64)
+    if X.shape[1] != in_dim:
+        raise DimensionError(f"{name} feature dim {X.shape[1]}, model expects {in_dim}")
+    if head == HEAD_SOFTMAX:
+        Y = np.asarray(Y)
         if Y.shape != (X.shape[0],):
             raise DimensionError(f"{name} labels must be one class index per row")
+        if not np.issubdtype(Y.dtype, np.integer) or Y.min() < 0 or Y.max() >= out_dim:
+            raise DimensionError(f"{name} labels must be integers in [0, {out_dim})")
+        Y = Y.astype(np.int64, copy=False)
     else:
         Y = np.asarray(Y, dtype=np.float64)
         if Y.ndim != 2 or Y.shape[0] != X.shape[0]:
             raise DimensionError(f"{name} targets must be one vector per row")
-        if Y.shape[1] != model.out_dim:
-            raise DimensionError(f"{name} target dim {Y.shape[1]}, model emits {model.out_dim}")
+        if Y.shape[1] != out_dim:
+            raise DimensionError(f"{name} target dim {Y.shape[1]}, model emits {out_dim}")
     return X, Y
 
 
@@ -340,8 +397,8 @@ def train(model, train_set, val_set, cfg):
     `model` itself, with best_epoch -1, when no epoch beat it. Raises
     TrainingDivergedError when a non-finite loss appears.
     """
-    X, Y = _check_set("train", train_set, model)
-    Xv, Yv = _check_set("val", val_set, model)
+    X, Y = _check_set("train", train_set, model.head, model.in_dim, model.out_dim)
+    Xv, Yv = _check_set("val", val_set, model.head, model.in_dim, model.out_dim)
 
     weights = model.weights.astype(np.float32)
     bias = model.bias.astype(np.float32)
@@ -415,7 +472,8 @@ def grad_check(model, example, h=1e-5):
     if h <= 0:
         raise ConfigError("h", "step must be > 0")
     x, target = example
-    X, Y = _check_set("example", (np.asarray(x, dtype=np.float64)[None], [target]), model)
+    X, Y = _check_set("example", (np.asarray(x, dtype=np.float64)[None], [target]),
+                      model.head, model.in_dim, model.out_dim)
     _, gw, gb = _batch_loss_grads(model.weights, model.bias, X, Y, model.head)
     analytic = np.concatenate([gw.ravel(), gb.ravel()])
 

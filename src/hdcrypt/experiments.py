@@ -15,9 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import jsondoc
-from .crossbar import _BLOCK_BYTES, Crossbar, CrossbarConfig
-from .decoder import (HEAD_REGRESSION, LinearDecoder, TrainConfig, fit_naive_bayes,
-                      train)
+from .crossbar import Crossbar, CrossbarConfig
+from .decoder import TrainConfig, fit_naive_bayes, fit_ridge, train
 from .encoder import IdealEncoder, calibrate_epsilon, crossbar_pre_threshold_batch
 from .errors import ConfigError, DataFormatError, require_finite
 from .imagecrypto import BenchmarkEncoder
@@ -52,6 +51,7 @@ PAPER_SIZES = (100_000, 100_000, 10_000)
 
 DEFAULT_TEXT_TRAIN = TrainConfig(learning_rate=0.05, batch_size=64,
                                  max_epochs=120, patience=5, min_delta=1e-4)
+# kept for callers that pass it; run_image_cell's closed-form fit reads none
 DEFAULT_IMAGE_TRAIN = TrainConfig(learning_rate=5.0, batch_size=16,
                                   max_epochs=60, patience=8, min_delta=1e-5)
 
@@ -274,8 +274,9 @@ class ExperimentSpec:
             require_finite(name, getattr(self, name))
         require_finite("multipliers", *self.multipliers)
         require_finite("sigmas", *self.sigmas)
-        if any(m < 1 for m in self.multipliers):
-            raise ConfigError("multipliers", "must be >= 1")
+        if any(isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1
+               for m in self.multipliers):
+            raise ConfigError("multipliers", "must be integers >= 1")
         if any(s < 0 for s in self.sigmas):
             raise ConfigError("sigmas", "must be >= 0")
         for name in ("key_dim", "train_size", "val_size", "test_size"):
@@ -419,34 +420,18 @@ class ImageCellResult:
     sigma: float
     multiplier: int
     rmse: float
-    epochs: int
     wall_time_s: float
-
-
-def _standardized_float32(X, center, scale):
-    """(X - center) / scale as float32 training features: each block of
-    rows is widened, standardized in float64, then stored, so no float64
-    copy of the whole matrix is made. `train` steps on float32 features
-    as they are, and these are the values it would round them to."""
-    out = np.empty(X.shape, dtype=np.float32)
-    step = max(1, _BLOCK_BYTES // (8 * max(1, X.shape[1])))
-    for start in range(0, len(X), step):
-        block = X[start:start + step].astype(np.float64)
-        block -= center
-        block /= scale
-        out[start:start + step] = block
-    return out
 
 
 def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
                    multiplier=4, pipeline="bhv"):
-    """Train one image-reconstruction decoder and report held-out RMSE.
+    """Fit one image-reconstruction decoder and report held-out RMSE.
 
     pipeline "bhv": expanding encoder + threshold; "benchmark": square
     projection, no threshold, reported at multiplier 1. Images are
     (n, h, w) arrays in [0, 1]. The last IMAGE_VAL_FRACTION of the
     training images (at least one) are held out for validation.
-    Returns (ImageCellResult, trained decoder, encoder).
+    Returns (ImageCellResult, fitted decoder, encoder).
 
     Because every encoding pass draws fresh noise, each training image is
     encoded IMAGE_ENCODE_REPEATS times; the decoder then sees the noise
@@ -454,16 +439,10 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
     expanded dimension exceeds the image count. Validation and test
     images are encoded once, matching how a receiver decodes.
 
-    Decoder features (bits or raw projections) are standardized for
-    training with a per-feature center and a scalar scale taken from the
-    first 64 training rows; the affine map is absorbed back into the
-    returned model's weights and bias, so the delivered decoder consumes
-    raw encoder outputs. Without this the benchmark's projections, whose
-    scale is roughly the init range times sqrt(pixel count), would dwarf
-    the fan-in weight init and stall SGD. The scale carries a
-    sqrt(feature count / pixel count) factor so standardized rows have
-    comparable total energy in every pipeline and one step size is
-    stable for all cells.
+    The decoder is decoder.fit_ridge's closed-form fit on the raw encoder
+    outputs, its penalty chosen on the validation images. `train_cfg` is
+    not read; the parameter is kept so existing positional calls still
+    work, and callers may pass None.
     """
     if pipeline not in IMAGE_PIPELINES:
         raise ConfigError("pipeline", f"must be one of {IMAGE_PIPELINES}, got {pipeline!r}")
@@ -487,30 +466,14 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
     else:
         enc = BenchmarkEncoder.new_random(k, sigma, derive_seed(master_seed, "encoder"))
         encode = enc.project_batch
-    feat_dim = enc.output_dim
     X, X_val, X_test = (encode(x, spawn_rng(master_seed, f"{name}-data")) for name, x in
                         (("train", repeated), ("val", val_flats), ("test", test_flats)))
-
-    head = X[:64].astype(np.float64)
-    center = head.mean(axis=0)
-    scale = (float(head.std()) or 1.0) * np.sqrt(feat_dim / k)
-    X = _standardized_float32(X, center, scale)
-    X_val = (X_val - center) / scale
-
-    train_set = (X, repeated)
-    val_set = (X_val, val_flats)
-
-    init = LinearDecoder.new_random(feat_dim, k, HEAD_REGRESSION,
-                                    derive_seed(master_seed, "decoder"))
-    cfg = replace(train_cfg, seed=derive_seed(master_seed, "shuffle"))
-    model, report = train(init, train_set, val_set, cfg)
-    w_raw = model.weights / scale
-    model = LinearDecoder(w_raw, model.bias - w_raw @ center, HEAD_REGRESSION)
+    # train_cfg is not read: the closed-form fit has no step size or epochs
+    model = fit_ridge(X, repeated, (X_val, val_flats))
 
     pred = model.forward_batch(X_test)
     np.clip(pred, 0.0, 1.0, out=pred)
     rmse = float(np.sqrt(np.mean((pred - test_flats) ** 2)))
     return ImageCellResult(pipeline=pipeline, sigma=sigma,
-                           multiplier=multiplier if binary else 1,
-                           rmse=rmse, epochs=report.epochs_run,
+                           multiplier=multiplier if binary else 1, rmse=rmse,
                            wall_time_s=round(time.perf_counter() - started, 3)), model, enc

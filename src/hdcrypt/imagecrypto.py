@@ -3,7 +3,7 @@ the no-expansion benchmark encoder, and the pixel statistics used to
 judge ciphertext quality (histograms and adjacent-pixel correlation).
 
 One image is encrypted by `encoder.project_streamed` plus
-`encoder.threshold_binarize`; `experiments.run_image_cell` trains a
+`encoder.threshold_binarize`; `experiments.run_image_cell` fits a
 decoder and reconstructs a held-out batch.
 """
 

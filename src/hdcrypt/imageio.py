@@ -1,9 +1,8 @@
-"""Grayscale image file I/O: binary PGM (P5) files and IDX dataset reading.
+"""Grayscale image file I/O: binary PGM (P5) files and IDX image files.
 
 IDX follows the classic big-endian layout: images carry magic 0x00000803
 then count / rows / cols as unsigned 32-bit integers and one byte per
-pixel; labels carry magic 0x00000801, a count, and one byte per item.
-Pixel bytes map linearly onto [0, 1] (value / 255).
+pixel. Pixel bytes map linearly onto [0, 1] (value / 255).
 """
 
 import struct
@@ -16,11 +15,9 @@ __all__ = [
     "read_pgm",
     "write_pgm",
     "read_idx_images",
-    "read_idx_labels",
 ]
 
 IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 
 
 def write_pgm(path, pixels):
@@ -97,19 +94,3 @@ def read_idx_images(path):
         )
     raw = np.frombuffer(data, dtype=np.uint8, offset=16)
     return raw.reshape(n, rows, cols).astype(np.float64) / 255.0
-
-
-def read_idx_labels(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8:
-        raise DataFormatError("truncated IDX label header", offset=len(data))
-    magic, n = struct.unpack(">II", data[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise DataFormatError(f"bad IDX label magic 0x{magic:08x}", offset=0)
-    if len(data) - 8 != n:
-        raise DataFormatError(
-            f"IDX payload has {len(data) - 8} labels, expected {n}",
-            offset=min(len(data), 8 + n),
-        )
-    return np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)

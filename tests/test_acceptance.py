@@ -14,9 +14,9 @@ from hdcrypt.datasets import synthetic_digits, synthetic_natural_image
 from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder,
                              grad_check)
 from hdcrypt.encoder import project_streamed, threshold_binarize
-from hdcrypt.experiments import (DEFAULT_IMAGE_TRAIN, DEFAULT_TEXT_TRAIN,
-                                 DESK_SIZES, ExperimentSpec, run_grid,
-                                 run_image_cell, train_text_system)
+from hdcrypt.experiments import (DEFAULT_TEXT_TRAIN, DESK_SIZES,
+                                 ExperimentSpec, run_grid, run_image_cell,
+                                 train_text_system)
 from hdcrypt.imagecrypto import adjacent_pixel_correlation, bits_to_plane
 from hdcrypt.rng import derive_seed, spawn_rng
 from hdcrypt.textcrypto import (SecretKeyTable, build_dataset,
@@ -144,13 +144,13 @@ def digit_corpus():
 def test_criterion_6_bhv_beats_benchmark_under_noise(digit_corpus):
     train_imgs, test_imgs = digit_corpus
     seed = derive_seed(MASTER, "c6")
-    bench0, _, _ = run_image_cell(train_imgs, test_imgs, 0.0, DEFAULT_IMAGE_TRAIN,
+    bench0, _, _ = run_image_cell(train_imgs, test_imgs, 0.0, None,
                                   derive_seed(seed, "bench", 0), pipeline="benchmark")
     pairs = {}
     for sigma in (0.5, 1.0, 2.0):
-        bhv, _, _ = run_image_cell(train_imgs, test_imgs, sigma, DEFAULT_IMAGE_TRAIN,
+        bhv, _, _ = run_image_cell(train_imgs, test_imgs, sigma, None,
                                    derive_seed(seed, "bhv"), multiplier=4)
-        bench, _, _ = run_image_cell(train_imgs, test_imgs, sigma, DEFAULT_IMAGE_TRAIN,
+        bench, _, _ = run_image_cell(train_imgs, test_imgs, sigma, None,
                                      derive_seed(seed, "bench"), pipeline="benchmark")
         pairs[sigma] = (bhv.rmse, bench.rmse)
     crossover = any(b < k for b, k in pairs.values())

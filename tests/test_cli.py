@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import asdict
@@ -11,7 +12,7 @@ import hdcrypt
 from hdcrypt.cli import main
 from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder, save_model
 from hdcrypt.experiments import ExperimentReport, ExperimentSpec, ReportRow
-from hdcrypt.imageio import write_pgm
+from hdcrypt.imageio import IDX_IMAGES_MAGIC, write_pgm
 from hdcrypt.textcrypto import SecretKeyTable
 
 
@@ -159,6 +160,24 @@ def test_image_demo_bad_flag_exits_2(tmp_path, capsys, flags, named):
     code = main(["image-demo", "--size", "16", *flags, "--out", str(tmp_path / "demo")])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+def test_image_demo_reconstruct_prints_rmse_only(tmp_path, capsys):
+    assert main(["image-demo", "--size", "16", "--reconstruct", "--digits", "20",
+                 "--multiplier", "1", "--out", str(tmp_path / "demo")]) == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert list(doc) == ["digit_reconstruction_rmse"]
+    assert 0.0 < doc["digit_reconstruction_rmse"] < 0.5
+
+
+def test_image_demo_small_idx_corpus_exits_3(tmp_path, capsys):
+    idx = tmp_path / "digits.idx"
+    idx.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 50, 28, 28) + bytes(50 * 28 * 28))
+    code = main(["image-demo", "--size", "16", "--reconstruct", "--digits", "10",
+                 "--idx-images", str(idx), "--out", str(tmp_path / "demo")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{idx}: corpus holds 50 images, need 410" in err
 
 
 @pytest.mark.parametrize("height, width, pixels, problem", [
@@ -334,6 +353,16 @@ def test_malformed_nested_field_exits_3(key_material, case, capsys):
     assert main(_document_argv(fmt, str(bad), key_material)) == 3
     err = capsys.readouterr().err
     assert "data error" in err and repr(field) in err
+
+
+@pytest.mark.parametrize("multipliers", [[2.5], [4, 2.0], [True]])
+def test_grid_spec_non_integer_multiplier_exits_2(tmp_path, capsys, multipliers):
+    doc = ExperimentSpec().to_json_dict()
+    doc["multipliers"] = multipliers
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["grid", "--config", str(spec), "--out", str(tmp_path / "g")]) == 2
+    assert "configuration error: multipliers:" in capsys.readouterr().err
 
 
 def test_model_with_unknown_head_exits_2(key_material, capsys):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX,
                              LinearDecoder, TrainConfig, fit_naive_bayes,
-                             grad_check, load_model, save_model, train,
-                             _batch_loss_dz, _batch_loss_grads, _full_loss,
-                             _sgd_step, _softmax)
+                             fit_ridge, grad_check, load_model, save_model,
+                             train, _RIDGE_GRID, _batch_loss_dz,
+                             _batch_loss_grads, _full_loss, _sgd_step,
+                             _softmax)
 from hdcrypt.errors import (ConfigError, DimensionError,
                             TrainingDivergedError)
 from hdcrypt.hypervector import BinaryHypervector
@@ -288,6 +289,19 @@ def test_train_rejects_wrong_width_validation_targets():
         train(model, (X, Y), (X, Y[:, :1]), cfg)
 
 
+@pytest.mark.parametrize("labels", [[0, 1, 2, 3, 1], [0, 1, -1, 1, 1], [0.0, 1.0, 2.0, 1.0, 1.0]])
+def test_train_rejects_bad_softmax_labels(labels):
+    X = spawn_rng(22, "bad-labels").normal(size=(5, 4))
+    good = np.array([0, 1, 2, 1, 1])
+    model = LinearDecoder.new_random(4, 3, HEAD_SOFTMAX, seed=23)
+    cfg = TrainConfig(learning_rate=0.1, batch_size=2, max_epochs=2)
+    problem = r"labels must be integers in \[0, 3\)"
+    with pytest.raises(DimensionError, match="train " + problem):
+        train(model, (X, np.array(labels)), (X, good), cfg)
+    with pytest.raises(DimensionError, match="val " + problem):
+        train(model, (X, good), (X, np.array(labels)), cfg)
+
+
 def _toy_classification(n=400, d=12, classes=5, seed=4):
     rng = spawn_rng(seed, "toy")
     protos = rng.normal(size=(classes, d))
@@ -398,6 +412,53 @@ def test_naive_bayes_fit_matches_hand_laplace_logits():
 def test_naive_bayes_fit_rejects_non_bits_and_bad_labels(features, labels):
     with pytest.raises(DimensionError):
         fit_naive_bayes(np.array(features), np.array(labels), 3)
+
+
+def _ridge_problem(n, d, k=3, n_val=40, seed=30):
+    """Noisy linear targets of n training and n_val validation bit rows."""
+    rng = spawn_rng(seed, f"ridge-{n}x{d}")
+    X = rng.integers(0, 2, size=(n + n_val, d)).astype(np.uint8)
+    Y = X @ rng.normal(size=(d, k)) + rng.normal(scale=3.0, size=(n + n_val, k)) + 0.5
+    return (X[:n], Y[:n]), (X[n:], Y[n:])
+
+
+@pytest.mark.parametrize("n, d", [(30, 60), (50, 30)])  # n < d, then n >= d
+def test_fit_ridge_is_the_normal_equations_at_the_best_grid_penalty(n, d):
+    (X, Y), (Xv, Yv) = _ridge_problem(n, d)
+    Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+    fits = []
+    for lam in _RIDGE_GRID * np.sum(Xc * Xc) / d:
+        w = np.linalg.solve(Xc.T @ Xc + lam * np.eye(d), Xc.T @ Yc).T
+        b = Y.mean(axis=0) - w @ X.mean(axis=0)
+        fits.append((np.sqrt(np.mean((Xv @ w.T + b - Yv) ** 2)), w, b))
+    best = int(np.argmin([rmse for rmse, _, _ in fits]))
+    assert 0 < best < len(fits) - 1    # the choice is not at an end of the grid
+    model = fit_ridge(X, Y, (Xv, Yv))
+    np.testing.assert_allclose(model.weights, fits[best][1], rtol=1e-8, atol=1e-10)
+    np.testing.assert_allclose(model.bias, fits[best][2], rtol=1e-8, atol=1e-10)
+    # no other penalty of the grid gives these weights
+    assert [np.allclose(model.weights, w, rtol=1e-6, atol=0) for _, w, _ in fits] == \
+        [j == best for j in range(len(fits))]
+
+
+def test_fit_ridge_of_constant_features_predicts_the_mean_target():
+    (_, Y), (_, Yv) = _ridge_problem(30, 4)
+    X = np.ones((30, 4))
+    model = fit_ridge(X, Y, (X[:5], Yv[:5]))
+    assert np.array_equal(model.weights, np.zeros((3, 4)))
+    np.testing.assert_allclose(model.bias, Y.mean(axis=0), rtol=1e-12)
+
+
+def test_fit_ridge_rejects_mismatched_sets():
+    (X, Y), (Xv, Yv) = _ridge_problem(30, 6)
+    with pytest.raises(DimensionError, match="val target dim 1"):
+        fit_ridge(X, Y, (Xv, Yv[:, :1]))
+    with pytest.raises(DimensionError, match="val feature dim 5"):
+        fit_ridge(X, Y, (Xv[:, :5], Yv))
+    with pytest.raises(DimensionError, match="train targets"):
+        fit_ridge(X, Y[:-1], (Xv, Yv))
+    with pytest.raises(DimensionError):
+        fit_ridge(X[0], Y, (Xv, Yv))
 
 
 def _separable_codes():

@@ -5,8 +5,7 @@ from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import TrainConfig, fit_naive_bayes
 from hdcrypt.encoder import crossbar_pre_threshold
 from hdcrypt.errors import ConfigError, DataFormatError
-from hdcrypt.experiments import (DEFAULT_IMAGE_TRAIN, DEFAULT_TEXT_TRAIN,
-                                 TABLE1_ROWS, ExperimentReport,
+from hdcrypt.experiments import (DEFAULT_TEXT_TRAIN, TABLE1_ROWS, ExperimentReport,
                                  ExperimentSpec, ReportRow, calibrate_text_epsilon,
                                  grid_cells, make_text_datasets, run_grid,
                                  run_image_cell, run_table1, run_text_cell,
@@ -180,7 +179,7 @@ def test_text_cell_wall_time_excluded_column():
 def test_image_cell_rejects_unknown_pipeline():
     images = np.zeros((20, 4, 4))
     with pytest.raises(ConfigError) as excinfo:
-        run_image_cell(images, images[:5], 1.0, DEFAULT_IMAGE_TRAIN, 0, pipeline="bvh")
+        run_image_cell(images, images[:5], 1.0, None, 0, pipeline="bvh")
     assert excinfo.value.field == "pipeline"
 
 
@@ -191,12 +190,10 @@ def test_image_cell_multiplier_monotonic_reconstruction():
     images, _ = synthetic_digits(900, seed=23)
     pooled = images.reshape(900, 14, 2, 14, 2).mean(axis=(2, 4))
     train_imgs, test_imgs = pooled[:700], pooled[700:]
-    cfg = TrainConfig(learning_rate=5.0, batch_size=16, max_epochs=30,
-                      patience=6, min_delta=1e-5)
     rmses = []
     for m in (1, 2, 4, 8):
         result, _, _ = run_image_cell(train_imgs, test_imgs, sigma=1.0,
-                                      train_cfg=cfg, master_seed=9,
+                                      train_cfg=None, master_seed=9,
                                       multiplier=m)
         rmses.append(result.rmse)
     assert all(b < a + 0.005 for a, b in zip(rmses, rmses[1:]))

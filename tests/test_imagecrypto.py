@@ -12,8 +12,7 @@ from hdcrypt.imagecrypto import (AdjacencyStats, BenchmarkEncoder, GrayImage,
                                  adjacency_stats, adjacent_pixel_correlation,
                                  binary_pair_counts, bits_to_plane,
                                  pixel_histogram)
-from hdcrypt.imageio import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, read_idx_images,
-                             read_idx_labels, read_pgm, write_pgm)
+from hdcrypt.imageio import IDX_IMAGES_MAGIC, read_idx_images, read_pgm, write_pgm
 from hdcrypt.rng import spawn_rng
 
 
@@ -68,23 +67,14 @@ def write_idx_images(path, images):
     path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols) + data.tobytes())
 
 
-def write_idx_labels(path, labels):
-    """Write a 1-D array of byte-sized labels as an IDX label file."""
-    data = np.asarray(labels, dtype=np.uint8).tobytes()
-    path.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)) + data)
-
-
 def test_idx_roundtrip(tmp_path):
-    images, labels = synthetic_digits(12, seed=1)
-    img_path, lab_path = tmp_path / "img.idx", tmp_path / "lab.idx"
+    images, _ = synthetic_digits(12, seed=1)
+    img_path = tmp_path / "img.idx"
     write_idx_images(img_path, images)
-    write_idx_labels(lab_path, labels)
     back = read_idx_images(img_path)
     assert back.shape == (12, 28, 28)
     assert np.max(np.abs(back - images)) <= 0.5 / 255 + 1e-12
-    assert np.array_equal(read_idx_labels(lab_path), labels)
     assert img_path.read_bytes()[:4] == bytes.fromhex("00000803")
-    assert lab_path.read_bytes()[:4] == bytes.fromhex("00000801")
 
 
 def test_idx_bad_magic_and_truncation(tmp_path):

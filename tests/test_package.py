@@ -21,9 +21,8 @@ def test_public_names_resolve():
             assert hasattr(module, public), f"hdcrypt.{name}.__all__ names missing {public!r}"
 
 
-# demo 03 trains two image decoders and takes about a minute, so it stays out
 @pytest.mark.parametrize("demo", ["01_crossbar_noise.py", "02_text_roundtrip.py",
-                                  "04_grid_sweep.py"])
+                                  "03_image_pipeline.py", "04_grid_sweep.py"])
 def test_demo_runs(demo, tmp_path):
     # demo 04 writes its report into the working directory
     env = dict(os.environ)
