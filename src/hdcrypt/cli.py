@@ -7,6 +7,7 @@ error, 3 data or file-format error, 4 training divergence.
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ from .crossbar import Crossbar, CrossbarConfig
 from .datasets import load_digits, synthetic_natural_image
 from .decoder import load_model, save_model
 from .errors import (ConfigError, DataFormatError, DegenerateStatisticError,
-                     DimensionError, TrainingDivergedError)
+                     DimensionError, TrainingDivergedError, require_finite)
 from .experiments import (DEFAULT_TEXT_TRAIN, DESK_SIZES, PAPER_SIZES,
                           ExperimentReport, ExperimentSpec, run_grid,
                           run_image_cell, run_table1, train_text_system)
@@ -27,11 +28,25 @@ from .rng import derive_seed, spawn_rng
 from .textcrypto import CipherText, SecretKeyTable, decrypt_text, encrypt_text
 
 
+# the gen-crossbar flag that sets each CrossbarConfig field
+_CROSSBAR_FLAGS = {"rows": "--rows", "cols": "--cols", "r_lrs": "--r-lrs",
+                   "r_hrs": "--r-hrs", "sigma_frac": "--sigma", "p_stuck_on": "--p-on",
+                   "p_stuck_off": "--p-off", "seed": "--seed"}
+
+
 def _cmd_gen_crossbar(args):
-    cfg = CrossbarConfig(rows=args.rows, cols=args.cols, r_lrs=args.r_lrs,
-                         r_hrs=args.r_hrs, sigma_frac=args.sigma,
-                         p_stuck_on=args.p_on, p_stuck_off=args.p_off,
-                         seed=args.seed)
+    try:
+        cfg = CrossbarConfig(rows=args.rows, cols=args.cols, r_lrs=args.r_lrs,
+                             r_hrs=args.r_hrs, sigma_frac=args.sigma,
+                             p_stuck_on=args.p_on, p_stuck_off=args.p_off,
+                             seed=args.seed)
+    except ConfigError as exc:
+        # name the flags; the field is what a crossbar file calls the value
+        message = str(exc).removeprefix(f"{exc.field}: ")
+        for field, flag in _CROSSBAR_FLAGS.items():
+            message = re.sub(rf"\b{field}\b", flag, message)
+        raise ConfigError(_CROSSBAR_FLAGS[exc.field],
+                          f"{message} (crossbar field {exc.field})") from None
     Crossbar.new_random(cfg).save(args.out)
     print(f"wrote crossbar {cfg.rows}x{cfg.cols} to {args.out}")
 
@@ -149,6 +164,9 @@ def _cmd_grid(args):
 
 
 def _cmd_image_demo(args):
+    require_finite("--noise-sigma", args.noise_sigma)
+    if args.noise_sigma < 0:
+        raise ConfigError("--noise-sigma", f"must be >= 0, got {args.noise_sigma}")
     if args.multiplier < 1:
         raise ConfigError("--multiplier", f"must be >= 1, got {args.multiplier}")
     if not args.image and args.size < 2:

@@ -34,7 +34,8 @@ _CODE_TO_STUCK = {v: k for k, v in _STUCK_TO_CODE.items()}
 # Batched reads draw their noise into one reusable buffer of about this
 # many bytes, a few reads at a time, so that the draws, the scaling and the
 # clamp of each block stay in cache. The ideal encoder's streamed weights
-# and batch noise use the same budget.
+# and batch noise use the same budget, and the crossbar encoder thresholds
+# its reads a block of this size at a time.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -228,16 +229,20 @@ class Crossbar:
         jsondoc.check(doc, "crossbar", ("config", "g_target", "stuck_mask"))
         config = jsondoc.build(CrossbarConfig, doc["config"], "crossbar config")
         shape = (config.rows, config.cols)
-        g = np.asarray(doc["g_target"], dtype=np.float64)
-        if g.size != shape[0] * shape[1]:
-            raise DataFormatError(f"g_target has {g.size} entries, expected {shape[0] * shape[1]}")
+        cells = shape[0] * shape[1]
+        g = jsondoc.numbers(doc["g_target"], "g_target", "crossbar", (cells,))
         codes = doc["stuck_mask"]
-        if len(codes) != shape[0] * shape[1]:
-            raise DataFormatError("stuck_mask length does not match geometry")
+        if not isinstance(codes, str):
+            raise DataFormatError("crossbar field 'stuck_mask' must be a string, "
+                                  f"got {type(codes).__name__}")
+        if len(codes) != cells:
+            raise DataFormatError(f"crossbar field 'stuck_mask' has {len(codes)} codes, "
+                                  f"expected {cells}")
         try:
             mask = np.array([_CODE_TO_STUCK[c] for c in codes], dtype=np.int8)
         except KeyError as exc:
-            raise DataFormatError(f"unknown stuck code {exc.args[0]!r}") from None
+            raise DataFormatError(f"crossbar field 'stuck_mask' has unknown code "
+                                  f"{exc.args[0]!r}") from None
         return cls(config, g.reshape(shape), mask.reshape(shape))
 
     def save(self, path):

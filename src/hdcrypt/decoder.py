@@ -201,11 +201,14 @@ def fit_naive_bayes(features, labels, num_classes):
         raise DimensionError("labels must be one integer class index per row")
     if Y.min() < 0 or Y.max() >= num_classes:
         raise DimensionError(f"labels must lie in [0, {num_classes})")
-    if not np.all((X == 0) | (X == 1)):
-        raise DimensionError("features must be 0/1 bits")
     counts = np.zeros((num_classes, X.shape[1]))
     for c in range(num_classes):
-        counts[c] = X[Y == c].sum(axis=0)
+        Xc = X[Y == c]
+        # every row is in one class, so this checks each feature once,
+        # with no temporary larger than one class's rows
+        if np.count_nonzero(Xc) != np.count_nonzero(Xc == 1):
+            raise DimensionError("features must be 0/1 bits")
+        counts[c] = Xc.sum(axis=0)
     totals = np.bincount(Y, minlength=num_classes)[:, None] + 2.0
     log_on = np.log((counts + 1.0) / totals)
     log_off = np.log((totals - 1.0 - counts) / totals)
@@ -387,7 +390,10 @@ def train(model, train_set, val_set, cfg):
 
     The steps run on float32 working copies of the weights, bias and
     features; each epoch's validation loss is computed in float64 on the
-    widened weights, which are what the returned model holds.
+    widened weights, which are what the returned model holds. The float32
+    features (the whole training set, if it has at most 4e7 entries) are
+    made when the first epoch starts, so a run that stops before it, from
+    an exact initial model, never holds them.
 
     The initial weights are scored first, as epoch -1, and set the loss
     the first epochs must improve on. A best validation loss of 0.0, which
@@ -404,9 +410,6 @@ def train(model, train_set, val_set, cfg):
     bias = model.bias.astype(np.float32)
     rng = spawn_rng(cfg.seed, "epoch-shuffle")
     n = X.shape[0]
-    # Small sets are cheaper to convert to float32 once than per batch;
-    # float32 features are used as they are, never written to.
-    dense = np.asarray(X, dtype=np.float32) if X.size <= 40_000_000 else None
 
     report = TrainReport()
     best_val = _full_loss(model.weights, model.bias, Xv, Yv, model.head)
@@ -421,6 +424,11 @@ def train(model, train_set, val_set, cfg):
         if best_val == 0.0:     # no loss is lower; later epochs cannot win
             report.stopped_early = True
             break
+        if epoch == 0:
+            # Small sets are cheaper to convert to float32 once than per
+            # batch; float32 features are used as they are, never written
+            # to. An exact initial model stops above and never makes it.
+            dense = np.asarray(X, dtype=np.float32) if X.size <= 40_000_000 else None
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):

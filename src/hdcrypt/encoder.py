@@ -53,10 +53,14 @@ def threshold_binarize(y, epsilon):
     return BinaryHypervector.from_bits(binarize_batch(y[None], epsilon)[0])
 
 
-def binarize_batch(ys, epsilon):
-    """Threshold a (n, D) batch into a uint8 bit matrix."""
+def _check_epsilon(epsilon):
     if not np.isfinite(epsilon):
         raise ConfigError("epsilon", f"threshold must be finite, got {epsilon!r}")
+
+
+def binarize_batch(ys, epsilon):
+    """Threshold a (n, D) batch into a uint8 bit matrix."""
+    _check_epsilon(epsilon)
     ys = np.asarray(ys, dtype=np.float64)
     if not np.all(np.isfinite(ys)):
         raise ValueError("pre-threshold values must be finite")
@@ -88,7 +92,9 @@ def crossbar_pre_threshold(xbar, x, rng):
 
 def crossbar_pre_threshold_batch(xbar, xs, rng):
     xs = np.asarray(xs, dtype=np.float64)
-    return xbar.read_vmm_batch(xs, rng) - xs.sum(axis=1, keepdims=True) * xbar.config.g_mid
+    ys = xbar.read_vmm_batch(xs, rng)
+    ys -= xs.sum(axis=1, keepdims=True) * xbar.config.g_mid
+    return ys
 
 
 def encode_crossbar(xbar, x, epsilon, rng):
@@ -97,8 +103,26 @@ def encode_crossbar(xbar, x, epsilon, rng):
 
 
 def encode_crossbar_batch(xbar, xs, epsilon, rng):
-    """Encode each row of xs with fresh per-pass noise; returns (n, cols) bits."""
-    return binarize_batch(crossbar_pre_threshold_batch(xbar, xs, rng), epsilon)
+    """Encode each row of xs with fresh per-pass noise; returns (n, cols) bits.
+
+    The reads are made and thresholded a block at a time, as many as
+    `read_vmm_batch` draws into its _BLOCK_BYTES noise buffer at once, so
+    the uint8 bits are the only array of n x cols entries: the float64
+    pre-threshold values exist for one block only, whatever n is. Each
+    read is one vector-matrix product and the noise stream is consumed in
+    order, so the bits, and the stream's final state, are bitwise those of
+    `binarize_batch(crossbar_pre_threshold_batch(xbar, xs, rng), epsilon)`.
+    """
+    _check_epsilon(epsilon)
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != xbar.rows:
+        raise DimensionError(f"input shape {xs.shape}, expected (n, {xbar.rows})")
+    bits = np.empty((xs.shape[0], xbar.cols), dtype=np.uint8)
+    step = max(1, _BLOCK_BYTES // (8 * xbar.rows * xbar.cols))
+    for start in range(0, len(xs), step):
+        block = slice(start, start + step)
+        bits[block] = binarize_batch(crossbar_pre_threshold_batch(xbar, xs[block], rng), epsilon)
+    return bits
 
 
 _INIT_LABEL = "ideal-encoder-init"

@@ -162,6 +162,27 @@ def test_image_demo_bad_flag_exits_2(tmp_path, capsys, flags, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["image-demo", "--size", "16", "--noise-sigma", "nan"], "--noise-sigma"),
+    (["image-demo", "--size", "16", "--noise-sigma", "-0.5"], "--noise-sigma"),
+    (["gen-crossbar", "--sigma", "nan"], "--sigma"),
+    (["gen-crossbar", "--sigma", "-0.1"], "--sigma"),
+    (["gen-crossbar", "--p-on", "-1"], "--p-on"),
+    (["gen-crossbar", "--p-off", "-1"], "--p-off"),
+    (["gen-crossbar", "--p-off", "2"], "--p-off"),
+    (["gen-crossbar", "--r-lrs", "0"], "--r-lrs"),
+    (["gen-crossbar", "--r-hrs", "1"], "--r-hrs"),
+])
+def test_bad_flag_message_names_the_flag(tmp_path, capsys, argv, flag):
+    if argv[0] == "gen-crossbar":
+        argv = [*argv, "--rows", "4", "--cols", "8"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: --" in err and flag in err
+    assert not out.exists()
+
+
 def test_image_demo_reconstruct_prints_rmse_only(tmp_path, capsys):
     assert main(["image-demo", "--size", "16", "--reconstruct", "--digits", "20",
                  "--multiplier", "1", "--out", str(tmp_path / "demo")]) == 0
@@ -310,6 +331,23 @@ NESTED_CASES = {
     "crossbar-config-empty": ("crossbar", lambda doc: doc.update(config={}), "rows"),
     "crossbar-config-unknown": ("crossbar", lambda doc: doc["config"].update(mystery=1),
                                 "mystery"),
+    "crossbar-g-target-string": ("crossbar", lambda doc: doc.update(g_target="x"), "g_target"),
+    "crossbar-g-target-object": ("crossbar", lambda doc: doc.update(g_target={}), "g_target"),
+    "crossbar-g-target-ragged": ("crossbar",
+                                 lambda doc: doc["g_target"].__setitem__(0, [1e-4, 1e-4]),
+                                 "g_target"),
+    "crossbar-g-target-nan": ("crossbar",
+                              lambda doc: doc["g_target"].__setitem__(0, float("nan")),
+                              "g_target"),
+    "crossbar-g-target-short": ("crossbar", lambda doc: doc["g_target"].pop(), "g_target"),
+    "crossbar-stuck-mask-number": ("crossbar", lambda doc: doc.update(stuck_mask=5),
+                                   "stuck_mask"),
+    "crossbar-stuck-mask-short": ("crossbar",
+                                  lambda doc: doc.update(stuck_mask=doc["stuck_mask"][1:]),
+                                  "stuck_mask"),
+    "crossbar-stuck-mask-unknown-code": ("crossbar",
+                                         lambda doc: doc.update(stuck_mask="X" * 160),
+                                         "stuck_mask"),
     "report-row-unknown": ("experiment-report", lambda doc: doc.update(rows=[{"x": 1}]), "x"),
     "report-row-empty": ("experiment-report", lambda doc: doc.update(rows=[{}]), "task"),
     "report-rows-not-list": ("experiment-report", lambda doc: doc.update(rows=5), "rows"),

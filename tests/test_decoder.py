@@ -414,6 +414,22 @@ def test_naive_bayes_fit_rejects_non_bits_and_bad_labels(features, labels):
         fit_naive_bayes(np.array(features), np.array(labels), 3)
 
 
+def test_naive_bayes_fit_memory_stays_near_feature_size():
+    rng = spawn_rng(31, "nb-memory")
+    X = rng.integers(0, 2, size=(20_000, 500), dtype=np.uint8)
+    y = rng.integers(0, 94, size=20_000)
+    tracemalloc.start()
+    try:
+        fit_naive_bayes(X, y, 94)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (classes, d) float64 tables: counts, log-probabilities, weights
+    # and their temporaries; a boolean copy of X per bit test would not fit
+    table = 94 * 500 * 8
+    assert peak < X.nbytes + 6 * table
+
+
 def _ridge_problem(n, d, k=3, n_val=40, seed=30):
     """Noisy linear targets of n training and n_val validation bit rows."""
     rng = spawn_rng(seed, f"ridge-{n}x{d}")
@@ -482,6 +498,23 @@ def test_train_returns_optimal_init_bit_for_bit():
     assert report.val_loss_history == [] and report.train_loss_history == []
     assert trained.weights.tobytes() == init.weights.tobytes()
     assert trained.bias.tobytes() == init.bias.tobytes()
+
+
+def test_train_from_exact_start_makes_no_float32_features():
+    rng = spawn_rng(29, "exact-memory")
+    codes = rng.integers(0, 2, size=(4, 400))
+    y = rng.integers(0, 4, size=20_000)
+    X = codes[y].astype(np.uint8)
+    init = fit_naive_bayes(X, y, 4)
+    cfg = TrainConfig(learning_rate=0.5, batch_size=64, max_epochs=5, patience=3, seed=30)
+    tracemalloc.start()
+    try:
+        _, report = train(init, (X, y), (X[:500], y[:500]), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.epochs_run == 0
+    assert peak < X.size * np.dtype(np.float32).itemsize
 
 
 def test_train_stops_after_the_epoch_that_reaches_zero_loss():

@@ -125,6 +125,49 @@ def test_encode_dimension_mismatch(rng):
         encode_crossbar(xbar, np.ones(3), 0.0, rng)
 
 
+_ORACLE_BLOCK = _BLOCK_BYTES // (8 * 6 * 40)    # reads per block of a 6x40 crossbar
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.0])
+@pytest.mark.parametrize("n", [0, 1, _ORACLE_BLOCK - 1, _ORACLE_BLOCK, 3 * _ORACLE_BLOCK + 1])
+def test_blocked_encoding_matches_one_shot_threshold(sigma, n):
+    xbar = small_crossbar(rows=6, cols=40, sigma=sigma, p_on=0.1, p_off=0.1, seed=13)
+    xs = spawn_rng(14, "xs").uniform(-1, 1, (n, 6))
+    stream = spawn_rng(15, "s")
+    bits = encode_crossbar_batch(xbar, xs, 1e-5, stream)
+    # oracle: every read's pre-threshold values at once, then one threshold
+    oracle = spawn_rng(15, "s")
+    expected = binarize_batch(crossbar_pre_threshold_batch(xbar, xs, oracle), 1e-5)
+    assert bits.dtype == np.uint8 and bits.shape == (n, 40)
+    assert np.array_equal(bits, expected)
+    assert stream.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_encoding_checks_threshold_and_width_before_any_read(n):
+    xbar = small_crossbar(rows=6, cols=40, sigma=0.25)
+    rng = spawn_rng(16, "s")
+    before = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="epsilon"):
+        encode_crossbar_batch(xbar, np.zeros((n, 6)), float("nan"), rng)
+    with pytest.raises(DimensionError):
+        encode_crossbar_batch(xbar, np.zeros((n, 5)), 0.0, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_encoding_memory_stays_near_bit_output_size():
+    xbar = small_crossbar(rows=10, cols=500, sigma=0.1, p_on=0.02, p_off=0.02, seed=17)
+    xs = spawn_rng(18, "xs").uniform(-1, 1, (20_000, 10))
+    tracemalloc.start()
+    try:
+        bits = encode_crossbar_batch(xbar, xs, 0.0, spawn_rng(19, "s"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a float64 pre-threshold matrix would be eight times the bits
+    assert peak < bits.nbytes + (8 << 20)
+
+
 # --- ideal encoder -----------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,18 @@ def test_encrypt_noisy_repeats_differ():
     text = "A" * 200
     ct = encrypt_text(text, keys, xbar, 0.0, spawn_rng(2, "e"))
     assert len({b for b in ct.blocks}) > 150
+
+
+def test_encrypt_seeded_message_bytes_are_pinned():
+    # 200 characters are four noise blocks of a 10x500 crossbar; the digest
+    # pins the HLCT bytes, so any change to the reads, their order or the
+    # threshold shows here
+    xbar, keys = _system(sigma=0.1, p=0.02, rows=10, cols=500, seed=31)
+    ct = encrypt_text((CHARSET * 3)[:200], keys, xbar, 0.0, spawn_rng(33, "e"))
+    data = ct.to_bytes()
+    assert len(data) == 20 + 200 * 63     # header, then 63 bytes per 500-bit block
+    assert hashlib.blake2b(data, digest_size=16).hexdigest() == \
+        "e86b449e754277988cccf1a675721855"
 
 
 def test_encrypt_rejects_out_of_charset():
