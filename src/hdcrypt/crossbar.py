@@ -39,6 +39,15 @@ _CODE_TO_STUCK = {v: k for k, v in _STUCK_TO_CODE.items()}
 _BLOCK_BYTES = 2 << 20
 
 
+def _gemm_block(width):
+    """Rows of `width` float64 entries in one block of a blocked matrix
+    product: about _BLOCK_BYTES, a multiple of 16 and at least 16. OpenBLAS
+    computes row blocks that start at multiples of 16, and blocks of 16k
+    output columns, bitwise as parts of the one product at the shapes
+    tests/test_blas.py pins (13- or 83-row blocks are not)."""
+    return max(16, _BLOCK_BYTES // (8 * width) // 16 * 16)
+
+
 @dataclass(frozen=True)
 class CrossbarConfig:
     """Geometry, resistance range, and non-ideality parameters.

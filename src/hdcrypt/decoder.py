@@ -39,6 +39,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import get_blas_funcs
 
 from . import jsondoc
+from .crossbar import _gemm_block
 from .errors import (ConfigError, DimensionError, TrainingDivergedError,
                      require_finite)
 from .rng import spawn_rng
@@ -222,9 +223,16 @@ def fit_ridge(features, targets, val_set):
     lowest (unclipped) validation RMSE wins, the smallest on a tie.
 
     The Gram matrix on the smaller side, Xc Xc^T if n < d, else Xc^T Xc,
-    is eigendecomposed once as U diag(s) U^T; each lam then only rescales
-    M = diag(1 / (s + lam)) U^T R, where R is Yc or Xc^T Yc, and W is
-    (U M)^T Xc or (U M)^T. No d x n product of Xc and U is formed.
+    is eigendecomposed once, in place, as U diag(s) U^T; each lam then
+    only rescales M = diag(1 / (s + lam)) U^T R, where R is Yc or Xc^T Yc,
+    and W is (U M)^T Xc or (U M)^T. No d x n product of Xc and U is formed.
+
+    The dual fit (n < d) holds the float64 Xc only until the Gram matrix
+    and the validation products are formed. It then recenters the
+    features `_gemm_block(n)` columns at a time to form W = (U M)^T Xc,
+    bitwise the one product's with OpenBLAS, so its largest arrays after
+    the Gram matrix are n x n and n x k, not n x d. The primal fit keeps
+    its d x d form.
     """
     X, Y = np.asarray(features), np.asarray(targets)
     if X.ndim != 2 or Y.ndim != 2:
@@ -236,15 +244,18 @@ def fit_ridge(features, targets, val_set):
     x_mean, y_mean = X.mean(axis=0, dtype=np.float64), Y.mean(axis=0)
     Xc = X - x_mean
     dual = n < d
-    gram = Xc @ Xc.T if dual else Xc.T @ Xc
-    lambdas = _RIDGE_GRID * (np.trace(gram) / d or 1.0)
-    # past this point only the dual fit reads Xc, so the primal one frees it
     if dual:
-        rhs, val_side = Y - y_mean, (Xv - x_mean) @ Xc.T
+        gram, val_side = Xc @ Xc.T, (Xv - x_mean) @ Xc.T
     else:
-        rhs, val_side, Xc = Xc.T @ (Y - y_mean), Xv - x_mean, None
-    s, U = eigh(gram)
+        gram, rhs, val_side = Xc.T @ Xc, Xc.T @ (Y - y_mean), Xv - x_mean
+    del Xc
+    lambdas = _RIDGE_GRID * (np.trace(gram) / d or 1.0)
+    # the Gram matrix is exactly symmetric, so its transpose, which is
+    # Fortran-ordered, is the same matrix and LAPACK can overwrite it
+    s, U = eigh(gram.T, overwrite_a=True)
     del gram
+    if dual:
+        rhs = Y - y_mean
     UtY, val_basis = U.T @ rhs, val_side @ U
     del rhs
 
@@ -254,9 +265,14 @@ def fit_ridge(features, targets, val_set):
 
     M = UtY
     M /= (s + min(lambdas, key=val_rmse))[:, None]
+    del UtY     # M is now the only name of that n x k (or d x k) buffer
     if dual:    # U is freed before the (k, d) product
         M, U = U @ M, None
-        weights = M.T @ Xc
+        weights = np.empty((M.shape[1], d))
+        step = _gemm_block(n)
+        for start in range(0, d, step):
+            cols = slice(start, start + step)
+            np.matmul(M.T, X[:, cols] - x_mean[cols], out=weights[:, cols])
     else:
         weights = M.T @ U.T
     return LinearDecoder(weights, y_mean - weights @ x_mean, HEAD_REGRESSION)

@@ -30,7 +30,7 @@ these projection paths.
 
 import numpy as np
 
-from .crossbar import _BLOCK_BYTES
+from .crossbar import _BLOCK_BYTES, _gemm_block
 from .errors import ConfigError, DimensionError, require_finite
 from .hypervector import BinaryHypervector
 from .rng import spawn_rng
@@ -223,17 +223,43 @@ class IdealEncoder:
     def with_epsilon(self, epsilon):
         return IdealEncoder(self.weights, self.sigma, epsilon)
 
-    def project_batch(self, xs, rng):
-        """Pre-threshold output (W + N) x of each row x, each with fresh noise."""
+    def _checked_inputs(self, xs):
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim:
             raise DimensionError(f"input shape {xs.shape}, expected (n, {self.input_dim})")
         if not np.all(np.isfinite(xs)):
             raise ValueError("input vectors must be finite")
+        return xs
+
+    def project_batch(self, xs, rng):
+        """Pre-threshold output (W + N) x of each row x, each with fresh noise."""
+        xs = self._checked_inputs(xs)
         return _add_noise(xs @ self.weights.T, xs, self.sigma, rng)
 
     def encode_batch(self, xs, rng):
-        return binarize_batch(self.project_batch(xs, rng), self.epsilon)
+        """Encode each row of xs with fresh per-pass noise; returns (n, D) bits.
+
+        The threshold and the inputs are checked before any draw. Then each
+        block of rows is projected, given its noise and thresholded in turn,
+        so the uint8 bits are the only array of n x D entries: the float64
+        pre-threshold values exist for one `_gemm_block(D)` of rows only
+        (80 at D = 3,136). The noise stream is consumed in order, so the
+        bits, and the stream's final state, are those of
+        `binarize_batch(self.project_batch(xs, rng), epsilon)` wherever the
+        BLAS computes such row blocks bitwise as rows of one product.
+        OpenBLAS did at each D a multiple of 8 that was tried, the image
+        cells' case; at D = 300 a value can differ in its last bit, which
+        flips a bit only at a value within rounding of epsilon.
+        """
+        _check_epsilon(self.epsilon)
+        xs = self._checked_inputs(xs)
+        bits = np.empty((len(xs), self.output_dim), dtype=np.uint8)
+        step = _gemm_block(self.output_dim)
+        for start in range(0, len(xs), step):
+            block = xs[start:start + step]
+            ys = _add_noise(block @ self.weights.T, block, self.sigma, rng)
+            bits[start:start + step] = binarize_batch(ys, self.epsilon)
+        return bits
 
 
 def project_streamed(x, output_dim, sigma, seed, rng):

@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdcrypt import decoder
+from hdcrypt.crossbar import _gemm_block
 from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX,
                              LinearDecoder, TrainConfig, fit_naive_bayes,
                              fit_ridge, grad_check, load_model, save_model,
@@ -463,6 +466,68 @@ def test_fit_ridge_of_constant_features_predicts_the_mean_target():
     model = fit_ridge(X, Y, (X[:5], Yv[:5]))
     assert np.array_equal(model.weights, np.zeros((3, 4)))
     np.testing.assert_allclose(model.bias, Y.mean(axis=0), rtol=1e-12)
+
+
+
+def _fit_ridge_one_product(X, Y, Xv, Yv):
+    """fit_ridge as one product per step, the oracle of its blocked dual
+    fit: the float64 Xc lives to the end, the Gram matrix is copied into
+    eigh, and W = (U M)^T Xc is one GEMM. Returns (weights, bias)."""
+    x_mean, y_mean = X.mean(axis=0, dtype=np.float64), Y.mean(axis=0)
+    Xc = X - x_mean
+    d = X.shape[1]
+    dual = len(X) < d
+    gram = Xc @ Xc.T if dual else Xc.T @ Xc
+    lambdas = _RIDGE_GRID * (np.trace(gram) / d or 1.0)
+    if dual:
+        rhs, val_side = Y - y_mean, (Xv - x_mean) @ Xc.T
+    else:
+        rhs, val_side = Xc.T @ (Y - y_mean), Xv - x_mean
+    s, U = scipy.linalg.eigh(gram)
+    UtY, val_basis = U.T @ rhs, val_side @ U
+
+    def val_rmse(lam):
+        R = val_basis @ (UtY / (s + lam)[:, None]) + y_mean - Yv
+        return float(np.sqrt(np.mean(R * R)))
+
+    M = UtY / (s + min(lambdas, key=val_rmse))[:, None]
+    weights = (U @ M).T @ Xc if dual else M.T @ U.T
+    return weights, y_mean - weights @ x_mean
+
+
+# a dual problem whose weights take two full column blocks and a partial one
+_DUAL_ROWS = 160
+_DUAL_BLOCK = _gemm_block(_DUAL_ROWS)   # 1,632 columns
+
+
+@pytest.mark.parametrize("n, d", [(_DUAL_ROWS, 2 * _DUAL_BLOCK + 100), (50, 30)],
+                         ids=["dual-blocked", "primal"])
+def test_fit_ridge_equals_its_one_product_form_bitwise(n, d):
+    (X, Y), (Xv, Yv) = _ridge_problem(n, d)
+    model = fit_ridge(X, Y, (Xv, Yv))
+    weights, bias = _fit_ridge_one_product(X, Y, Xv, Yv)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.bias, bias)
+
+
+def test_dual_fit_ridge_frees_the_centered_features_once_the_gram_matrix_exists(monkeypatch):
+    n, d = _DUAL_ROWS, 2 * _DUAL_BLOCK + 100
+    (X, Y), val_set = _ridge_problem(n, d)
+    real_eigh = decoder.eigh
+
+    def eigh_from_here(*args, **kwargs):
+        tracemalloc.reset_peak()
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "eigh", eigh_from_here)
+    tracemalloc.start()
+    try:
+        fit_ridge(X, Y, val_set)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # from the eigendecomposition on, nothing as large as the float64 Xc lives
+    assert peak < n * d * 8
 
 
 def test_fit_ridge_rejects_mismatched_sets():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdcrypt import encoder
-from hdcrypt.crossbar import Crossbar, CrossbarConfig
+from hdcrypt.crossbar import Crossbar, CrossbarConfig, _gemm_block
 from hdcrypt.encoder import (_BLOCK_BYTES, IdealEncoder, binarize_batch,
                              calibrate_epsilon, crossbar_pre_threshold,
                              crossbar_pre_threshold_batch, encode_crossbar,
@@ -279,6 +279,55 @@ def test_blocked_batch_noise_matches_one_shot_draws():
     norms = np.linalg.norm(xs, axis=1, keepdims=True)
     expected = xs @ enc.weights.T + 0.6 * norms * spawn_rng(37, "s").standard_normal(got.shape)
     assert np.array_equal(got, expected)
+
+
+# an encoder whose float64 pre-threshold values fill _IDEAL_BLOCK rows per block
+_IDEAL_SHAPE = (32, 20)             # k, multiplier: D = 640
+_IDEAL_BLOCK = _gemm_block(640)     # 400 rows
+
+
+@pytest.mark.parametrize("sigma", [0.6, 0.0])
+@pytest.mark.parametrize("n", [0, 1, _IDEAL_BLOCK, 2 * _IDEAL_BLOCK + 137])
+def test_blocked_ideal_encoding_matches_one_shot_threshold(sigma, n):
+    enc = IdealEncoder.new_random(*_IDEAL_SHAPE, sigma=sigma, seed=47).with_epsilon(0.25)
+    xs = spawn_rng(48, "xs").uniform(-1, 1, (n, _IDEAL_SHAPE[0]))
+    stream = spawn_rng(49, "s")
+    bits = enc.encode_batch(xs, stream)
+    # oracle: the whole batch's pre-threshold values at once, then one threshold
+    oracle = spawn_rng(49, "s")
+    expected = binarize_batch(enc.project_batch(xs, oracle), 0.25)
+    assert bits.dtype == np.uint8 and bits.shape == (n, enc.output_dim)
+    assert np.array_equal(bits, expected)
+    assert stream.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ideal_encoding_checks_input_and_threshold_before_any_draw(bad):
+    enc = IdealEncoder.new_random(*_IDEAL_SHAPE, sigma=0.6, seed=50)
+    rng = spawn_rng(51, "s")
+    before = rng.bit_generator.state
+    xs = np.zeros((2 * _IDEAL_BLOCK + 1, _IDEAL_SHAPE[0]))
+    xs[-1, 0] = bad     # in the last block, which an unchecked loop reaches last
+    with pytest.raises(ValueError, match="finite"):
+        enc.encode_batch(xs, rng)
+    with pytest.raises(ConfigError, match="epsilon"):
+        enc.with_epsilon(float("nan")).encode_batch(np.zeros((3, _IDEAL_SHAPE[0])), rng)
+    with pytest.raises(DimensionError):
+        enc.encode_batch(np.zeros((3, _IDEAL_SHAPE[0] + 1)), rng)
+    assert rng.bit_generator.state == before
+
+
+def test_ideal_encoding_memory_stays_near_bit_output_size():
+    enc = IdealEncoder.new_random(64, 50, sigma=1.0, seed=52)     # D = 3,200
+    xs = spawn_rng(53, "xs").uniform(0, 1, (2_000, 64))
+    tracemalloc.start()
+    try:
+        bits = enc.encode_batch(xs, spawn_rng(54, "s"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the float64 pre-threshold matrix would be eight times the bits, 49 MiB
+    assert peak <= bits.nbytes + (8 << 20)
 
 
 # --- calibration -------------------------------------------------------------

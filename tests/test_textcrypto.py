@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,25 @@ def test_decrypt_blocks_independent(noiseless_system):
     for i, block in enumerate(ct.blocks):
         single = decrypt_text(CipherText(ct.dim, block.packed[None]), s["model"])
         assert single == whole[i]
+
+
+def test_chunked_decryption_is_the_whole_argmax_within_bounded_memory(noisy_system):
+    s = noisy_system
+    classes = spawn_rng(16, "chars").integers(0, NUM_CLASSES, 20_000)
+    text = "".join(CHARSET[c] for c in classes)
+    ct = encrypt_text(text, s["keys"], s["xbar"], s["epsilon"], spawn_rng(17, "e"))
+    # oracle: every block unpacked at once, one argmax over all of them
+    expected = (s["model"].predict_classes(ct.bit_matrix()) + 32).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        got = decrypt_text(ct, s["model"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected.tobytes().decode("ascii")
+    # the unpacked bits of every block would be len * dim bytes, widened
+    # to float64 eight times that
+    assert peak <= len(ct) * ct.dim + (8 << 20)
 
 
 def test_noisy_roundtrip_accuracy(noisy_system):
