@@ -145,6 +145,7 @@ def _write_report(report, out_dir, stem):
 
 
 def _cmd_table1(args):
+    _require_positive("--jobs", args.jobs)
     report = run_table1(sizes=_sizes(args), master_seed=args.seed, jobs=args.jobs)
     _write_report(report, args.out, "table1")
     for row in report.rows:
@@ -153,6 +154,7 @@ def _cmd_table1(args):
 
 
 def _cmd_grid(args):
+    _require_positive("--jobs", args.jobs)
     spec = ExperimentSpec.load(args.config) if args.config else ExperimentSpec()
     if args.seed is not None:
         from dataclasses import replace

@@ -2,16 +2,18 @@
 
 `synthetic_digits` renders 28x28 grayscale handwritten-style digits from
 built-in glyph bitmaps with random placement, stroke intensity, blur and
-sensor noise. It exists so the image pipeline runs out of the box in
-offline environments; pass a real IDX image file to `load_digits` to use
-an actual handwriting corpus instead.
+sensor noise. Each glyph is scaled up once, at import, into one stamp per
+(digit, scale); an image is that stamp times its intensity, written into
+the output array and blurred and noised there. It exists so the image
+pipeline runs out of the box in offline environments; pass a real IDX
+image file to `load_digits` to use an actual handwriting corpus instead.
 """
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .imagecrypto import GrayImage
-from .errors import DataFormatError
+from .errors import DataFormatError, DimensionError
 from .imageio import read_idx_images
 from .rng import spawn_rng
 
@@ -36,27 +38,34 @@ _GLYPH_ARRAYS = {
 }
 
 
+# each glyph pixel blown up to a scale x scale block, for both scales drawn
+_STAMPS = {
+    (d, s): glyph.repeat(s, 0).repeat(s, 1)
+    for d, glyph in _GLYPH_ARRAYS.items() for s in (2, 3)
+}
+
+
 def synthetic_digits(n, seed, size=28):
     """Render n digit images; returns (images (n, size, size) in [0, 1], labels)."""
+    if n < 0:
+        raise DimensionError(f"n must be >= 0, got {n}")
     if size < 24:
-        raise ValueError("size must be at least 24")
+        raise DimensionError(f"size must be at least 24, got {size}")
     rng = spawn_rng(seed, "synthetic-digits")
     images = np.zeros((n, size, size))
     labels = rng.integers(0, 10, size=n)
-    for i in range(n):
-        glyph = _GLYPH_ARRAYS[int(labels[i])]
-        scale = int(rng.integers(2, 4))
-        stamp = np.kron(glyph, np.ones((scale, scale)))
+    for canvas, label in zip(images, labels.tolist()):
+        stamp = _STAMPS[label, int(rng.integers(2, 4))]
         h, w = stamp.shape
         top = int(rng.integers(1, size - h))
         left = int(rng.integers(1, size - w))
-        canvas = np.zeros((size, size))
-        canvas[top:top + h, left:left + w] = stamp * rng.uniform(0.7, 1.0)
-        canvas = gaussian_filter(canvas, sigma=rng.uniform(0.4, 1.0))
+        np.multiply(stamp, rng.uniform(0.7, 1.0), out=canvas[top:top + h, left:left + w])
+        # in place is safe: each 1-D pass reads a whole line before writing it
+        gaussian_filter(canvas, sigma=rng.uniform(0.4, 1.0), output=canvas)
         # keep backgrounds near-black: heavy pixel noise would put
         # reconstruction-relevant energy into every principal direction
         canvas += rng.normal(0.0, 0.005, size=canvas.shape)
-        images[i] = np.clip(canvas, 0.0, 1.0)
+    np.clip(images, 0.0, 1.0, out=images)
     return images, labels
 
 

@@ -192,6 +192,7 @@ class IdealEncoder:
         if weights.ndim != 2:
             raise DimensionError("weights must be 2-D (output_dim x input_dim)")
         _check_sigma(sigma)
+        _check_epsilon(epsilon)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "sigma", float(sigma))
@@ -239,19 +240,19 @@ class IdealEncoder:
     def encode_batch(self, xs, rng):
         """Encode each row of xs with fresh per-pass noise; returns (n, D) bits.
 
-        The threshold and the inputs are checked before any draw. Then each
-        block of rows is projected, given its noise and thresholded in turn,
-        so the uint8 bits are the only array of n x D entries: the float64
-        pre-threshold values exist for one `_gemm_block(D)` of rows only
-        (80 at D = 3,136). The noise stream is consumed in order, so the
-        bits, and the stream's final state, are those of
+        The inputs are checked before any draw; the threshold was checked
+        when the encoder was made. Then each block of rows is projected,
+        given its noise and thresholded in turn, so the uint8 bits are the
+        only array of n x D entries: the float64 pre-threshold values
+        exist for one `_gemm_block(D)` of rows only (80 at D = 3,136). The
+        noise stream is consumed in order, so the bits, and the stream's
+        final state, are those of
         `binarize_batch(self.project_batch(xs, rng), epsilon)` wherever the
         BLAS computes such row blocks bitwise as rows of one product.
         OpenBLAS did at each D a multiple of 8 that was tried, the image
         cells' case; at D = 300 a value can differ in its last bit, which
         flips a bit only at a value within rounding of epsilon.
         """
-        _check_epsilon(self.epsilon)
         xs = self._checked_inputs(xs)
         bits = np.empty((len(xs), self.output_dim), dtype=np.uint8)
         step = _gemm_block(self.output_dim)

@@ -192,8 +192,13 @@ def run_text_cell(cell):
 
 
 def _run_cells(cells, jobs):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """Run the cells serially, or in a pool of at most one worker per
+    cell: a fork-based pool starts all its workers at the first submit."""
+    if jobs < 1:
+        raise ConfigError("jobs", f"must be >= 1, got {jobs}")
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_text_cell, cells))
     else:
         rows = [run_text_cell(c) for c in cells]

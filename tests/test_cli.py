@@ -576,3 +576,11 @@ def test_train_text_prints_init_loss_and_best_epoch(tmp_path, capsys):
     assert 0.0 <= doc["init_val_loss"] < 1e-4
     assert doc["epochs"] == 5
     assert -1 <= doc["best_epoch"] < doc["epochs"]
+
+
+@pytest.mark.parametrize("command", ["table1", "grid"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, command, jobs):
+    assert main([command, "--jobs", jobs, "--out", str(tmp_path / "o")]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

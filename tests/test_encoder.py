@@ -194,6 +194,16 @@ def test_ideal_sigma_must_be_finite_and_non_negative(sigma):
         assert excinfo.value.field == "sigma"
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+def test_ideal_epsilon_must_be_finite_when_the_encoder_is_made(epsilon):
+    enc = IdealEncoder.new_random(2, 2, sigma=0.1, seed=9)
+    for make in (lambda: IdealEncoder(np.ones((4, 2)), 0.1, epsilon),
+                 lambda: enc.with_epsilon(epsilon)):
+        with pytest.raises(ConfigError) as excinfo:
+            make()
+        assert excinfo.value.field == "epsilon"
+
+
 def test_ideal_hand_computed_row_sums(rng):
     w = np.array([[1.0, 2.0], [-3.0, 1.0], [0.5, -0.5]])
     enc = IdealEncoder(w, sigma=0.0, epsilon=0.5)

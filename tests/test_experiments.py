@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hdcrypt import experiments
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import TrainConfig, fit_naive_bayes
 from hdcrypt.encoder import crossbar_pre_threshold
@@ -119,6 +120,46 @@ def test_worker_pool_matches_serial_run():
     serial = run_grid(spec, jobs=1).csv_text(include_wall_time=False)
     pooled = run_grid(spec, jobs=2).csv_text(include_wall_time=False)
     assert serial == pooled
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: notes max_workers, maps serially."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cells, jobs, pool_size", [
+    (9, 64, 9), (9, 2, 2), (9, 1, None), (1, 8, None), (0, 8, None),
+])
+def test_worker_pool_is_capped_at_the_cell_count(monkeypatch, cells, jobs, pool_size):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(experiments, "run_text_cell", lambda cell: ReportRow(
+        task="text", cell=cell, multiplier=1, sigma=0.0, p_on=0.0, p_off=0.0,
+        rows=1, cols=1))
+    labels = [f"c{i}" for i in reversed(range(cells))]
+    rows = experiments._run_cells(labels, jobs)
+    assert [r.cell for r in rows] == sorted(labels)
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_rejected(monkeypatch, jobs):
+    monkeypatch.setattr(experiments, "run_text_cell", lambda cell: pytest.fail("ran a cell"))
+    with pytest.raises(ConfigError) as excinfo:
+        run_grid(small_spec(), jobs=jobs)
+    assert excinfo.value.field == "jobs"
 
 
 def test_failed_cell_isolates_siblings():
