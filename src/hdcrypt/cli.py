@@ -211,8 +211,7 @@ def _cmd_image_demo(args):
     stats_path = os.path.join(args.out, "adjacency.csv")
     with open(stats_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    write_pgm(os.path.join(args.out, "ciphertext.pgm"),
-              bits_to_plane(bhv, img.height, img.width, args.multiplier).astype(float))
+    write_pgm(os.path.join(args.out, "ciphertext.pgm"), stages[-1][1].astype(float))
     print(f"wrote stage statistics to {stats_path}")
 
     if args.reconstruct:

@@ -19,7 +19,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import jsondoc
-from .errors import ConfigError, DataFormatError, DimensionError, require_finite
+from .blocks import block_size, block_slices
+from .errors import (ConfigError, DataFormatError, DimensionError, require_batch,
+                     require_finite)
 from .rng import spawn_rng
 
 __all__ = ["CrossbarConfig", "Crossbar", "STUCK_FREE", "STUCK_ON", "STUCK_OFF"]
@@ -30,22 +32,6 @@ STUCK_OFF = 2
 
 _STUCK_TO_CODE = {STUCK_FREE: "F", STUCK_ON: "N", STUCK_OFF: "P"}
 _CODE_TO_STUCK = {v: k for k, v in _STUCK_TO_CODE.items()}
-
-# Batched reads draw their noise into one reusable buffer of about this
-# many bytes, a few reads at a time, so that the draws, the scaling and the
-# clamp of each block stay in cache. The ideal encoder's streamed weights
-# and batch noise use the same budget, and the crossbar encoder thresholds
-# its reads a block of this size at a time.
-_BLOCK_BYTES = 2 << 20
-
-
-def _gemm_block(width):
-    """Rows of `width` float64 entries in one block of a blocked matrix
-    product: about _BLOCK_BYTES, a multiple of 16 and at least 16. OpenBLAS
-    computes row blocks that start at multiples of 16, and blocks of 16k
-    output columns, bitwise as parts of the one product at the shapes
-    tests/test_blas.py pins (13- or 83-row blocks are not)."""
-    return max(16, _BLOCK_BYTES // (8 * width) // 16 * 16)
 
 
 @dataclass(frozen=True)
@@ -173,12 +159,11 @@ class Crossbar:
         return self.config.cols
 
     def _read_matrices(self, rng, out):
-        """Effective conductances of `len(out)` reads: fresh noise on every
-        free cell, clamped to the rails, written into the C-contiguous
-        float64 buffer `out` of shape (n, rows, cols), which is returned.
-        Consumes n*rows*cols normal draws when sigma_frac > 0. Without
-        noise every read sees g_target, returned once as (1, rows, cols)
-        and `out` is left untouched."""
+        """Effective conductances of `len(out)` reads, fresh noise on every
+        free cell clamped to the rails, written into and returned as the
+        C-contiguous float64 buffer `out` of shape (n, rows, cols), from
+        n*rows*cols normal draws. Without noise no draw is made, `out` is
+        left untouched and g_target is returned as (1, rows, cols)."""
         cfg = self.config
         if cfg.sigma_frac == 0:
             return self.g_target[None]
@@ -189,11 +174,8 @@ class Crossbar:
         return g
 
     def effective_read_matrix(self, rng):
-        """One read's effective conductances (fresh noise, clamped).
-
-        Consumes rows*cols normal draws from `rng` when sigma_frac > 0,
-        none otherwise. Exposed so tests can instrument single reads.
-        """
+        """One read's effective conductances (fresh noise, clamped), for
+        instrumenting single reads; draws as `_read_matrices` does."""
         return self._read_matrices(rng, np.empty((1, self.rows, self.cols)))[0].copy()
 
     def read_vmm(self, v, rng):
@@ -206,21 +188,15 @@ class Crossbar:
         Consumes the random stream exactly as the equivalent sequence of
         read_vmm calls would, so batched and looped reads agree bitwise.
         """
-        vs = np.asarray(vs, dtype=np.float64)
-        if vs.ndim != 2 or vs.shape[1] != self.rows:
-            raise DimensionError(f"input shape {vs.shape}, expected (n, {self.rows})")
-        if not np.all(np.isfinite(vs)):
-            raise ValueError("input vectors must be finite")
-        n = vs.shape[0]
-        out = np.empty((n, self.cols))
-        chunk = max(1, _BLOCK_BYTES // (8 * self.rows * self.cols))
-        buf = np.empty((min(n, chunk), self.rows, self.cols))
-        for start in range(0, n, chunk):
-            stop = min(n, start + chunk)
-            g = self._read_matrices(rng, buf[:stop - start])
+        vs = require_batch(vs, self.rows)
+        out = np.empty((len(vs), self.cols))
+        step = block_size(self.rows * self.cols)
+        buf = np.empty((min(len(vs), step), self.rows, self.cols))
+        for reads in block_slices(len(vs), step):
+            g = self._read_matrices(rng, buf[:reads.stop - reads.start])
             # a vector-matrix product per row keeps each read independent
             # of the batch size; one GEMM over the batch rounds differently
-            np.matmul(vs[start:stop, None, :], g, out=out[start:stop, None, :])
+            np.matmul(vs[reads, None, :], g, out=out[reads, None, :])
         return out
 
     # --- serialization ---------------------------------------------------

@@ -82,6 +82,8 @@ def synthetic_natural_image(size, seed):
 def load_digits(n, seed, idx_images_path=None):
     """The first n images of an IDX corpus, or n synthetic digits when no
     path is given. A corpus of fewer than n images raises DataFormatError."""
+    if n < 0:
+        raise DimensionError(f"n must be >= 0, got {n}")
     if idx_images_path is None:
         return synthetic_digits(n, seed)[0]
     images = read_idx_images(idx_images_path)

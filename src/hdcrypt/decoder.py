@@ -39,7 +39,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import get_blas_funcs
 
 from . import jsondoc
-from .crossbar import _gemm_block
+from .blocks import GEMM_ROWS, block_size, block_slices
 from .errors import (ConfigError, DimensionError, TrainingDivergedError,
                      require_finite)
 from .rng import spawn_rng
@@ -113,8 +113,7 @@ def _affine(weights, bias, X):
 def _affine_chunks(weights, bias, X):
     """(row slice, X[rows] @ W.T + b) over X in chunks of _EVAL_CHUNK rows,
     so features stored as bits are widened to float64 a chunk at a time."""
-    for start in range(0, X.shape[0], _EVAL_CHUNK):
-        rows = slice(start, min(X.shape[0], start + _EVAL_CHUNK))
+    for rows in block_slices(X.shape[0], _EVAL_CHUNK):
         yield rows, _affine(weights, bias, X[rows].astype(np.float64))
 
 
@@ -229,10 +228,10 @@ def fit_ridge(features, targets, val_set):
 
     The dual fit (n < d) holds the float64 Xc only until the Gram matrix
     and the validation products are formed. It then recenters the
-    features `_gemm_block(n)` columns at a time to form W = (U M)^T Xc,
-    bitwise the one product's with OpenBLAS, so its largest arrays after
-    the Gram matrix are n x n and n x k, not n x d. The primal fit keeps
-    its d x d form.
+    features a GEMM-aligned block of columns at a time to form
+    W = (U M)^T Xc, bitwise the one product's with OpenBLAS, so its
+    largest arrays after the Gram matrix are n x n and n x k, not n x d.
+    The primal fit keeps its d x d form.
     """
     X, Y = np.asarray(features), np.asarray(targets)
     if X.ndim != 2 or Y.ndim != 2:
@@ -269,9 +268,7 @@ def fit_ridge(features, targets, val_set):
     if dual:    # U is freed before the (k, d) product
         M, U = U @ M, None
         weights = np.empty((M.shape[1], d))
-        step = _gemm_block(n)
-        for start in range(0, d, step):
-            cols = slice(start, start + step)
+        for cols in block_slices(d, block_size(n, GEMM_ROWS)):
             np.matmul(M.T, X[:, cols] - x_mean[cols], out=weights[:, cols])
     else:
         weights = M.T @ U.T

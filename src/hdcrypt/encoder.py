@@ -30,8 +30,8 @@ these projection paths.
 
 import numpy as np
 
-from .crossbar import _BLOCK_BYTES, _gemm_block
-from .errors import ConfigError, DimensionError, require_finite
+from .blocks import GEMM_ROWS, GEMV_ROWS, block_size, block_slices
+from .errors import ConfigError, DimensionError, require_batch, require_finite
 from .hypervector import BinaryHypervector
 from .rng import spawn_rng
 
@@ -105,29 +105,21 @@ def encode_crossbar(xbar, x, epsilon, rng):
 def encode_crossbar_batch(xbar, xs, epsilon, rng):
     """Encode each row of xs with fresh per-pass noise; returns (n, cols) bits.
 
-    The reads are made and thresholded a block at a time, as many as
-    `read_vmm_batch` draws into its _BLOCK_BYTES noise buffer at once, so
-    the uint8 bits are the only array of n x cols entries: the float64
-    pre-threshold values exist for one block only, whatever n is. Each
-    read is one vector-matrix product and the noise stream is consumed in
-    order, so the bits, and the stream's final state, are bitwise those of
+    The reads are made and thresholded one `read_vmm_batch` block at a
+    time, so the uint8 bits are the only array of n x cols entries. The
+    noise stream is consumed in order, so the bits, and the stream's final
+    state, are bitwise those of
     `binarize_batch(crossbar_pre_threshold_batch(xbar, xs, rng), epsilon)`.
     """
     _check_epsilon(epsilon)
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != xbar.rows:
-        raise DimensionError(f"input shape {xs.shape}, expected (n, {xbar.rows})")
+    xs = require_batch(xs, xbar.rows)
     bits = np.empty((xs.shape[0], xbar.cols), dtype=np.uint8)
-    step = max(1, _BLOCK_BYTES // (8 * xbar.rows * xbar.cols))
-    for start in range(0, len(xs), step):
-        block = slice(start, start + step)
-        bits[block] = binarize_batch(crossbar_pre_threshold_batch(xbar, xs[block], rng), epsilon)
+    for reads in block_slices(len(xs), block_size(xbar.rows * xbar.cols)):
+        bits[reads] = binarize_batch(crossbar_pre_threshold_batch(xbar, xs[reads], rng), epsilon)
     return bits
 
 
-_INIT_LABEL = "ideal-encoder-init"
-# every projection entry is drawn uniform in this fixed interval
-_INIT_INTERVAL = (-2.0, 2.0)
+_INIT_INTERVAL = (-2.0, 2.0)  # every projection entry is drawn uniform in it
 
 
 def _check_sigma(sigma):
@@ -137,33 +129,30 @@ def _check_sigma(sigma):
         raise ConfigError("sigma", f"must be >= 0, got {sigma!r}")
 
 
-def _weight_blocks(label, seed, rows, cols, block_rows):
+def _weight_blocks(label, seed, rows, cols, step):
     """Projection entries i.i.d. uniform in _INIT_INTERVAL from the seeded
-    `label` stream, yielded as (first row, block) `block_rows` rows at a
-    time. The stream is consumed row-major, so the blocks stack to the
-    same matrix whatever the block size, and each entry is
-    low + (high - low) * u, bitwise what `rng.uniform` draws. Every block
-    is written into one buffer, so it is valid only until the next one is
-    drawn."""
+    `label` stream, as (row slice, block) `step` rows at a time, each
+    low + (high - low) * u, bitwise what `rng.uniform` draws. The blocks
+    stack to the same matrix whatever `step` is. Every block is drawn into
+    one buffer, so it is valid only until the next one is drawn."""
     low, high = _INIT_INTERVAL
     rng = spawn_rng(seed, label)
-    buf = np.empty((min(block_rows, rows), cols))
-    for start in range(0, rows, block_rows):
-        block = buf[:rows - start]
-        rng.random(out=block)
-        block *= high - low
-        block += low
-        yield start, block
+    buf = np.empty((min(step, rows), cols))
+    for block in block_slices(rows, step):
+        w = buf[:block.stop - block.start]
+        rng.random(out=w)
+        w *= high - low
+        w += low
+        yield block, w
 
 
 def _add_noise(ys, xs, sigma, rng):
     """Add the fresh-noise term N @ x to projections `ys` of input(s) `xs`,
     sampled in its projected form (see the module docstring).
 
-    The draws go into one reusable buffer a block of rows at a time, then
-    are scaled and added in place. They come in the order of one
-    `standard_normal(ys.shape)` call and every element sees the same
-    operations, so the result is bitwise that of the one-shot form
+    The draws are made into one buffer a block of rows at a time, in the
+    order of one `standard_normal(ys.shape)` call, and scaled and added in
+    place, so the result is bitwise that of the one-shot form
     `ys + sigma * norms * rng.standard_normal(ys.shape)`."""
     if sigma > 0:
         # a single input's norm is a BLAS dot, a batch's a row-wise sum;
@@ -172,13 +161,13 @@ def _add_noise(ys, xs, sigma, rng):
         scales = np.reshape(sigma * norms, (-1, 1))
         rows = ys if ys.ndim == 2 else ys[None]
         n, cols = rows.shape
-        step = max(1, _BLOCK_BYTES // (8 * max(1, cols)))
+        step = block_size(cols)
         buf = np.empty((min(step, n), cols))
-        for start in range(0, n, step):
-            z = buf[:n - start]
+        for block in block_slices(n, step):
+            z = buf[:block.stop - block.start]
             rng.standard_normal(out=z)
-            z *= scales[start:start + step]
-            rows[start:start + step] += z
+            z *= scales[block]
+            rows[block] += z
     return ys
 
 
@@ -186,6 +175,7 @@ class IdealEncoder:
     """Fixed random projection plus fresh Gaussian matrix noise per pass."""
 
     __slots__ = ("weights", "sigma", "epsilon")
+    _INIT_LABEL = "ideal-encoder-init"  # new_random's seeded stream
 
     def __init__(self, weights, sigma, epsilon):
         weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -209,9 +199,12 @@ class IdealEncoder:
             raise ConfigError("input_dim", "must be >= 1")
         if multiplier < 1:
             raise ConfigError("multiplier", "must be >= 1")
-        rows = input_dim * multiplier
-        _, w = next(_weight_blocks(_INIT_LABEL, seed, rows, input_dim, block_rows=rows))
-        return cls(w, sigma, 0.0)
+        return cls(cls._seeded_weights(seed, input_dim * multiplier, input_dim), sigma, 0.0)
+
+    @classmethod
+    def _seeded_weights(cls, seed, rows, cols):
+        """The rows x cols projection drawn from the class's seeded stream."""
+        return next(_weight_blocks(cls._INIT_LABEL, seed, rows, cols, rows))[1]
 
     @property
     def input_dim(self):
@@ -224,42 +217,31 @@ class IdealEncoder:
     def with_epsilon(self, epsilon):
         return IdealEncoder(self.weights, self.sigma, epsilon)
 
-    def _checked_inputs(self, xs):
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2 or xs.shape[1] != self.input_dim:
-            raise DimensionError(f"input shape {xs.shape}, expected (n, {self.input_dim})")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("input vectors must be finite")
-        return xs
-
     def project_batch(self, xs, rng):
         """Pre-threshold output (W + N) x of each row x, each with fresh noise."""
-        xs = self._checked_inputs(xs)
+        xs = require_batch(xs, self.input_dim)
         return _add_noise(xs @ self.weights.T, xs, self.sigma, rng)
 
     def encode_batch(self, xs, rng):
         """Encode each row of xs with fresh per-pass noise; returns (n, D) bits.
 
         The inputs are checked before any draw; the threshold was checked
-        when the encoder was made. Then each block of rows is projected,
-        given its noise and thresholded in turn, so the uint8 bits are the
-        only array of n x D entries: the float64 pre-threshold values
-        exist for one `_gemm_block(D)` of rows only (80 at D = 3,136). The
-        noise stream is consumed in order, so the bits, and the stream's
-        final state, are those of
+        when the encoder was made. Then each GEMM-aligned block of rows (80
+        at D = 3,136) is projected, given its noise and thresholded in turn,
+        so the uint8 bits are the only array of n x D entries. The noise
+        stream is consumed in order, so the bits, and the stream's final
+        state, are those of
         `binarize_batch(self.project_batch(xs, rng), epsilon)` wherever the
         BLAS computes such row blocks bitwise as rows of one product.
         OpenBLAS did at each D a multiple of 8 that was tried, the image
         cells' case; at D = 300 a value can differ in its last bit, which
         flips a bit only at a value within rounding of epsilon.
         """
-        xs = self._checked_inputs(xs)
+        xs = require_batch(xs, self.input_dim)
         bits = np.empty((len(xs), self.output_dim), dtype=np.uint8)
-        step = _gemm_block(self.output_dim)
-        for start in range(0, len(xs), step):
-            block = xs[start:start + step]
-            ys = _add_noise(block @ self.weights.T, block, self.sigma, rng)
-            bits[start:start + step] = binarize_batch(ys, self.epsilon)
+        for rows in block_slices(len(xs), block_size(self.output_dim, GEMM_ROWS)):
+            ys = _add_noise(xs[rows] @ self.weights.T, xs[rows], self.sigma, rng)
+            bits[rows] = binarize_batch(ys, self.epsilon)
         return bits
 
 
@@ -268,23 +250,16 @@ def project_streamed(x, output_dim, sigma, seed, rng):
 
     Regenerates the projection from the same seeded stream new_random
     would use, so the result matches an in-memory encoder with identical
-    parameters. The weights are drawn into one reusable buffer of about
-    _BLOCK_BYTES (2 MiB), so the working memory beyond the output vector
-    stays about that size whatever the input length. Blocks hold a
-    multiple of 4 rows, and at least 4 (one 4-row block exceeds the
-    budget for inputs above 65,536 entries): OpenBLAS's matrix-vector
-    kernels work on groups of four rows and round a shorter group
-    differently, so whole groups keep the output independent of the
-    block size.
+    parameters. The weights are drawn one GEMV-aligned block at a time
+    into one buffer, so the working memory beyond the output vector stays
+    about a block (4 rows past 65,536 inputs) whatever the input length.
     """
     _check_sigma(sigma)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
+    if np.ndim(x) != 1 or np.size(x) == 0:
         raise DimensionError("expected a nonempty 1-D input")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input vector must be finite")
+    x = require_batch([x], len(x))[0]
     y = np.empty(output_dim)
-    block_rows = max(4, _BLOCK_BYTES // (8 * x.size) // 4 * 4)
-    for start, block in _weight_blocks(_INIT_LABEL, seed, output_dim, x.size, block_rows):
-        np.matmul(block, x, out=y[start:start + len(block)])
+    step = block_size(x.size, GEMV_ROWS)
+    for rows, block in _weight_blocks(IdealEncoder._INIT_LABEL, seed, output_dim, x.size, step):
+        np.matmul(block, x, out=y[rows])
     return _add_noise(y, x, sigma, rng)

@@ -7,6 +7,8 @@ TrainingDivergedError -> 4.
 
 import math
 
+import numpy as np
+
 
 class HdcryptError(Exception):
     pass
@@ -36,6 +38,17 @@ def require_finite(field, *values):
 
 class DimensionError(HdcryptError, ValueError):
     """Shape mismatch between an operand and what the operation expects."""
+
+
+def require_batch(xs, width):
+    """`xs` as a float64 (n, width) array of input rows: DimensionError for
+    another shape, ValueError for a non-finite entry."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != width:
+        raise DimensionError(f"input shape {xs.shape}, expected (n, {width})")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("input vectors must be finite")
+    return xs
 
 
 class DataFormatError(HdcryptError, ValueError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import IdealEncoder, _weight_blocks
+from .encoder import IdealEncoder
 from .errors import ConfigError, DegenerateStatisticError, DimensionError
 from .hypervector import BinaryHypervector
 
@@ -63,11 +63,11 @@ class BenchmarkEncoder(IdealEncoder):
 
     The control pipeline: same noise injection as the hypervector encoder
     but without dimension expansion or binarization, so the decoder sees
-    the raw noisy projection. Its weights are drawn from their own seeded
-    stream, "benchmark-encoder-init", not the IdealEncoder's.
+    the raw noisy projection, from weights of its own seeded stream.
     """
 
     __slots__ = ()
+    _INIT_LABEL = "benchmark-encoder-init"
 
     def __init__(self, weights, sigma):
         shape = np.shape(weights)
@@ -78,8 +78,7 @@ class BenchmarkEncoder(IdealEncoder):
 
     @classmethod
     def new_random(cls, dim, sigma, seed):
-        _, w = next(_weight_blocks("benchmark-encoder-init", seed, dim, dim, block_rows=dim))
-        return cls(w, sigma)
+        return cls(cls._seeded_weights(seed, dim, dim), sigma)
 
     # own entry, so the traced span imagecrypto.BenchmarkEncoder.project_batch resolves
     project_batch = IdealEncoder.project_batch

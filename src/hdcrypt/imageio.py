@@ -58,16 +58,18 @@ def read_pgm(path):
         raise DataFormatError(f"bad PGM magic {data[:2]!r}", offset=0)
     pos = 2
     fields = []
-    for _ in range(3):
+    for name in ("width", "height", "maxval"):
         token, pos = _read_pgm_token(data, pos)
         try:
             fields.append(int(token))
         except ValueError:
             raise DataFormatError(f"bad PGM header token {token!r}", offset=pos) from None
+        if name != "maxval" and fields[-1] < 1:
+            raise DataFormatError(f"PGM {name} {fields[-1]} is below 1", offset=pos - len(token))
     width, height, maxval = fields
     if maxval != 255:
         raise DataFormatError(f"unsupported PGM maxval {maxval}", offset=pos)
-    pos += 1  # single whitespace byte after maxval
+    pos = min(pos + 1, len(data))  # single whitespace byte after maxval
     expected = width * height
     if len(data) - pos < expected:
         raise DataFormatError(
@@ -93,4 +95,7 @@ def read_idx_images(path):
             offset=min(len(data), 16 + expected),
         )
     raw = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return raw.reshape(n, rows, cols).astype(np.float64) / 255.0
+    try:
+        return raw.reshape(n, rows, cols).astype(np.float64) / 255.0
+    except ValueError:  # no images, but rows x cols past numpy's array size
+        raise DataFormatError(f"IDX image size {rows}x{cols} is too large", offset=8) from None

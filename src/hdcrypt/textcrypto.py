@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsondoc
-from .crossbar import _gemm_block
+from .blocks import GEMM_ROWS, block_size, block_slices
 from .encoder import encode_crossbar_batch
 from .errors import CharsetError, DataFormatError, DimensionError
 from .hypervector import BinaryHypervector, _first_bad_padding
@@ -225,12 +225,12 @@ def encrypt_text(text, keys, xbar, epsilon, rng):
 def decrypt_text(ct, model):
     """Argmax class per block, mapped back to characters.
 
-    The blocks are unpacked and scored `_gemm_block(D)` at a time (512 at
-    D = 500), so no array of every block's bits is made. A chunk's logits
-    could differ from those of one product in the last bit only, which
-    moves an argmax only between two logits within rounding of each
-    other; with OpenBLAS they are the same at D = 500, so the text is
-    that of `predict_classes(ct.bit_matrix())`.
+    The blocks are unpacked and scored a GEMM-aligned chunk at a time
+    (512 at D = 500), so no array of every block's bits is made. A chunk's
+    logits could differ from those of one product in the last bit only,
+    which moves an argmax only between two logits within rounding of each
+    other; with OpenBLAS they are the same at D = 500, so the text is that
+    of `predict_classes(ct.bit_matrix())`.
     """
     if model.out_dim != NUM_CLASSES:
         raise DimensionError(f"decoder emits {model.out_dim} classes, expected {NUM_CLASSES}")
@@ -239,11 +239,9 @@ def decrypt_text(ct, model):
     if ct.dim != model.in_dim:
         raise DimensionError(f"ciphertext dim {ct.dim}, decoder expects {model.in_dim}")
     codes = np.empty(len(ct), dtype=np.uint8)
-    step = _gemm_block(ct.dim)
-    for start in range(0, len(ct), step):
-        bits = np.unpackbits(ct.packed[start:start + step], axis=1, count=ct.dim,
-                             bitorder="little")
-        codes[start:start + step] = model.predict_classes(bits) + 32
+    for chunk in block_slices(len(ct), block_size(ct.dim, GEMM_ROWS)):
+        bits = np.unpackbits(ct.packed[chunk], axis=1, count=ct.dim, bitorder="little")
+        codes[chunk] = model.predict_classes(bits) + 32
     return codes.tobytes().decode("ascii")
 
 

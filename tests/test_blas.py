@@ -2,9 +2,10 @@
 
 `IdealEncoder.encode_batch`, `decoder.fit_ridge`'s dual fit and
 `textcrypto.decrypt_text` compute one large matrix product a block at a
-time, `crossbar._gemm_block` rows or output columns per block: row blocks
-that start at multiples of 16, or blocks of 16k output columns. Their
-outputs are bitwise those of the one-product forms only because the BLAS
+time, taking their slices from `blocks.block_slices` at GEMM_ROWS
+alignment: row blocks that start at multiples of 16, or blocks of 16k
+output columns. Each test below iterates those same slices. Their outputs
+are bitwise those of the one-product forms only because the BLAS
 computes every output entry the same way whatever the block. OpenBLAS
 does so at these shapes (13- or 83-row blocks, and blocks of 242
 columns, do not). A BLAS build that breaks it fails here first, naming
@@ -14,7 +15,7 @@ the shape, rather than as a last-bit drift in the seeded outputs.
 import numpy as np
 import pytest
 
-from hdcrypt.crossbar import _gemm_block
+from hdcrypt.blocks import GEMM_ROWS, block_size, block_slices
 from hdcrypt.decoder import _affine
 from hdcrypt.rng import spawn_rng
 
@@ -24,12 +25,11 @@ from hdcrypt.rng import spawn_rng
     (937, 32, 640),         # test_encoder's blocked-encoding shape
 ], ids=["bhv-cell", "encoder-test"])
 def test_blas_row_blocks_at_multiples_of_16_reproduce_the_one_product(n, k, D):
-    step = _gemm_block(D)
     rng = spawn_rng(1, f"rows-{n}x{k}x{D}")
     xs, W = rng.uniform(0, 1, (n, k)), rng.uniform(-2, 2, (D, k))
     whole = xs @ W.T
-    for start in range(0, n, step):
-        assert np.array_equal(xs[start:start + step] @ W.T, whole[start:start + step]), start
+    for rows in block_slices(n, block_size(D, GEMM_ROWS)):
+        assert np.array_equal(xs[rows] @ W.T, whole[rows]), rows.start
 
 
 @pytest.mark.parametrize("n, d, k", [
@@ -37,14 +37,12 @@ def test_blas_row_blocks_at_multiples_of_16_reproduce_the_one_product(n, k, D):
     (160, 3364, 3),         # test_decoder's blocked dual fit
 ], ids=["bhv-cell", "ridge-test"])
 def test_blas_output_column_blocks_reproduce_the_one_product(n, d, k):
-    step = _gemm_block(n)
     rng = spawn_rng(2, f"cols-{n}x{d}x{k}")
     X, M = rng.integers(0, 2, (n, d)).astype(np.uint8), rng.normal(size=(n, k))
     x_mean = X.mean(axis=0)
     whole = M.T @ (X - x_mean)
-    for start in range(0, d, step):
-        cols = slice(start, start + step)
-        assert np.array_equal(M.T @ (X[:, cols] - x_mean[cols]), whole[:, cols]), start
+    for cols in block_slices(d, block_size(n, GEMM_ROWS)):
+        assert np.array_equal(M.T @ (X[:, cols] - x_mean[cols]), whole[:, cols]), cols.start
 
 
 def test_blas_decryption_chunks_reproduce_the_one_product_logits():
@@ -52,7 +50,7 @@ def test_blas_decryption_chunks_reproduce_the_one_product_logits():
     rng = spawn_rng(3, "logits")
     W, b = rng.normal(size=(94, 500)), rng.normal(size=94)
     X = rng.integers(0, 2, (8000, 500)).astype(np.float64)
-    whole, step = _affine(W, b, X), _gemm_block(500)
-    for start in range(0, len(X), step):
-        chunk = np.ascontiguousarray(X[start:start + step])
-        assert np.array_equal(_affine(W, b, chunk), whole[start:start + step]), start
+    whole = _affine(W, b, X)
+    for rows in block_slices(len(X), block_size(500, GEMM_ROWS)):
+        chunk = np.ascontiguousarray(X[rows])
+        assert np.array_equal(_affine(W, b, chunk), whole[rows]), rows.start

@@ -217,6 +217,16 @@ def test_image_demo_unusable_pgm_exits_3(tmp_path, capsys, height, width, pixels
         assert str(image) in err
 
 
+def test_image_demo_negative_pgm_width_exits_3(tmp_path, capsys):
+    image = tmp_path / "in.pgm"
+    # six varied pixels: read as a 3x2 image, the demo would encrypt it
+    image.write_bytes(b"P5\n-2 3\n255\n" + bytes(range(0, 60, 10)))
+    code = main(["image-demo", "--image", str(image), "--out", str(tmp_path / "demo")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "PGM width -2 is below 1" in err
+
+
 @pytest.fixture()
 def key_material(tmp_path):
     """Crossbar and key files from the CLI, plus a short plaintext."""

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hdcrypt.crossbar import (_BLOCK_BYTES, STUCK_FREE, STUCK_OFF,
-                              STUCK_ON, Crossbar, CrossbarConfig)
+from hdcrypt.blocks import _BLOCK_BYTES
+from hdcrypt.crossbar import (STUCK_FREE, STUCK_OFF, STUCK_ON, Crossbar,
+                              CrossbarConfig)
 from hdcrypt.errors import ConfigError, DataFormatError, DimensionError
 from hdcrypt.rng import spawn_rng
 

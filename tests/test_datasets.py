@@ -1,12 +1,14 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
 from hdcrypt import datasets
-from hdcrypt.datasets import _GLYPH_ARRAYS, _STAMPS, synthetic_digits
+from hdcrypt.datasets import _GLYPH_ARRAYS, _STAMPS, load_digits, synthetic_digits
 from hdcrypt.errors import DimensionError
+from hdcrypt.imageio import IDX_IMAGES_MAGIC
 from hdcrypt.rng import spawn_rng
 
 
@@ -65,3 +67,17 @@ def test_bad_arguments_raise_before_any_draw(monkeypatch, n, size, name):
     monkeypatch.setattr(datasets, "spawn_rng", no_draws)
     with pytest.raises(DimensionError, match=rf"^{name} "):
         synthetic_digits(n, seed=1, size=size)
+
+
+def test_idx_corpus_rejects_a_negative_count_before_reading(tmp_path, monkeypatch):
+    path = tmp_path / "digits.idx"
+    path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 10, 28, 28) + bytes(10 * 28 * 28))
+    assert load_digits(10, 0, path).shape == (10, 28, 28)
+    assert load_digits(0, 0, path).shape == (0, 28, 28)
+
+    def no_reads(*args):
+        raise AssertionError("read the corpus")
+    monkeypatch.setattr(datasets, "read_idx_images", no_reads)
+    for n in (-3, -1):
+        with pytest.raises(DimensionError, match=r"^n "):
+            load_digits(n, 0, path)

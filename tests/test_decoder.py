@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdcrypt import decoder
-from hdcrypt.crossbar import _gemm_block
+from hdcrypt.blocks import GEMM_ROWS, block_size
 from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX,
                              LinearDecoder, TrainConfig, fit_naive_bayes,
                              fit_ridge, grad_check, load_model, save_model,
@@ -497,7 +497,7 @@ def _fit_ridge_one_product(X, Y, Xv, Yv):
 
 # a dual problem whose weights take two full column blocks and a partial one
 _DUAL_ROWS = 160
-_DUAL_BLOCK = _gemm_block(_DUAL_ROWS)   # 1,632 columns
+_DUAL_BLOCK = block_size(_DUAL_ROWS, GEMM_ROWS)   # 1,632 columns
 
 
 @pytest.mark.parametrize("n, d", [(_DUAL_ROWS, 2 * _DUAL_BLOCK + 100), (50, 30)],

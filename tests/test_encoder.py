@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdcrypt import encoder
-from hdcrypt.crossbar import Crossbar, CrossbarConfig, _gemm_block
-from hdcrypt.encoder import (_BLOCK_BYTES, IdealEncoder, binarize_batch,
+from hdcrypt import blocks
+from hdcrypt.blocks import _BLOCK_BYTES, GEMM_ROWS, block_size
+from hdcrypt.crossbar import Crossbar, CrossbarConfig
+from hdcrypt.encoder import (IdealEncoder, binarize_batch,
                              calibrate_epsilon, crossbar_pre_threshold,
                              crossbar_pre_threshold_batch, encode_crossbar,
                              encode_crossbar_batch, project_streamed,
@@ -117,6 +118,17 @@ def test_batch_encoding_matches_single_calls():
     singles = [encode_crossbar(xbar, x, 1e-5, stream) for x in xs]
     for row, hv in zip(bits, singles):
         assert np.array_equal(row, hv.to_bits())
+
+
+def test_crossbar_encoding_checks_every_input_before_any_read():
+    xbar = small_crossbar(rows=6, cols=40, sigma=0.25, seed=13)
+    rng = spawn_rng(16, "s")
+    before = rng.bit_generator.state
+    xs = np.zeros((2 * (_BLOCK_BYTES // (8 * 6 * 40)) + 1, 6))
+    xs[-1, 0] = np.nan      # in the last block, which an unchecked loop reaches last
+    with pytest.raises(ValueError, match="finite"):
+        encode_crossbar_batch(xbar, xs, 0.0, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_encode_dimension_mismatch(rng):
@@ -293,7 +305,7 @@ def test_blocked_batch_noise_matches_one_shot_draws():
 
 # an encoder whose float64 pre-threshold values fill _IDEAL_BLOCK rows per block
 _IDEAL_SHAPE = (32, 20)             # k, multiplier: D = 640
-_IDEAL_BLOCK = _gemm_block(640)     # 400 rows
+_IDEAL_BLOCK = block_size(640, GEMM_ROWS)   # 400 rows
 
 
 @pytest.mark.parametrize("sigma", [0.6, 0.0])
@@ -386,7 +398,7 @@ def test_streamed_projection_matches_in_memory_encoder(monkeypatch):
     x = spawn_rng(32, "x").uniform(0, 1, 12)
     direct = enc.project_batch(x[None], spawn_rng(33, "s"))[0]
     # 8-row blocks: the 360 rows are streamed in 45 blocks
-    monkeypatch.setattr(encoder, "_BLOCK_BYTES", 8 * 12 * 8)
+    monkeypatch.setattr(blocks, "_BLOCK_BYTES", 8 * 12 * 8)
     streamed = project_streamed(x, enc.output_dim, 0.4, 31, spawn_rng(33, "s"))
     assert np.allclose(streamed, direct, rtol=1e-12, atol=1e-12)
     # the sigma=0 part is the same seeded weight stream, exactly
@@ -400,10 +412,18 @@ def test_streamed_projection_is_independent_of_block_budget(monkeypatch):
     # 4,002 rows: the last block holds a partial group of four rows
     outputs = []
     for budget in (1, 8 * 1000 * 12, _BLOCK_BYTES):  # 4, 12 and 260 rows
-        monkeypatch.setattr(encoder, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(blocks, "_BLOCK_BYTES", budget)
         outputs.append(project_streamed(x, 4002, 0.8, 42, spawn_rng(43, "s")))
     for y in outputs[1:]:
         assert np.array_equal(y, outputs[0])
+
+
+def test_streamed_projection_checks_its_input():
+    for bad in (np.zeros(0), np.zeros((2, 2))):
+        with pytest.raises(DimensionError):
+            project_streamed(bad, 4, 0.5, 9, spawn_rng(1, "s"))
+    with pytest.raises(ValueError, match="finite"):
+        project_streamed(np.array([1.0, np.nan]), 4, 0.5, 9, spawn_rng(1, "s"))
 
 
 def test_streamed_projection_memory_stays_near_output_size():

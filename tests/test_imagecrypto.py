@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdcrypt.datasets import synthetic_digits, synthetic_natural_image
 from hdcrypt.decoder import HEAD_REGRESSION, LinearDecoder
@@ -58,6 +60,17 @@ def test_pgm_errors(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(DataFormatError):
         read_pgm(path)
+    path.write_bytes(b"P5 2 2 255")   # the file ends at maxval
+    with pytest.raises(DataFormatError, match="has 0 bytes, expected 4"):
+        read_pgm(path)
+    # a width or height below 1 is named at its token, whatever the payload
+    for header, field, offset in [(b"P5\n-2 3", "width", 3), (b"P5\n2 -3", "height", 5),
+                                  (b"P5\n-2 -3", "width", 3), (b"P5\n0 4", "width", 3),
+                                  (b"P5\n4 0", "height", 5)]:
+        path.write_bytes(header + b"\n255\n" + bytes(12))
+        with pytest.raises(DataFormatError, match=f"PGM {field} -?[0-9]+ is below 1") as excinfo:
+            read_pgm(path)
+        assert excinfo.value.offset == offset
 
 
 def write_idx_images(path, images):
@@ -90,6 +103,96 @@ def test_idx_bad_magic_and_truncation(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-5])
     with pytest.raises(DataFormatError):
         read_idx_images(truncated)
+
+
+def test_idx_empty_corpus_of_oversized_images_is_a_format_error(tmp_path):
+    path = tmp_path / "huge.idx"
+    path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 0, 2**30, 2**30))
+    with pytest.raises(DataFormatError, match="too large") as excinfo:
+        read_idx_images(path)
+    assert excinfo.value.offset == 8
+    path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 0, 28, 28))
+    assert read_idx_images(path).shape == (0, 28, 28)
+
+
+# header separators: whitespace runs and comment lines
+_PGM_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b" \n",
+                                   b"\n# comment 7 7\n"])
+
+
+@st.composite
+def pgm_files(draw):
+    """(file bytes, width, height): a P5 header with small dimensions, some
+    below 1, and a maxval that is usually 255, then arbitrary payload."""
+    width, height = draw(st.integers(-3, 6)), draw(st.integers(-3, 6))
+    maxval = draw(st.sampled_from([255, 255, 255, 0, 1, 65535]))
+    data = b"P5"
+    for value in (width, height, maxval):
+        data += draw(_PGM_SEPARATORS) + str(value).encode()
+    data += draw(st.sampled_from([b"\n", b" ", b""])) + draw(st.binary(max_size=48))
+    return data, width, height
+
+
+def _read_fuzzed(reader, tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
+    path.write_bytes(data)
+    try:
+        return reader(path)
+    except DataFormatError:
+        return None
+
+
+@given(pgm_files())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_pgm_headers_parse_to_their_shape_or_raise(tmp_path_factory, case):
+    data, width, height = case
+    pixels = _read_fuzzed(read_pgm, tmp_path_factory, data)
+    if pixels is not None:
+        assert width >= 1 and height >= 1
+        assert pixels.shape == (height, width)
+        assert 0.0 <= pixels.min() and pixels.max() <= 1.0
+
+
+@given(st.binary(max_size=64) | st.binary(max_size=64).map(lambda tail: b"P5" + tail))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_pgm_bytes_parse_or_raise_data_format_error(tmp_path_factory, data):
+    pixels = _read_fuzzed(read_pgm, tmp_path_factory, data)
+    if pixels is not None:
+        assert pixels.ndim == 2 and min(pixels.shape) >= 1
+
+
+@st.composite
+def idx_files(draw):
+    """(file bytes, header dimensions): an IDX header, usually with the
+    image magic, a payload whose length is mostly right for small
+    dimensions, and the whole file sometimes cut short."""
+    magic = draw(st.sampled_from([IDX_IMAGES_MAGIC] * 3 + [0x00000801, 0x03080000]))
+    dims = draw(st.tuples(*[st.integers(0, 4) | st.integers(0, 2**32 - 1)] * 3))
+    size = dims[0] * dims[1] * dims[2]
+    if size <= 64:
+        size = draw(st.sampled_from([size, size, size + 1, max(0, size - 1)]))
+    else:
+        size = draw(st.integers(0, 64))
+    data = struct.pack(">IIII", magic, *dims) + draw(st.binary(min_size=size, max_size=size))
+    return data[:draw(st.integers(0, len(data)) | st.just(len(data)))], dims
+
+
+@given(idx_files())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_idx_files_parse_to_their_shape_or_raise(tmp_path_factory, case):
+    data, dims = case
+    images = _read_fuzzed(read_idx_images, tmp_path_factory, data)
+    if images is not None:
+        assert images.shape == dims
+        assert images.size == 0 or (0.0 <= images.min() and images.max() <= 1.0)
+
+
+@given(st.binary(max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_idx_bytes_parse_or_raise_data_format_error(tmp_path_factory, data):
+    images = _read_fuzzed(read_idx_images, tmp_path_factory, data)
+    if images is not None:
+        assert images.ndim == 3
 
 
 # --- encryption ----------------------------------------------------------------
