@@ -1,11 +1,12 @@
 """Block sizes for every blocked loop in hdcrypt.
 
-Crossbar reads, both encoders, the dual ridge fit and decryption work a
-block of rows (or columns) at a time. A block holds as many rows of
-float64 values as fit in _BLOCK_BYTES (2 MiB), so its noise draws,
-scaling and clamp stay in cache and its float64 intermediates are the
-only ones alive, whatever the batch size. The count is rounded down to a
-multiple of the loop's alignment, and is at least one alignment:
+Crossbar reads, both encoders, decoder inference and validation losses,
+the ridge fit and decryption work a block of rows (or columns) at a
+time. A block holds as many rows of float64 values as fit in
+_BLOCK_BYTES (2 MiB), so its noise draws, scaling and clamp stay in
+cache and its float64 intermediates are the only ones alive, whatever
+the batch size. The count is rounded down to a multiple of the loop's
+alignment, and is at least one alignment:
 
 * GEMM_ROWS = 16: OpenBLAS computes matrix-product row blocks that start
   at multiples of 16, and blocks of 16k output columns, bitwise as parts

@@ -30,6 +30,12 @@ halves the memory each step streams. All else is float64: the validation
 loss and best-epoch choice (on the float64 widening of the float32
 weights), the returned LinearDecoder, inference, grad_check and the
 model files.
+
+No pass holds a float copy of a whole feature matrix, which may be
+stored as uint8 bits: inference and the validation loss widen one
+`hdcrypt.blocks` block of rows at a time, each SGD step its own batch,
+and fit_ridge forms the Gram matrices of bit features exactly from
+float32 blocks.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -62,10 +68,11 @@ HEAD_SOFTMAX = "softmax"
 HEAD_REGRESSION = "regression"
 
 PROB_FLOOR = 1e-12
-_EVAL_CHUNK = 8192
 # fit_ridge's penalties, in units of trace(Gram) / d, the mean eigenvalue
 # of the centered Gram matrix
 _RIDGE_GRID = np.logspace(-4, 1, 11)
+# float32 holds every integer below this exactly
+_F32_EXACT = 1 << 24
 
 
 def _softmax(z):
@@ -103,7 +110,9 @@ def _affine(weights, bias, X):
     host, alternating calls between the two pools made a softmax SGD step
     26 times slower. fit_ridge's few large products use numpy's: on one
     BLAS thread they time as scipy's do, and on two the switch around its
-    eigh added 0.1-0.2 s to fits of 1,080 to 7,200 rows on that host.
+    eigh added 0.1-0.2 s to fits of 1,080 to 7,200 rows on that host. Its
+    blocked products of bit features (_centered_bit_products) run in a
+    loop, so they all use scipy's.
     """
     Z = _gemm(weights)(1.0, weights.T, X.T, trans_a=True).T
     Z += bias
@@ -111,9 +120,10 @@ def _affine(weights, bias, X):
 
 
 def _affine_chunks(weights, bias, X):
-    """(row slice, X[rows] @ W.T + b) over X in chunks of _EVAL_CHUNK rows,
-    so features stored as bits are widened to float64 a chunk at a time."""
-    for rows in block_slices(X.shape[0], _EVAL_CHUNK):
+    """(row slice, X[rows] @ W.T + b) over X a GEMM-aligned block of rows
+    at a time, so features stored as bits are widened to float64 a block
+    at a time, and each row's outputs are those of the one product."""
+    for rows in block_slices(X.shape[0], block_size(X.shape[1], GEMM_ROWS)):
         yield rows, _affine(weights, bias, X[rows].astype(np.float64))
 
 
@@ -215,6 +225,68 @@ def fit_naive_bayes(features, labels, num_classes):
     return LinearDecoder(log_on - log_off, log_off.sum(axis=1), HEAD_SOFTMAX)
 
 
+def _centered_bit_products(X, Y, Xv, x_mean, y_mean):
+    """fit_ridge's (gram, rhs, val_side) for 0/1 uint8 features X and Xv,
+    from exact integer products and sums; rhs is None in the dual fit.
+
+    A GEMM-aligned block of X (columns in the dual, rows in the primal)
+    is widened to float32 at a time and added to the Gram matrix by a
+    SYRK rank-k update, which writes one triangle at half a GEMM's cost;
+    the other is copied in at the end. Every partial sum is a count below
+    2**24, which float32 holds exactly, so the products do not depend on
+    the blocks, their order or the BLAS. No n x d float array is made.
+    With the column sums s = X^T 1:
+    * primal: Xc^T Xc = X^T X - s s^T / n, where s is the diagonal of
+      X^T X, and rhs = Xc^T Yc = X^T Yc, since Yc sums to zero, is summed
+      over the row blocks; val_side = Xv - x_mean, as for float features;
+    * dual: Xc Xc^T = X X^T - (t 1^T + 1 t^T) / n + s^T s / n^2, where
+      t = X s are the row sums of X X^T and s^T s is their sum; Xvc Xc^T
+      is alike with tv = Xv s, the row sums of Xv X^T.
+    Both centered Gram matrices are exactly symmetric, as eigh needs.
+    """
+    n, d = X.shape
+    dual = n < d
+    # BLAS updates these Fortran-ordered sums in place
+    if dual:
+        blocks = [np.s_[:, cols] for cols in block_slices(d, block_size(n, GEMM_ROWS))]
+        G, Gv = np.zeros((n, n), np.float32, "F"), np.zeros((len(Xv), n), np.float32, "F")
+    else:
+        blocks = block_slices(n, block_size(d, GEMM_ROWS))
+        G, rhs = np.zeros((d, d), np.float32, "F"), np.zeros((d, Y.shape[1]), order="F")
+    syrk = get_blas_funcs("syrk", dtype=np.float32)
+    for block in blocks:
+        Bt = X[block].T.astype(np.float32)  # Fortran-ordered, as BLAS reads it
+        # dual: G += Bt^T Bt = B B^T; primal: G += Bt Bt^T = B^T B
+        G = syrk(1.0, Bt, beta=1.0, c=G, trans=int(dual), overwrite_c=True)
+        if dual:    # Gv += Xv[block] Bt
+            Gv = _gemm(Gv)(1.0, Xv[block].T.astype(np.float32), Bt, beta=1.0, c=Gv,
+                           trans_a=True, overwrite_c=True)
+        else:       # rhs += Bt (Y[block] - y_mean)
+            rhs = _gemm(rhs)(1.0, Bt.astype(np.float64), (Y[block] - y_mean).T, beta=1.0,
+                             c=rhs, trans_b=True, overwrite_c=True)
+    G += np.triu(G, 1).T
+    G = G.T.astype(np.float64)  # C-ordered, so fit_ridge's eigh can overwrite G.T
+    # G is centered a block of rows at a time, with no temporary of its
+    # size. glibc's malloc raises its mmap threshold to the size of each
+    # large block it frees, so after such a temporary eigh's eigenvectors,
+    # as large as G, would come from the heap and stay resident once
+    # fit_ridge frees them: 6 MiB more process peak in a 1,080-row bhv cell
+    if dual:
+        Gv = Gv.astype(np.float64)
+        t, tv = G.sum(axis=1), Gv.sum(axis=1)
+        offset = t.sum() / n**2
+        for rows in block_slices(n, block_size(n)):
+            G[rows] -= (t[rows, None] + t) / n
+            G[rows] += offset
+        Gv -= (tv[:, None] + t) / n
+        Gv += offset
+        return G, None, Gv
+    s = G.diagonal().copy()
+    for rows in block_slices(d, block_size(d)):
+        G[rows] -= np.outer(s[rows], s) / n
+    return G, rhs, Xv - x_mean
+
+
 def fit_ridge(features, targets, val_set):
     """Ridge regression decoder: W minimizes |Xc W^T - Yc|^2 + lam |W|^2
     for the centered features and targets Xc and Yc, and the bias absorbs
@@ -226,12 +298,14 @@ def fit_ridge(features, targets, val_set):
     only rescales M = diag(1 / (s + lam)) U^T R, where R is Yc or Xc^T Yc,
     and W is (U M)^T Xc or (U M)^T. No d x n product of Xc and U is formed.
 
-    The dual fit (n < d) holds the float64 Xc only until the Gram matrix
-    and the validation products are formed. It then recenters the
-    features a GEMM-aligned block of columns at a time to form
-    W = (U M)^T Xc, bitwise the one product's with OpenBLAS, so its
-    largest arrays after the Gram matrix are n x n and n x k, not n x d.
-    The primal fit keeps its d x d form.
+    Features that are 0/1 uint8 bits (hypervectors) have their Gram
+    and validation products formed exactly by _centered_bit_products,
+    with no float copy of X. Other features are centered into a float64
+    Xc, held only until those products are formed. The dual fit (n < d)
+    then recenters the features a GEMM-aligned block of columns at a
+    time to form W = (U M)^T Xc, bitwise the one product's with OpenBLAS,
+    so its largest arrays after the Gram matrix are n x n and n x k, not
+    n x d. The primal fit keeps its d x d form.
     """
     X, Y = np.asarray(features), np.asarray(targets)
     if X.ndim != 2 or Y.ndim != 2:
@@ -241,13 +315,17 @@ def fit_ridge(features, targets, val_set):
     Xv, Yv = _check_set("val", val_set, *dims)
     n, d = X.shape
     x_mean, y_mean = X.mean(axis=0, dtype=np.float64), Y.mean(axis=0)
-    Xc = X - x_mean
     dual = n < d
-    if dual:
-        gram, val_side = Xc @ Xc.T, (Xv - x_mean) @ Xc.T
+    bits = X.dtype == Xv.dtype == np.uint8 and max(X.max(), Xv.max()) <= 1
+    if bits and max(n, d) < _F32_EXACT:
+        gram, rhs, val_side = _centered_bit_products(X, Y, Xv, x_mean, y_mean)
     else:
-        gram, rhs, val_side = Xc.T @ Xc, Xc.T @ (Y - y_mean), Xv - x_mean
-    del Xc
+        Xc = X - x_mean
+        if dual:
+            gram, rhs, val_side = Xc @ Xc.T, None, (Xv - x_mean) @ Xc.T
+        else:
+            gram, rhs, val_side = Xc.T @ Xc, Xc.T @ (Y - y_mean), Xv - x_mean
+        del Xc
     lambdas = _RIDGE_GRID * (np.trace(gram) / d or 1.0)
     # the Gram matrix is exactly symmetric, so its transpose, which is
     # Fortran-ordered, is the same matrix and LAPACK can overwrite it
@@ -360,19 +438,23 @@ def _sgd_step(weights, bias, X, Y, head, lr):
 
 
 def _full_loss(weights, bias, X, Y, head):
-    """Mean NLL (softmax) or RMSE (regression) over a whole set, chunked."""
-    total, count = 0.0, 0
+    """Mean NLL (softmax) or RMSE (regression) over a whole set.
+
+    Each row's loss is computed a block at a time and the row losses are
+    summed once, so the value does not depend on the block size.
+    """
+    losses = np.empty(X.shape[0])
     for rows, Z in _affine_chunks(weights, bias, X):
         if head == HEAD_SOFTMAX:
             P = _softmax(Z)
             picked = np.maximum(P[np.arange(len(Z)), Y[rows]], PROB_FLOOR)
-            total += float(-np.log(picked).sum())
-            count += len(Z)
+            losses[rows] = -np.log(picked)
         else:
             R = Z - Y[rows]
-            total += float(np.sum(R * R))
-            count += R.size
-    return total / count if head == HEAD_SOFTMAX else float(np.sqrt(total / count))
+            losses[rows] = np.einsum("ij,ij->i", R, R)
+    if head == HEAD_SOFTMAX:
+        return float(losses.sum()) / len(losses)
+    return float(np.sqrt(losses.sum() / Y.size))
 
 
 def _check_set(name, data, head, in_dim, out_dim):
@@ -401,12 +483,11 @@ def _check_set(name, data, head, in_dim, out_dim):
 def train(model, train_set, val_set, cfg):
     """Mini-batch SGD with per-epoch shuffling and patience early stopping.
 
-    The steps run on float32 working copies of the weights, bias and
-    features; each epoch's validation loss is computed in float64 on the
-    widened weights, which are what the returned model holds. The float32
-    features (the whole training set, if it has at most 4e7 entries) are
-    made when the first epoch starts, so a run that stops before it, from
-    an exact initial model, never holds them.
+    The steps run on float32 working copies of the weights and bias, and
+    each batch's features are widened to float32 as the batch is drawn,
+    so no float copy of the training set is made. Each epoch's validation
+    loss is computed in float64 on the widened weights, which are what the
+    returned model holds.
 
     The initial weights are scored first, as epoch -1, and set the loss
     the first epochs must improve on. A best validation loss of 0.0, which
@@ -437,18 +518,12 @@ def train(model, train_set, val_set, cfg):
         if best_val == 0.0:     # no loss is lower; later epochs cannot win
             report.stopped_early = True
             break
-        if epoch == 0:
-            # Small sets are cheaper to convert to float32 once than per
-            # batch; float32 features are used as they are, never written
-            # to. An exact initial model stops above and never makes it.
-            dense = np.asarray(X, dtype=np.float32) if X.size <= 40_000_000 else None
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb = dense[idx] if dense is not None else X[idx].astype(np.float32)
-            loss, weights = _sgd_step(weights, bias, xb, Y[idx], model.head,
-                                      cfg.learning_rate)
+            loss, weights = _sgd_step(weights, bias, X[idx].astype(np.float32), Y[idx],
+                                      model.head, cfg.learning_rate)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             # histories report the cost metric: NLL, or RMSE for regression

@@ -78,6 +78,8 @@ class BenchmarkEncoder(IdealEncoder):
 
     @classmethod
     def new_random(cls, dim, sigma, seed):
+        if dim < 1:
+            raise ConfigError("dim", "must be >= 1")
         return cls(cls._seeded_weights(seed, dim, dim), sigma)
 
     # own entry, so the traced span imagecrypto.BenchmarkEncoder.project_batch resolves

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import jsondoc
 from .blocks import GEMM_ROWS, block_size, block_slices
+from .decoder import HEAD_SOFTMAX, _check_set
 from .encoder import encode_crossbar_batch
 from .errors import CharsetError, DataFormatError, DimensionError
 from .hypervector import BinaryHypervector, _first_bad_padding
@@ -225,12 +226,10 @@ def encrypt_text(text, keys, xbar, epsilon, rng):
 def decrypt_text(ct, model):
     """Argmax class per block, mapped back to characters.
 
-    The blocks are unpacked and scored a GEMM-aligned chunk at a time
-    (512 at D = 500), so no array of every block's bits is made. A chunk's
-    logits could differ from those of one product in the last bit only,
-    which moves an argmax only between two logits within rounding of each
-    other; with OpenBLAS they are the same at D = 500, so the text is that
-    of `predict_classes(ct.bit_matrix())`.
+    The blocks are unpacked a GEMM-aligned chunk at a time (512 at
+    D = 500), the rows `predict_classes` itself scores at a time, so no
+    array of every block's bits is made and the text is that of
+    `predict_classes(ct.bit_matrix())`.
     """
     if model.out_dim != NUM_CLASSES:
         raise DimensionError(f"decoder emits {model.out_dim} classes, expected {NUM_CLASSES}")
@@ -291,11 +290,8 @@ def uniqueness_stats(char, n_passes, keys, xbar, epsilon, rng):
 
 
 def evaluate_accuracy(model, test_set):
-    """Fraction of blocks whose argmax class matches the label."""
-    features, labels = test_set
-    features = np.asarray(features)
-    labels = np.asarray(labels)
-    if features.shape[0] == 0:
-        raise DimensionError("test set must be nonempty")
-    preds = model.predict_classes(features)
-    return float(np.mean(preds == labels))
+    """Fraction of blocks whose argmax class matches the label. The set
+    must hold blocks of the model's width and one integer class index in
+    [0, model.out_dim) per block; anything else raises DimensionError."""
+    features, labels = _check_set("test", test_set, HEAD_SOFTMAX, model.in_dim, model.out_dim)
+    return float(np.mean(model.predict_classes(features) == labels))

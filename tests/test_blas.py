@@ -1,8 +1,8 @@
-"""The BLAS property behind the blocked encoder, ridge fit and decryption.
+"""The BLAS property behind the blocked encoder, decoder and decryption.
 
-`IdealEncoder.encode_batch`, `decoder.fit_ridge`'s dual fit and
-`textcrypto.decrypt_text` compute one large matrix product a block at a
-time, taking their slices from `blocks.block_slices` at GEMM_ROWS
+`IdealEncoder.encode_batch`, decoder inference, `decoder.fit_ridge`'s
+dual fit and `textcrypto.decrypt_text` compute one large matrix product
+a block at a time, taking their slices from `blocks.block_slices` at GEMM_ROWS
 alignment: row blocks that start at multiples of 16, or blocks of 16k
 output columns. Each test below iterates those same slices. Their outputs
 are bitwise those of the one-product forms only because the BLAS
@@ -54,3 +54,16 @@ def test_blas_decryption_chunks_reproduce_the_one_product_logits():
     for rows in block_slices(len(X), block_size(500, GEMM_ROWS)):
         chunk = np.ascontiguousarray(X[rows])
         assert np.array_equal(_affine(W, b, chunk), whole[rows]), rows.start
+
+
+def test_blas_image_head_row_blocks_reproduce_the_one_product():
+    # a bhv image cell's forward_batch: 100 test images at m = 4 through a
+    # 3,136 -> 784 regression head, the one inference shape that splits
+    rng = spawn_rng(4, "image-head")
+    W, b = rng.normal(size=(784, 3136)), rng.normal(size=784)
+    X = rng.integers(0, 2, (100, 3136)).astype(np.float64)
+    whole = _affine(W, b, X)
+    step = block_size(3136, GEMM_ROWS)
+    assert step == 80
+    for rows in block_slices(len(X), step):
+        assert np.array_equal(_affine(W, b, X[rows]), whole[rows]), rows.start

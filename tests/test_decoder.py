@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdcrypt import decoder
+from hdcrypt import blocks, decoder
 from hdcrypt.blocks import GEMM_ROWS, block_size
 from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX,
                              LinearDecoder, TrainConfig, fit_naive_bayes,
@@ -19,6 +20,7 @@ from hdcrypt.errors import (ConfigError, DimensionError,
                             TrainingDivergedError)
 from hdcrypt.hypervector import BinaryHypervector
 from hdcrypt.rng import spawn_rng
+from hdcrypt.textcrypto import evaluate_accuracy
 
 
 def test_forward_zero_classifier_is_uniform():
@@ -78,6 +80,38 @@ def test_batch_width_mismatch(shape):
         model.forward_batch(np.ones(shape))
     with pytest.raises(DimensionError, match="expected \\(n, 4\\)"):
         model.predict_classes(np.ones(shape))
+
+
+@pytest.mark.parametrize("call", ["predict_classes", "forward_batch", "evaluate_accuracy"])
+def test_inference_widens_bits_one_block_at_a_time(call):
+    model = LinearDecoder.new_random(500, 94, HEAD_SOFTMAX, seed=31)
+    X = spawn_rng(31, "bit-inference").integers(0, 2, size=(20_000, 500)).astype(np.uint8)
+    y = np.zeros(len(X), dtype=np.int64)
+    run = {"predict_classes": lambda: model.predict_classes(X),
+           "forward_batch": lambda: model.forward_batch(X),
+           "evaluate_accuracy": lambda: evaluate_accuracy(model, (X, y))}[call]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result, then one block of float64 rows (512 here) and its logits;
+    # an 8,192-row chunk of X alone would take 31 MiB
+    result = len(X) * (model.out_dim if call == "forward_batch" else 1) * 8
+    assert peak < result + 2 * blocks._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 16, 1 << 26], ids=["16-rows", "one-block"])
+@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+def test_full_loss_does_not_depend_on_the_block_size(head, block_bytes, monkeypatch):
+    rng = spawn_rng(32, f"loss-blocks-{head}")
+    X = rng.integers(0, 2, size=(1_500, 500)).astype(np.uint8)
+    W, b = rng.normal(scale=0.1, size=(94, 500)), rng.normal(size=94)
+    Y = rng.integers(0, 94, size=1_500) if head == HEAD_SOFTMAX else rng.normal(size=(1_500, 94))
+    default = _full_loss(W, b, X, Y, head)     # three blocks of 512 rows
+    monkeypatch.setattr(blocks, "_BLOCK_BYTES", block_bytes)
+    assert _full_loss(W, b, X, Y, head) == default
 
 
 def test_softmax_properties_hold():
@@ -469,20 +503,47 @@ def test_fit_ridge_of_constant_features_predicts_the_mean_target():
 
 
 
+def _exact_bit_products(X, Y, Xv):
+    """(gram, rhs, val_side) of fit_ridge for 0/1 features, from int64
+    products of the bits centered by fit_ridge's formulas. rhs, None in
+    the dual fit, is one GEMM through scipy's BLAS, which fit_ridge sums
+    over row blocks: the two agree bitwise when X is one block."""
+    n, d = X.shape
+    Xi = X.astype(np.int64)
+    if n < d:
+        G, Gv = Xi @ Xi.T, Xv.astype(np.int64) @ Xi.T
+        t, tv = G.sum(axis=1), Gv.sum(axis=1)
+        offset = t.sum() / n**2
+        return G - (t[:, None] + t) / n + offset, None, Gv - (tv[:, None] + t) / n + offset
+    s = Xi.sum(axis=0)
+    rhs = scipy.linalg.blas.dgemm(1.0, X.T, Y - Y.mean(axis=0))
+    return Xi.T @ Xi - np.outer(s, s) / n, rhs, Xv - X.mean(axis=0)
+
+
 def _fit_ridge_one_product(X, Y, Xv, Yv):
-    """fit_ridge as one product per step, the oracle of its blocked dual
-    fit: the float64 Xc lives to the end, the Gram matrix is copied into
-    eigh, and W = (U M)^T Xc is one GEMM. Returns (weights, bias)."""
+    """fit_ridge as one product per step, the oracle of its blocked fits.
+
+    For 0/1 uint8 features the Gram and validation products are int64
+    products of the bits, centered by the formulas fit_ridge uses, and
+    the primal right-hand side is one product X^T Yc. For other features
+    they are products of the float64 Xc. Xc lives to the end, the Gram
+    matrix is copied into eigh, and W = (U M)^T Xc is one GEMM. Returns
+    (weights, bias)."""
     x_mean, y_mean = X.mean(axis=0, dtype=np.float64), Y.mean(axis=0)
     Xc = X - x_mean
-    d = X.shape[1]
-    dual = len(X) < d
-    gram = Xc @ Xc.T if dual else Xc.T @ Xc
-    lambdas = _RIDGE_GRID * (np.trace(gram) / d or 1.0)
-    if dual:
+    n, d = X.shape
+    dual = n < d
+    if X.dtype == np.uint8:
+        gram, rhs, val_side = _exact_bit_products(X, Y, Xv)
+        if dual:
+            rhs = Y - y_mean
+    elif dual:
+        gram = Xc @ Xc.T
         rhs, val_side = Y - y_mean, (Xv - x_mean) @ Xc.T
     else:
+        gram = Xc.T @ Xc
         rhs, val_side = Xc.T @ (Y - y_mean), Xv - x_mean
+    lambdas = _RIDGE_GRID * (np.trace(gram) / d or 1.0)
     s, U = scipy.linalg.eigh(gram)
     UtY, val_basis = U.T @ rhs, val_side @ U
 
@@ -500,14 +561,29 @@ _DUAL_ROWS = 160
 _DUAL_BLOCK = block_size(_DUAL_ROWS, GEMM_ROWS)   # 1,632 columns
 
 
-@pytest.mark.parametrize("n, d", [(_DUAL_ROWS, 2 * _DUAL_BLOCK + 100), (50, 30)],
-                         ids=["dual-blocked", "primal"])
-def test_fit_ridge_equals_its_one_product_form_bitwise(n, d):
+_ONE_PRODUCT_SHAPES = pytest.mark.parametrize(
+    "n, d", [(_DUAL_ROWS, 2 * _DUAL_BLOCK + 100), (50, 30)], ids=["dual-blocked", "primal"])
+
+
+def _assert_fit_ridge_is_its_one_product_form(n, d, dtype):
     (X, Y), (Xv, Yv) = _ridge_problem(n, d)
+    X, Xv = X.astype(dtype), Xv.astype(dtype)
     model = fit_ridge(X, Y, (Xv, Yv))
     weights, bias = _fit_ridge_one_product(X, Y, Xv, Yv)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.bias, bias)
+
+
+@_ONE_PRODUCT_SHAPES
+def test_fit_ridge_equals_its_one_product_form_bitwise(n, d):
+    # uint8 bits: the exact Gram matrices
+    _assert_fit_ridge_is_its_one_product_form(n, d, np.uint8)
+
+
+@_ONE_PRODUCT_SHAPES
+def test_fit_ridge_of_float_features_equals_its_one_product_form_bitwise(n, d):
+    # the same bits as float64: the centered float64 features
+    _assert_fit_ridge_is_its_one_product_form(n, d, np.float64)
 
 
 def test_dual_fit_ridge_frees_the_centered_features_once_the_gram_matrix_exists(monkeypatch):
@@ -528,6 +604,34 @@ def test_dual_fit_ridge_frees_the_centered_features_once_the_gram_matrix_exists(
         tracemalloc.stop()
     # from the eigendecomposition on, nothing as large as the float64 Xc lives
     assert peak < n * d * 8
+
+
+@pytest.mark.parametrize("n, d", [(160, 10_000), (20_000, 100)], ids=["dual", "primal"])
+def test_fit_ridge_on_bits_holds_no_float_copy_of_the_features(n, d):
+    (X, Y), val_set = _ridge_problem(n, d)
+    tracemalloc.start()
+    try:
+        fit_ridge(X, Y, val_set)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * np.dtype(np.float32).itemsize
+
+
+@pytest.mark.parametrize("block_bytes", [blocks._BLOCK_BYTES, 1 << 14], ids=["default", "small"])
+@pytest.mark.parametrize("n, d", [(100, 2_000), (3_000, 60)], ids=["dual", "primal"])
+def test_bit_gram_matrices_are_the_exact_integer_products(n, d, block_bytes, monkeypatch):
+    monkeypatch.setattr(blocks, "_BLOCK_BYTES", block_bytes)
+    (X, Y), (Xv, _) = _ridge_problem(n, d)
+    x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
+    gram, rhs, val_side = decoder._centered_bit_products(X, Y, Xv, x_mean, y_mean)
+    ref_gram, ref_rhs, ref_val_side = _exact_bit_products(X, Y, Xv)
+    assert np.array_equal(gram, ref_gram) and np.array_equal(gram, gram.T)
+    assert np.array_equal(val_side, ref_val_side)
+    if n < d:
+        assert rhs is None
+    else:   # summed over row blocks, in another order than the one product
+        np.testing.assert_allclose(rhs, ref_rhs, rtol=1e-12, atol=1e-9)
 
 
 def test_fit_ridge_rejects_mismatched_sets():
@@ -579,6 +683,16 @@ def test_train_from_exact_start_makes_no_float32_features():
     finally:
         tracemalloc.stop()
     assert report.epochs_run == 0
+    assert peak < X.size * np.dtype(np.float32).itemsize
+    # nor does a run from a non-exact start: each batch is widened on its own
+    start = LinearDecoder.new_random(400, 4, HEAD_SOFTMAX, seed=31)
+    tracemalloc.start()
+    try:
+        _, report = train(start, (X, y), (X[:500], y[:500]), replace(cfg, max_epochs=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.epochs_run == 1
     assert peak < X.size * np.dtype(np.float32).itemsize
 
 

@@ -279,6 +279,17 @@ def test_benchmark_weights_come_from_their_own_stream():
     assert benc.sigma == 0.3
 
 
+@pytest.mark.parametrize("dim", [0, -2])
+def test_benchmark_new_random_rejects_non_positive_dim_before_any_draw(dim, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("weights drawn")
+
+    monkeypatch.setattr(BenchmarkEncoder, "_seeded_weights", no_draw)
+    with pytest.raises(ConfigError) as excinfo:
+        BenchmarkEncoder.new_random(dim, sigma=0.5, seed=14)
+    assert excinfo.value.field == "dim"
+
+
 def test_benchmark_is_square_only():
     with pytest.raises(DimensionError):
         BenchmarkEncoder(np.zeros((3, 4)), sigma=0.0)

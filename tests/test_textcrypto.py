@@ -257,6 +257,20 @@ def test_evaluate_accuracy_constant_model():
     assert acc == pytest.approx(1 / 94, abs=0.004)
 
 
+@pytest.mark.parametrize("labels", [
+    np.zeros(1, dtype=np.int64),                # would broadcast against 200 predictions
+    np.zeros(200),                              # float class indices
+    np.full(200, 500),
+    np.full(200, -3),
+    np.zeros(199, dtype=np.int64),
+], ids=["one-label", "float", "above-range", "negative", "short"])
+def test_evaluate_accuracy_rejects_bad_labels(labels):
+    model = LinearDecoder(np.zeros((94, 10)), np.zeros(94), HEAD_SOFTMAX)
+    X = spawn_rng(14, "acc").integers(0, 2, size=(200, 10)).astype(np.uint8)
+    with pytest.raises(DimensionError, match="test labels"):
+        evaluate_accuracy(model, (X, labels))
+
+
 def test_ciphertext_wire_roundtrip(tmp_path):
     xbar, keys = _system(sigma=0.05, rows=4, cols=31, seed=30)
     ct = encrypt_text("Hello, World!", keys, xbar, 0.0, spawn_rng(13, "e"))
