@@ -1,35 +1,27 @@
-"""Single-layer neural decoder: closed-form fits and mini-batch SGD.
+"""Single-layer decoder z = W x + b with one of two heads:
 
-Two heads share the same affine map z = W x + b:
+* "softmax"    - class probabilities softmax(z) (character decryption),
+                 fit by fit_naive_bayes and refined by train, mini-batch
+                 SGD on the mean negative log likelihood,
+* "regression" - raw z (image reconstruction), fit by fit_ridge.
 
-* "softmax"    - class probabilities softmax(z), trained with mean
-                 negative log likelihood (character decryption),
-* "regression" - raw z under root mean square error (image
-                 reconstruction), fit in closed form by fit_ridge.
+The bits of one ciphertext block are independent given the class, since
+every cell draws its own read noise, so the Bayes-optimal decoder is
+linear and fit_naive_bayes finds it from per-class bit counts. Inference
+takes batches only, so a single input is a batch of one row. Gradients
+are hand-written and checked against central differences (grad_check).
 
-Inference takes batches only, so a single input is a batch of one row,
-and each loss has one implementation (_full_loss, _batch_loss_dz).
-
-Gradients are hand-written and verified against central finite
-differences (see grad_check). Training scores the initial weights on the
-validation set as epoch -1, stops when the validation loss fails to
-improve by min_delta for `patience` consecutive epochs, and returns the
-weights of the best-validation epoch, the initial ones included. Neither
-loss can go below 0, so training stops at once when the best validation
-loss is 0.0: an exact initial model runs no epoch at all.
-
-The softmax head has a closed-form start, fit_naive_bayes: the bits of
-one ciphertext block are independent given the class, since every cell
-draws its own read noise, so the Bayes-optimal decoder is linear and its
-weights follow from per-class bit counts.
-
-Every SGD step of `train` runs in float32: the forward GEMM, the softmax
-or residual, and the weight and bias updates. The features are binary
-hypervector bits, which float32 holds exactly, and halving the width
-halves the memory each step streams. All else is float64: the validation
-loss and best-epoch choice (on the float64 widening of the float32
-weights), the returned LinearDecoder, inference, grad_check and the
-model files.
+train scores the initial weights on the validation set as epoch -1,
+stops when the validation loss fails to improve by min_delta for
+`patience` consecutive epochs, and returns the weights of the
+best-validation epoch, the initial ones included. The loss cannot go
+below 0, so training stops at once when the best validation loss is
+0.0: an exact initial model runs no epoch at all. Every SGD step runs
+in float32, as the features are bits, which float32 holds exactly, and
+halving the width halves the memory each step streams. All else is
+float64: the validation loss and best-epoch choice (on the widened
+float32 weights), the returned LinearDecoder, inference, grad_check and
+the model files.
 
 No pass holds a float copy of a whole feature matrix, which may be
 stored as uint8 bits: inference and the validation loss widen one
@@ -152,14 +144,6 @@ class LinearDecoder:
     def __setattr__(self, name, value):
         raise AttributeError("LinearDecoder is immutable")
 
-    @classmethod
-    def new_random(cls, in_dim, out_dim, head, seed):
-        """Uniform init in [-1/sqrt(in_dim), 1/sqrt(in_dim)], zero bias."""
-        rng = spawn_rng(seed, "decoder-init")
-        bound = 1.0 / np.sqrt(in_dim)
-        w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        return cls(w, np.zeros(out_dim), head)
-
     @property
     def in_dim(self):
         return self.weights.shape[1]
@@ -204,13 +188,8 @@ def fit_naive_bayes(features, labels, num_classes):
     [0, num_classes); anything else raises DimensionError.
     """
     X = np.asarray(features)
-    Y = np.asarray(labels)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DimensionError("features must be a nonempty (n, d) array")
-    if Y.shape != (X.shape[0],) or not np.issubdtype(Y.dtype, np.integer):
-        raise DimensionError("labels must be one integer class index per row")
-    if Y.min() < 0 or Y.max() >= num_classes:
-        raise DimensionError(f"labels must lie in [0, {num_classes})")
+    width = X.shape[1] if X.ndim == 2 else 0   # _check_set rejects other shapes first
+    X, Y = _check_set("train", (X, labels), HEAD_SOFTMAX, width, num_classes)
     counts = np.zeros((num_classes, X.shape[1]))
     for c in range(num_classes):
         Xc = X[Y == c]
@@ -379,8 +358,8 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    # epochs_run and the histories (one entry per epoch run) read 0 and []
-    # when the initial validation loss is 0.0, which no epoch can beat
+    # one mean NLL per epoch run in each history; epochs_run and the
+    # histories read 0 and [] at an initial validation loss of 0.0
     epochs_run: int = 0
     train_loss_history: list = field(default_factory=list)
     val_loss_history: list = field(default_factory=list)
@@ -389,27 +368,30 @@ class TrainReport:
     init_val_loss: float | None = None
 
 
-def _batch_loss_dz(weights, bias, X, Y, head):
-    """Loss of the head's training objective on one batch, and its
-    gradient dZ with respect to the batch's outputs Z = X W^T + b.
+def _nll_rows(P, Y):
+    """Each row's negative log likelihood of its label Y[i] under the
+    class probabilities P[i], floored at PROB_FLOOR."""
+    return -np.log(np.maximum(P[np.arange(len(Y)), Y], PROB_FLOOR))
 
-    Softmax head: mean negative log likelihood. Regression head: mean
-    squared error, the smooth surrogate whose minimizers are exactly
-    those of the reported RMSE cost; descending the square root itself
-    would rescale steps by 1/(2*rmse) and oscillate near the optimum.
-    dZ has the weights' dtype; the loss is a float64 mean.
+
+def _batch_loss_dz(weights, bias, X, Y, head):
+    """Loss of the head's objective on one batch, and its gradient dZ
+    with respect to the batch's outputs Z = X W^T + b.
+
+    Softmax head: mean negative log likelihood, which train descends.
+    Regression head: mean squared error, the square of the RMSE. dZ has
+    the weights' dtype; the loss is a float64 mean.
     """
     Z = _affine(weights, bias, X)
     if head == HEAD_SOFTMAX:
         P = _softmax(Z)
         n = X.shape[0]
-        picked = np.maximum(P[np.arange(n), Y], PROB_FLOOR)
-        loss = float(-np.log(picked).mean(dtype=np.float64))
+        loss = float(_nll_rows(P, Y).mean(dtype=np.float64))
         dZ = P
         dZ[np.arange(n), Y] -= 1.0
         dZ /= n
     else:
-        R = np.subtract(Z, Y, dtype=Z.dtype)
+        R = Z - Y
         loss = float(np.mean(R * R, dtype=np.float64))
         dZ = R * (2.0 / R.size)
     return loss, dZ
@@ -421,40 +403,32 @@ def _batch_loss_grads(weights, bias, X, Y, head):
     return loss, dZ.T @ X, dZ.sum(axis=0)
 
 
-def _sgd_step(weights, bias, X, Y, head, lr):
-    """One SGD step on a batch X of the weights' dtype, updating weights
-    and bias in place; train runs it in float32.
+def _sgd_step(weights, bias, X, Y, lr):
+    """One softmax SGD step on a batch X of the weights' dtype with class
+    labels Y, updating weights and bias in place; train runs it in float32.
 
     The weight update W -= lr * dZ^T X is one BLAS rank-k update into W's
     own memory: W^T of a C-contiguous W is Fortran-ordered, as GEMM
     wants, so no weight-sized temporary is made. Returns (loss, weights);
     use the returned array, which is a copy only if W was not C-contiguous.
     """
-    loss, dZ = _batch_loss_dz(weights, bias, X, Y, head)
+    loss, dZ = _batch_loss_dz(weights, bias, X, Y, HEAD_SOFTMAX)
     weights = _gemm(weights)(-lr, X.T, dZ.T, beta=1.0, c=weights.T,
                              trans_b=True, overwrite_c=True).T
     bias -= lr * dZ.sum(axis=0)
     return loss, weights
 
 
-def _full_loss(weights, bias, X, Y, head):
-    """Mean NLL (softmax) or RMSE (regression) over a whole set.
+def _mean_nll(weights, bias, X, Y):
+    """Mean negative log likelihood of the labels Y over a whole set.
 
     Each row's loss is computed a block at a time and the row losses are
     summed once, so the value does not depend on the block size.
     """
     losses = np.empty(X.shape[0])
     for rows, Z in _affine_chunks(weights, bias, X):
-        if head == HEAD_SOFTMAX:
-            P = _softmax(Z)
-            picked = np.maximum(P[np.arange(len(Z)), Y[rows]], PROB_FLOOR)
-            losses[rows] = -np.log(picked)
-        else:
-            R = Z - Y[rows]
-            losses[rows] = np.einsum("ij,ij->i", R, R)
-    if head == HEAD_SOFTMAX:
-        return float(losses.sum()) / len(losses)
-    return float(np.sqrt(losses.sum() / Y.size))
+        losses[rows] = _nll_rows(_softmax(Z), Y[rows])
+    return float(losses.sum()) / len(losses)
 
 
 def _check_set(name, data, head, in_dim, out_dim):
@@ -481,7 +455,7 @@ def _check_set(name, data, head, in_dim, out_dim):
 
 
 def train(model, train_set, val_set, cfg):
-    """Mini-batch SGD with per-epoch shuffling and patience early stopping.
+    """Softmax mini-batch SGD with per-epoch shuffling and patience early stopping.
 
     The steps run on float32 working copies of the weights and bias, and
     each batch's features are widened to float32 as the batch is drawn,
@@ -495,8 +469,11 @@ def train(model, train_set, val_set, cfg):
     an exact initial model runs 0 epochs). Returns (best_model, TrainReport):
     the weights of the epoch with the lowest validation loss seen, or
     `model` itself, with best_epoch -1, when no epoch beat it. Raises
-    TrainingDivergedError when a non-finite loss appears.
+    ConfigError("head") for a model of another head before any data is
+    checked, and TrainingDivergedError when a non-finite loss appears.
     """
+    if model.head != HEAD_SOFTMAX:
+        raise ConfigError("head", "train needs the softmax head")
     X, Y = _check_set("train", train_set, model.head, model.in_dim, model.out_dim)
     Xv, Yv = _check_set("val", val_set, model.head, model.in_dim, model.out_dim)
 
@@ -506,7 +483,7 @@ def train(model, train_set, val_set, cfg):
     n = X.shape[0]
 
     report = TrainReport()
-    best_val = _full_loss(model.weights, model.bias, Xv, Yv, model.head)
+    best_val = _mean_nll(model.weights, model.bias, Xv, Yv)
     if not np.isfinite(best_val):
         raise TrainingDivergedError(-1, "non-finite validation loss")
     report.init_val_loss = reference_val = best_val
@@ -523,15 +500,11 @@ def train(model, train_set, val_set, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             loss, weights = _sgd_step(weights, bias, X[idx].astype(np.float32), Y[idx],
-                                      model.head, cfg.learning_rate)
+                                      cfg.learning_rate)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            # histories report the cost metric: NLL, or RMSE for regression
-            if model.head == HEAD_REGRESSION:
-                loss = np.sqrt(loss)
             loss_sum += loss * len(idx)
-        val_loss = _full_loss(weights.astype(np.float64), bias.astype(np.float64),
-                              Xv, Yv, model.head)
+        val_loss = _mean_nll(weights.astype(np.float64), bias.astype(np.float64), Xv, Yv)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(epoch, "non-finite validation loss")
 

@@ -26,10 +26,10 @@ def require_finite(field, *values):
     """Raise ConfigError(field) unless every value is a finite real number.
 
     Range checks such as `value < 0` are all false for NaN, so config
-    classes call this before them."""
+    classes call this before them. A bool (JSON `true`) is no number."""
     for value in values:
         try:
-            finite = math.isfinite(value)
+            finite = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
         except TypeError:
             finite = False
         if not finite:

@@ -403,14 +403,24 @@ def test_malformed_nested_field_exits_3(key_material, case, capsys):
     assert "data error" in err and repr(field) in err
 
 
+def _run_grid_spec(tmp_path, **fields):
+    """`hdcrypt grid` on the default spec with `fields` replaced."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**ExperimentSpec().to_json_dict(), **fields}))
+    return main(["grid", "--config", str(spec), "--out", str(tmp_path / "g")])
+
+
 @pytest.mark.parametrize("multipliers", [[2.5], [4, 2.0], [True]])
 def test_grid_spec_non_integer_multiplier_exits_2(tmp_path, capsys, multipliers):
-    doc = ExperimentSpec().to_json_dict()
-    doc["multipliers"] = multipliers
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(doc))
-    assert main(["grid", "--config", str(spec), "--out", str(tmp_path / "g")]) == 2
+    assert _run_grid_spec(tmp_path, multipliers=multipliers) == 2
     assert "configuration error: multipliers:" in capsys.readouterr().err
+
+
+def test_grid_spec_boolean_sigma_exits_2(tmp_path, capsys):
+    # JSON true is no noise level, though Python counts it as 1
+    assert _run_grid_spec(tmp_path, sigmas=[True]) == 2
+    assert "configuration error: sigmas:" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 def test_model_with_unknown_head_exits_2(key_material, capsys):
@@ -537,7 +547,8 @@ def test_non_finite_crossbar_flag_exits_2(tmp_path, value, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value", [("seed", "abc"), ("seed", 1.5), ("rows", True)])
+@pytest.mark.parametrize("field, value", [("seed", "abc"), ("seed", 1.5), ("rows", True),
+                                          ("sigma_frac", True)])
 def test_wrong_typed_crossbar_config_exits_2(key_material, field, value, capsys):
     doc = json.loads(key_material["xbar"].read_text())
     doc["config"][field] = value

@@ -14,13 +14,21 @@ from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX,
                              LinearDecoder, TrainConfig, fit_naive_bayes,
                              fit_ridge, grad_check, load_model, save_model,
                              train, _RIDGE_GRID, _batch_loss_dz,
-                             _batch_loss_grads, _full_loss, _sgd_step,
+                             _batch_loss_grads, _mean_nll, _sgd_step,
                              _softmax)
 from hdcrypt.errors import (ConfigError, DimensionError,
                             TrainingDivergedError)
 from hdcrypt.hypervector import BinaryHypervector
 from hdcrypt.rng import spawn_rng
 from hdcrypt.textcrypto import evaluate_accuracy
+
+
+def _seeded_softmax(in_dim, out_dim, seed):
+    """A softmax model of seeded uniform weights in +-1/sqrt(in_dim) and
+    zero bias: a start that no closed-form fit has tuned."""
+    bound = 1.0 / np.sqrt(in_dim)
+    weights = spawn_rng(seed, "seeded-softmax").uniform(-bound, bound, size=(out_dim, in_dim))
+    return LinearDecoder(weights, np.zeros(out_dim), HEAD_SOFTMAX)
 
 
 def test_forward_zero_classifier_is_uniform():
@@ -84,7 +92,7 @@ def test_batch_width_mismatch(shape):
 
 @pytest.mark.parametrize("call", ["predict_classes", "forward_batch", "evaluate_accuracy"])
 def test_inference_widens_bits_one_block_at_a_time(call):
-    model = LinearDecoder.new_random(500, 94, HEAD_SOFTMAX, seed=31)
+    model = _seeded_softmax(500, 94, seed=31)
     X = spawn_rng(31, "bit-inference").integers(0, 2, size=(20_000, 500)).astype(np.uint8)
     y = np.zeros(len(X), dtype=np.int64)
     run = {"predict_classes": lambda: model.predict_classes(X),
@@ -103,15 +111,15 @@ def test_inference_widens_bits_one_block_at_a_time(call):
 
 
 @pytest.mark.parametrize("block_bytes", [1 << 16, 1 << 26], ids=["16-rows", "one-block"])
-@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+@pytest.mark.parametrize("head", [HEAD_SOFTMAX])
 def test_full_loss_does_not_depend_on_the_block_size(head, block_bytes, monkeypatch):
     rng = spawn_rng(32, f"loss-blocks-{head}")
     X = rng.integers(0, 2, size=(1_500, 500)).astype(np.uint8)
     W, b = rng.normal(scale=0.1, size=(94, 500)), rng.normal(size=94)
-    Y = rng.integers(0, 94, size=1_500) if head == HEAD_SOFTMAX else rng.normal(size=(1_500, 94))
-    default = _full_loss(W, b, X, Y, head)     # three blocks of 512 rows
+    Y = rng.integers(0, 94, size=1_500)
+    default = _mean_nll(W, b, X, Y)     # three blocks of 512 rows
     monkeypatch.setattr(blocks, "_BLOCK_BYTES", block_bytes)
-    assert _full_loss(W, b, X, Y, head) == default
+    assert _mean_nll(W, b, X, Y) == default
 
 
 def test_softmax_properties_hold():
@@ -125,17 +133,14 @@ def test_softmax_properties_hold():
     assert np.allclose(shifted.forward_batch(x[None])[0], probs, atol=1e-9)
 
 
-def _loss_at_output(z, target, head):
-    """_full_loss of one example whose output (logits for the softmax head)
-    is exactly `z`: zero weights, bias z."""
-    z = np.asarray(z, dtype=np.float64)
-    Y = np.array([target]) if head == HEAD_SOFTMAX else np.asarray([target], dtype=np.float64)
-    return _full_loss(np.zeros((z.size, 1)), z, np.zeros((1, 1)), Y, head)
-
-
 def test_loss_rmse_cases():
     def rmse(pred, target):
-        return _loss_at_output(pred, target, HEAD_REGRESSION)
+        # the regression objective, the mean squared error, of one example
+        # whose output is exactly `pred`: zero weights, bias pred
+        pred = np.asarray(pred, dtype=np.float64)
+        mse, _ = _batch_loss_dz(np.zeros((pred.size, 1)), pred, np.zeros((1, 1)),
+                                np.asarray([target], dtype=np.float64), HEAD_REGRESSION)
+        return np.sqrt(mse)
 
     assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
     # oracle: sqrt((3^2 + 4^2) / 2)
@@ -147,10 +152,12 @@ def test_loss_rmse_cases():
 
 def test_loss_nll_cases():
     def nll(probs, label):
-        # logits log(p) make softmax return p; log(0) is -inf, which the
-        # logit floor raises to a probability far below PROB_FLOOR
+        # one example whose logits, zero weights and bias log(p), make
+        # softmax return p; log(0) is -inf, which the logit floor raises
+        # to a probability far below PROB_FLOOR
         with np.errstate(divide="ignore"):
-            return _loss_at_output(np.log(probs), label, HEAD_SOFTMAX)
+            z = np.log(probs)
+        return _mean_nll(np.zeros((z.size, 1)), z, np.zeros((1, 1)), np.array([label]))
 
     uniform = np.full(94, 1 / 94)
     assert np.isclose(nll(uniform, 17), np.log(94))
@@ -206,77 +213,80 @@ def test_full_batch_step_decreases_loss():
     assert loss1 < loss0
 
 
-def _step_case(head, out_dim, in_dim, batch, seed):
-    """Weights, bias and one float64 batch (X, Y) for the given head."""
+def _step_case(out_dim, in_dim, batch, seed):
+    """Softmax weights, bias and one float64 batch (X, labels Y)."""
     rng = spawn_rng(seed, "sgd-step")
     W = rng.normal(scale=0.1, size=(out_dim, in_dim))
     b = rng.normal(scale=0.1, size=out_dim)
     X = rng.integers(0, 2, size=(batch, in_dim)).astype(np.float64)
-    if head == HEAD_SOFTMAX:
-        Y = rng.integers(0, out_dim, size=batch)
-    else:
-        Y = rng.uniform(0, 1, size=(batch, out_dim))
-    return W, b, X, Y
+    return W, b, X, rng.integers(0, out_dim, size=batch)
+
+
+# the step is the softmax head's alone; the parameter keeps the case names
+_STEP_HEADS = pytest.mark.parametrize("head", [HEAD_SOFTMAX])
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+@_STEP_HEADS
 def test_sgd_step_equals_reference_update(head, order):
-    W, b, X, Y = _step_case(head, 9, 40, 16, seed=15)
+    W, b, X, Y = _step_case(9, 40, 16, seed=15)
     lr = 0.3
     loss_ref, gw, gb = _batch_loss_grads(W, b, X, Y, head)
     W_ref, b_ref = W - lr * gw, b - lr * gb
     # F-ordered weights make dgemm work on a copy: the returned array counts
-    loss, W_new = _sgd_step(np.asarray(W, order=order), b, X, Y, head, lr)
+    loss, W_new = _sgd_step(np.asarray(W, order=order), b, X, Y, lr)
     assert loss == loss_ref
     assert np.max(np.abs(W_new - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
     assert np.max(np.abs(b - b_ref)) <= 1e-12 * np.max(np.abs(b_ref))
 
 
-@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+@_STEP_HEADS
 def test_sgd_step_updates_weights_in_place(head):
-    W, b, X, Y = _step_case(head, 9, 40, 16, seed=16)
-    _, W_new = _sgd_step(W, b, X, Y, head, 0.3)
+    W, b, X, Y = _step_case(9, 40, 16, seed=16)
+    _, W_new = _sgd_step(W, b, X, Y, 0.3)
     assert np.shares_memory(W_new, W)
     assert W_new.flags.c_contiguous
 
 
+# 94 classes out of 8,000 bits: a 6 MB float64 weight matrix
+_WIDE_STEP = (94, 8_000, 16)
+
+
 def test_sgd_step_allocates_no_weight_sized_buffer():
-    # the image decoder's shape: 784 pixels out, 3136 hypervector bits in
-    W, b, X, Y = _step_case(HEAD_REGRESSION, 784, 3136, 16, seed=17)
+    W, b, X, Y = _step_case(*_WIDE_STEP, seed=17)
     tracemalloc.start()
     try:
-        _sgd_step(W, b, X, Y, HEAD_REGRESSION, 0.01)
+        _sgd_step(W, b, X, Y, 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < W.nbytes / 4
 
 
-def _float32_step_case(head, out_dim, in_dim, batch, seed):
-    W, b, X, Y = _step_case(head, out_dim, in_dim, batch, seed)
+def _float32_step_case(out_dim, in_dim, batch, seed):
+    W, b, X, Y = _step_case(out_dim, in_dim, batch, seed)
     return W.astype(np.float32), b.astype(np.float32), X.astype(np.float32), Y
 
 
-@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+@_STEP_HEADS
 def test_float32_sgd_step_stays_float32_and_in_place(head):
-    W, b, X, Y = _float32_step_case(head, 9, 40, 16, seed=22)
+    W, b, X, Y = _float32_step_case(9, 40, 16, seed=22)
     b_before = b
-    loss, W_new = _sgd_step(W, b, X, Y, head, 0.3)
+    loss, W_new = _sgd_step(W, b, X, Y, 0.3)
     assert W_new.dtype == np.float32 and b.dtype == np.float32
     assert np.shares_memory(W_new, W) and b is b_before
     assert isinstance(loss, float)
 
 
-@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+@_STEP_HEADS
 def test_float32_sgd_step_matches_float64_reference(head):
-    W, b, X, Y = _float32_step_case(head, 9, 40, 16, seed=23)
+    W, b, X, Y = _float32_step_case(9, 40, 16, seed=23)
     lr = 0.3
     # oracle: the float64 update from the same (float32-exact) starting point
     W64, b64, X64 = (a.astype(np.float64) for a in (W, b, X))
     loss_ref, gw, gb = _batch_loss_grads(W64, b64, X64, Y, head)
     W_ref, b_ref = W64 - lr * gw, b64 - lr * gb
-    loss, W_new = _sgd_step(W, b, X, Y, head, lr)
+    loss, W_new = _sgd_step(W, b, X, Y, lr)
     tol = 2 * np.finfo(np.float32).eps
     assert abs(loss - loss_ref) <= tol * abs(loss_ref)
     assert np.max(np.abs(W_new - W_ref)) <= tol * np.max(np.abs(W_ref))
@@ -284,23 +294,22 @@ def test_float32_sgd_step_matches_float64_reference(head):
 
 
 def test_float32_sgd_step_allocates_no_weight_sized_buffer():
-    W, b, X, Y = _float32_step_case(HEAD_REGRESSION, 784, 3136, 16, seed=24)
+    W, b, X, Y = _float32_step_case(*_WIDE_STEP, seed=24)
     tracemalloc.start()
     try:
-        _sgd_step(W, b, X, Y, HEAD_REGRESSION, 0.01)
+        _sgd_step(W, b, X, Y, 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < W.nbytes / 4
 
 
-@pytest.mark.parametrize("head", [HEAD_SOFTMAX, HEAD_REGRESSION])
+@_STEP_HEADS
 def test_train_returns_float64_widening_of_float32_weights(head):
     X, y = _toy_classification(n=120)
-    Y = y if head == HEAD_SOFTMAX else np.eye(5)[y]
     cfg = TrainConfig(learning_rate=0.1, batch_size=16, max_epochs=4, seed=25)
-    model = LinearDecoder.new_random(12, 5, head, seed=26)
-    trained, _ = train(model, (X, Y), (X[:30], Y[:30]), cfg)
+    model = _seeded_softmax(12, 5, seed=26)
+    trained, _ = train(model, (X, y), (X[:30], y[:30]), cfg)
     for a in (trained.weights, trained.bias):
         assert a.dtype == np.float64
         assert np.array_equal(a.astype(np.float32).astype(np.float64), a)
@@ -311,26 +320,35 @@ def test_train_leaves_features_unchanged():
     X, y = _toy_classification(n=100)
     X_before = X.copy()
     cfg = TrainConfig(learning_rate=0.1, batch_size=16, max_epochs=3, seed=18)
-    model = LinearDecoder.new_random(12, 5, HEAD_SOFTMAX, seed=19)
+    model = _seeded_softmax(12, 5, seed=19)
     train(model, (X, y), (X[:20], y[:20]), cfg)
     assert np.array_equal(X, X_before)
 
 
 def test_train_rejects_wrong_width_validation_targets():
+    # one-hot rows, four wide, where the softmax head takes class indices
     rng = spawn_rng(20, "val-width")
     X = rng.normal(size=(32, 6))
-    Y = rng.normal(size=(32, 4))
-    model = LinearDecoder.new_random(6, 4, HEAD_REGRESSION, seed=21)
+    y = rng.integers(0, 4, size=32)
     cfg = TrainConfig(learning_rate=0.01, batch_size=8, max_epochs=3)
-    with pytest.raises(DimensionError, match="val target dim 1"):
-        train(model, (X, Y), (X, Y[:, :1]), cfg)
+    with pytest.raises(DimensionError, match="val labels must be one class index per row"):
+        train(_seeded_softmax(6, 4, seed=21), (X, y), (X, np.eye(4)[y]), cfg)
+
+
+def test_train_rejects_a_regression_model_before_its_data():
+    model = LinearDecoder(np.zeros((3, 4)), np.zeros(3), HEAD_REGRESSION)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=8, max_epochs=3)
+    # the targets do not fit the model either, but the head is checked first
+    with pytest.raises(ConfigError) as excinfo:
+        train(model, (np.ones((5, 4)), np.ones((5, 2))), (np.ones((5, 4)), None), cfg)
+    assert excinfo.value.field == "head"
 
 
 @pytest.mark.parametrize("labels", [[0, 1, 2, 3, 1], [0, 1, -1, 1, 1], [0.0, 1.0, 2.0, 1.0, 1.0]])
 def test_train_rejects_bad_softmax_labels(labels):
     X = spawn_rng(22, "bad-labels").normal(size=(5, 4))
     good = np.array([0, 1, 2, 1, 1])
-    model = LinearDecoder.new_random(4, 3, HEAD_SOFTMAX, seed=23)
+    model = _seeded_softmax(4, 3, seed=23)
     cfg = TrainConfig(learning_rate=0.1, batch_size=2, max_epochs=2)
     problem = r"labels must be integers in \[0, 3\)"
     with pytest.raises(DimensionError, match="train " + problem):
@@ -350,7 +368,7 @@ def _toy_classification(n=400, d=12, classes=5, seed=4):
 def test_train_overfits_single_example():
     X = np.array([[1.0, 0.0, 1.0, 1.0]])
     y = np.array([3])
-    model = LinearDecoder.new_random(4, 5, HEAD_SOFTMAX, seed=5)
+    model = _seeded_softmax(4, 5, seed=5)
     cfg = TrainConfig(learning_rate=0.5, batch_size=1, max_epochs=300,
                       patience=300, min_delta=0.0)
     trained, report = train(model, (X, y), (X, y), cfg)
@@ -365,7 +383,7 @@ def test_train_is_bitwise_reproducible():
                       patience=15, min_delta=0.0, seed=99)
     runs = []
     for _ in range(2):
-        model = LinearDecoder.new_random(12, 5, HEAD_SOFTMAX, seed=6)
+        model = _seeded_softmax(12, 5, seed=6)
         trained, _ = train(model, (X, y), (X[:50], y[:50]), cfg)
         runs.append(trained)
     assert np.array_equal(runs[0].weights, runs[1].weights)
@@ -376,12 +394,11 @@ def test_train_returns_best_validation_epoch():
     X, y = _toy_classification()
     cfg = TrainConfig(learning_rate=0.3, batch_size=8, max_epochs=25,
                       patience=25, min_delta=0.0, seed=7)
-    model = LinearDecoder.new_random(12, 5, HEAD_SOFTMAX, seed=8)
+    model = _seeded_softmax(12, 5, seed=8)
     trained, report = train(model, (X, y), (X[:80], y[:80]), cfg)
     assert report.epochs_run == len(report.val_loss_history)
     assert report.epochs_run == len(report.train_loss_history)
-    from hdcrypt.decoder import _full_loss
-    val_loss = _full_loss(trained.weights, trained.bias, X[:80], y[:80], HEAD_SOFTMAX)
+    val_loss = _mean_nll(trained.weights, trained.bias, X[:80], y[:80])
     assert val_loss <= min(report.val_loss_history) + 1e-12
 
 
@@ -389,32 +406,34 @@ def test_train_early_stopping_triggers():
     X, y = _toy_classification(n=200)
     cfg = TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=500,
                       patience=3, min_delta=0.05, seed=9)
-    model = LinearDecoder.new_random(12, 5, HEAD_SOFTMAX, seed=10)
+    model = _seeded_softmax(12, 5, seed=10)
     _, report = train(model, (X, y), (X[:50], y[:50]), cfg)
     assert report.stopped_early
     assert report.epochs_run < 500
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_train_divergence_raises_with_epoch():
+    # one step at this rate moves weights past float32's 3.4e38, so the
+    # next batch's logits overflow and their softmax is NaN
     rng = spawn_rng(11, "diverge")
     X = rng.normal(scale=100.0, size=(64, 6))
-    Y = rng.normal(scale=100.0, size=(64, 3))
-    model = LinearDecoder.new_random(6, 3, HEAD_REGRESSION, seed=12)
-    cfg = TrainConfig(learning_rate=1e9, batch_size=8, max_epochs=10,
+    y = rng.integers(0, 3, size=64)
+    cfg = TrainConfig(learning_rate=1e38, batch_size=8, max_epochs=10,
                       patience=10, min_delta=0.0, seed=13)
     with pytest.raises(TrainingDivergedError) as excinfo:
-        train(model, (X, Y), (X, Y), cfg)
+        train(_seeded_softmax(6, 3, seed=12), (X, y), (X, y), cfg)
     assert 0 <= excinfo.value.epoch < 10
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_train_rejects_init_with_non_finite_validation_loss():
-    X = np.ones((8, 3))
-    model = LinearDecoder(np.full((2, 3), 1e308), np.zeros(2), HEAD_REGRESSION)
+    # every logit overflows to inf in float64, and softmax(inf - inf) is NaN
+    X, y = np.ones((8, 3)), np.zeros(8, dtype=np.int64)
+    model = LinearDecoder(np.full((2, 3), 1e308), np.zeros(2), HEAD_SOFTMAX)
     cfg = TrainConfig(learning_rate=0.01, batch_size=4, max_epochs=3)
     with pytest.raises(TrainingDivergedError) as excinfo:
-        train(model, (X, np.zeros((8, 2))), (X, np.zeros((8, 2))), cfg)
+        train(model, (X, y), (X, y), cfg)
     assert excinfo.value.epoch == -1
 
 
@@ -445,6 +464,8 @@ def test_naive_bayes_fit_matches_hand_laplace_logits():
     ([[0, 1], [1, 0]], [-1, 1]),
     ([[0, 1], [1, 0]], [0.5, 1]),
     ([[0, 1], [1, 0]], [0]),
+    (1, [0]),
+    ([0, 1], [0, 1]),
 ])
 def test_naive_bayes_fit_rejects_non_bits_and_bad_labels(features, labels):
     with pytest.raises(DimensionError):
@@ -685,7 +706,7 @@ def test_train_from_exact_start_makes_no_float32_features():
     assert report.epochs_run == 0
     assert peak < X.size * np.dtype(np.float32).itemsize
     # nor does a run from a non-exact start: each batch is widened on its own
-    start = LinearDecoder.new_random(400, 4, HEAD_SOFTMAX, seed=31)
+    start = _seeded_softmax(400, 4, seed=31)
     tracemalloc.start()
     try:
         _, report = train(start, (X, y), (X[:500], y[:500]), replace(cfg, max_epochs=1))
@@ -700,7 +721,7 @@ def test_train_stops_after_the_epoch_that_reaches_zero_loss():
     # full-batch steps at a large rate: the validation NLL is positive
     # for the first epochs, then exactly 0, long before patience runs out
     X, y = _separable_codes()
-    init = LinearDecoder.new_random(40, 4, HEAD_SOFTMAX, seed=5)
+    init = _seeded_softmax(40, 4, seed=5)
     cfg = TrainConfig(learning_rate=500.0, batch_size=200, max_epochs=40, patience=40,
                       min_delta=0.0, seed=28)
     trained, report = train(init, (X, y), (X[:60], y[:60]), cfg)
