@@ -44,7 +44,7 @@ for ch in "AB":
           f"mean pairwise Hamming {stats.mean_pairwise_hamming:.3f} x dim")
 
 ct2 = encrypt_text(message, keys, xbar, epsilon, spawn_rng(MASTER, "again"))
-same = sum(a == b for a, b in zip(ct.blocks, ct2.blocks))
+same = int((ct.packed == ct2.packed).all(axis=1).sum())
 print(f"\nre-encrypting the message shares {same}/{len(ct)} identical blocks "
       f"with the first ciphertext, yet both decrypt correctly: "
       f"{decrypt_text(ct2, model) == message}")

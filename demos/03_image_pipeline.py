@@ -28,8 +28,8 @@ stages = {
     "expanded": bits_to_plane(pre, SIZE, SIZE, MULT),
     "ciphertext": bits_to_plane(bits, SIZE, SIZE, MULT),
 }
-print(f"{SIZE}x{SIZE} image -> {bits.dim}-bit ciphertext "
-      f"(popcount {bits.popcount()})\n")
+print(f"{SIZE}x{SIZE} image -> {bits.size}-bit ciphertext "
+      f"(popcount {int(bits.sum())})\n")
 print("adjacent-pixel correlation by stage:")
 print(f"  {'stage':<11} {'horizontal':>11} {'vertical':>9} {'diagonal':>9}")
 for name, plane in stages.items():
@@ -37,7 +37,7 @@ for name, plane in stages.items():
           for d in ("horizontal", "vertical", "diagonal")]
     print(f"  {name:<11} {rs[0]:>11.4f} {rs[1]:>9.4f} {rs[2]:>9.4f}")
 
-hist = pixel_histogram(bits.to_bits())
+hist = pixel_histogram(bits)
 print(f"\nciphertext bit histogram: zeros={hist[0]}, ones={hist[1]} "
       f"(balanced by the calibrated threshold)\n")
 

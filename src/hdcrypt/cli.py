@@ -190,12 +190,12 @@ def _cmd_image_demo(args):
     rng = spawn_rng(args.seed, "image-demo")
     pre = project_streamed(img.flatten(), img.width * img.height * args.multiplier,
                            args.noise_sigma, derive_seed(args.seed, "encoder"), rng)
-    bhv = threshold_binarize(pre, calibrate_epsilon(pre))
+    bits = threshold_binarize(pre, calibrate_epsilon(pre))
 
     stages = [
         ("original", img.pixels),
         ("expanded", bits_to_plane(pre, img.height, img.width, args.multiplier)),
-        ("ciphertext", bits_to_plane(bhv, img.height, img.width, args.multiplier)),
+        ("ciphertext", bits_to_plane(bits, img.height, img.width, args.multiplier)),
     ]
     lines = ["stage,direction,correlation,c00,c01,c10,c11"]
     for name, plane in stages:

@@ -72,6 +72,8 @@ def synthetic_digits(n, seed, size=28):
 def synthetic_natural_image(size, seed):
     """A smooth random field with the strong adjacent-pixel correlation
     of natural photographs; stands in for one when none is supplied."""
+    if size < 2:
+        raise DimensionError(f"size must be at least 2, got {size}")
     rng = spawn_rng(seed, "natural-image")
     field = gaussian_filter(rng.normal(size=(size, size)), sigma=size / 18)
     field += 0.35 * gaussian_filter(rng.normal(size=(size, size)), sigma=size / 60)

@@ -277,7 +277,7 @@ def fit_ridge(features, targets, val_set):
     only rescales M = diag(1 / (s + lam)) U^T R, where R is Yc or Xc^T Yc,
     and W is (U M)^T Xc or (U M)^T. No d x n product of Xc and U is formed.
 
-    Features that are 0/1 uint8 bits (hypervectors) have their Gram
+    Features that are 0/1 uint8 bits (ciphertexts) have their Gram
     and validation products formed exactly by _centered_bit_products,
     with no float copy of X. Other features are centered into a float64
     Xc, held only until those products are formed. The dual fit (n < d)

@@ -13,10 +13,10 @@ Binarization compares y against a single global threshold `epsilon`;
 entries >= epsilon map to 1. The threshold is calibrated per model:
 `calibrate_epsilon` takes the pre-threshold outputs of a calibration
 batch, read in one batched call, and returns their median, which
-balances the 0/1 bit budget of the ciphertext. Single-input calls are
-batches of one: IdealEncoder takes (n, input_dim) batches only, and
-`threshold_binarize`, `crossbar_pre_threshold` and `encode_crossbar`
-run the batched code on one row.
+balances the 0/1 bit budget of the ciphertext; bits are uint8 0s and 1s.
+Single-input calls are batches of one: IdealEncoder takes (n, input_dim)
+batches only, and `threshold_binarize`, `crossbar_pre_threshold` and
+`encode_crossbar` run the batched code on one row and return that row.
 
 For IdealEncoder the fresh noise is sampled in its exact projected form:
 since N has i.i.d. Normal(0, sigma^2) entries, N @ x is a vector of
@@ -32,7 +32,6 @@ import numpy as np
 
 from .blocks import GEMM_ROWS, GEMV_ROWS, block_size, block_slices
 from .errors import ConfigError, DimensionError, require_batch, require_finite
-from .hypervector import BinaryHypervector
 from .rng import spawn_rng
 
 __all__ = [
@@ -46,11 +45,11 @@ __all__ = [
 
 
 def threshold_binarize(y, epsilon):
-    """Bit i = 1 iff y[i] >= epsilon (ties map to 1)."""
+    """Bits of a nonempty 1-D y as uint8: 1 iff y[i] >= epsilon (ties map to 1)."""
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise DimensionError("expected a 1-D vector")
-    return BinaryHypervector.from_bits(binarize_batch(y[None], epsilon)[0])
+    if y.ndim != 1 or y.size == 0:
+        raise DimensionError("expected a nonempty 1-D vector")
+    return binarize_batch(y[None], epsilon)[0]
 
 
 def _check_epsilon(epsilon):
@@ -98,7 +97,7 @@ def crossbar_pre_threshold_batch(xbar, xs, rng):
 
 
 def encode_crossbar(xbar, x, epsilon, rng):
-    """One encryption pass of x: differential read, then threshold."""
+    """One encryption pass of x: differential read, then threshold to bits."""
     return threshold_binarize(crossbar_pre_threshold(xbar, x, rng), epsilon)
 
 

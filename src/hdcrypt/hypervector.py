@@ -1,29 +1,19 @@
-"""Binary hypervectors: the D bits of one thresholded crossbar read.
+"""Binary hypervectors: the D bits of one thresholded read, packed as
+one HLCT block (a `textcrypto.CipherText.packed` row): LSB-first in
+ceil(D / 8) uint8 bytes, with zero padding bits past D, so equality,
+hashing and popcounts are safe on the raw bytes.
 
-A hypervector stores its bits packed LSB-first in ceil(D / 8) uint8
-bytes: bit i lives in byte i // 8 at bit position i % 8, and the padding
-bits past D are zero. That is exactly one block of an HLCT ciphertext
-(see textcrypto): `CipherText.packed` holds one such row per character,
-`CipherText.blocks` views each row as a hypervector without a copy, and a
-hypervector's file is a one-block HLCT file. Zero padding makes equality,
-hashing and popcounts safe on the raw bytes.
+The package no longer builds these: its bits are uint8 arrays. The class
+stays, still exported, while the benchmark harness (`bench/spans.py`,
+checked by `bench/tests`) looks up `from_bits` and `to_bits` for spans.
 """
 
 import numpy as np
 
 from .errors import DataFormatError, DimensionError
+from .textcrypto import _first_bad_padding
 
 __all__ = ["BinaryHypervector"]
-
-
-def _first_bad_padding(dim, packed):
-    """Index of the first row of the (n, ceil(dim / 8)) uint8 matrix
-    `packed` with a set bit past `dim`, or None."""
-    used = dim % 8
-    if not used:
-        return None
-    bad = np.flatnonzero(packed[:, -1] >> used)
-    return int(bad[0]) if bad.size else None
 
 
 class BinaryHypervector:

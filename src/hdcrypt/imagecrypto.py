@@ -3,8 +3,8 @@ the no-expansion benchmark encoder, and the pixel statistics used to
 judge ciphertext quality (histograms and adjacent-pixel correlation).
 
 One image is encrypted by `encoder.project_streamed` plus
-`encoder.threshold_binarize`; `experiments.run_image_cell` fits a
-decoder and reconstructs a held-out batch.
+`encoder.threshold_binarize` into uint8 bits; `experiments.run_image_cell`
+fits a decoder and reconstructs a held-out batch.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ import numpy as np
 
 from .encoder import IdealEncoder
 from .errors import ConfigError, DegenerateStatisticError, DimensionError
-from .hypervector import BinaryHypervector
 
 __all__ = [
     "GrayImage",
@@ -61,7 +60,7 @@ class GrayImage:
 class BenchmarkEncoder(IdealEncoder):
     """Square projection with per-pass Gaussian noise and no threshold.
 
-    The control pipeline: same noise injection as the hypervector encoder
+    The control pipeline: same noise injection as the thresholding encoder
     but without dimension expansion or binarization, so the decoder sees
     the raw noisy projection, from weights of its own seeded stream.
     """
@@ -180,16 +179,16 @@ def adjacency_stats(arr, direction):
     return AdjacencyStats(direction, r, counts)
 
 
-def bits_to_plane(bhv, height, width, multiplier):
-    """Lay a D = height*width*multiplier hypervector out as a 2-D bit plane.
+def bits_to_plane(bits, height, width, multiplier):
+    """Lay the D = height*width*multiplier entries of one encoding out in 2-D.
 
     The expansion factor is split into the most square factor pair (a, b),
     a <= b, giving a (height*a, width*b) plane for spatial statistics.
     """
-    if isinstance(bhv, BinaryHypervector):
-        bits = bhv.to_bits()
-    else:
-        bits = np.asarray(bhv).ravel()
+    integer = isinstance(multiplier, (int, np.integer)) and not isinstance(multiplier, bool)
+    if not (integer and multiplier >= 1):
+        raise ConfigError("multiplier", f"must be an integer >= 1, got {multiplier!r}")
+    bits = np.asarray(bits).ravel()
     if bits.size != height * width * multiplier:
         raise DimensionError(
             f"{bits.size} bits cannot fill {height}x{width} at multiplier {multiplier}"

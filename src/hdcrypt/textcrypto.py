@@ -2,7 +2,7 @@
 
 Each supported character owns a secret low-dimensional vector; encryption
 maps a character to its vector, pushes it through one noisy crossbar read
-and thresholds the result into a binary hypervector block. Decryption
+and thresholds the result into a block of ciphertext bits. Decryption
 feeds each block to a trained softmax decoder and takes the argmax class.
 
 Both directions work on the whole text at once, and a single character
@@ -14,7 +14,9 @@ the README's charset note.
 
 Ciphertext wire format (HLCT): 4-byte magic b"HLCT", unsigned 64-bit
 little-endian block count, 64-bit dim, then one ceil(dim / 8)-byte packed
-payload per block (LSB-first bytes, no per-block header).
+payload per block (LSB-first bytes, zero padding bits past dim, no
+per-block header). These rows, `CipherText.packed`, are the only packed
+bits the package uses; everywhere else bits are uint8 arrays of 0s and 1s.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,6 @@ from .blocks import GEMM_ROWS, block_size, block_slices
 from .decoder import HEAD_SOFTMAX, _check_set
 from .encoder import encode_crossbar_batch
 from .errors import CharsetError, DataFormatError, DimensionError
-from .hypervector import BinaryHypervector, _first_bad_padding
 from .rng import spawn_rng
 
 __all__ = [
@@ -118,6 +119,16 @@ class SecretKeyTable:
         return cls.from_json_dict(jsondoc.load(path))
 
 
+def _first_bad_padding(dim, packed):
+    """Index of the first row of the (n, ceil(dim / 8)) uint8 matrix
+    `packed` with a set bit past `dim`, or None."""
+    used = dim % 8
+    if not used:
+        return None
+    bad = np.flatnonzero(packed[:, -1] >> used)
+    return int(bad[0]) if bad.size else None
+
+
 class CipherText:
     """Ordered ciphertext blocks, one per plaintext character.
 
@@ -149,12 +160,6 @@ class CipherText:
 
     def __setattr__(self, name, value):
         raise AttributeError("CipherText is immutable")
-
-    @property
-    def blocks(self):
-        """The blocks as a tuple of BinaryHypervector views of the rows of
-        `packed`, built on each access."""
-        return tuple(BinaryHypervector(self.dim, row) for row in self.packed)
 
     def __len__(self):
         return len(self.packed)
@@ -268,9 +273,9 @@ class UniquenessStats:
 def uniqueness_stats(char, n_passes, keys, xbar, epsilon, rng):
     """Re-encode one character n_passes times and measure ciphertext spread.
 
-    distinct_fraction is (# distinct hypervectors) / n_passes;
+    distinct_fraction is (# distinct blocks) / n_passes;
     mean_pairwise_hamming is averaged over all unordered pairs and
-    normalized by the hypervector dimension.
+    normalized by the block dimension.
     """
     if n_passes < 2:
         raise DimensionError("need at least 2 passes")

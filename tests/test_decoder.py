@@ -16,9 +16,9 @@ from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX,
                              train, _RIDGE_GRID, _batch_loss_dz,
                              _batch_loss_grads, _mean_nll, _sgd_step,
                              _softmax)
+from hdcrypt.encoder import threshold_binarize
 from hdcrypt.errors import (ConfigError, DimensionError,
                             TrainingDivergedError)
-from hdcrypt.hypervector import BinaryHypervector
 from hdcrypt.rng import spawn_rng
 from hdcrypt.textcrypto import evaluate_accuracy
 
@@ -56,12 +56,11 @@ def test_forward_two_class_hand_softmax():
 
 
 def test_forward_accepts_hypervector(noiseless_system):
-    # a hypervector's unpacked uint8 bits decode as their float64 values do
+    # a hypervector's uint8 bits decode as their float64 values do
     model = noiseless_system["model"]
-    bits = np.zeros(model.in_dim, dtype=np.uint8)
-    bits[::3] = 1
-    hv = BinaryHypervector.from_bits(bits)
-    assert np.array_equal(model.forward_batch(hv.to_bits()[None]),
+    bits = threshold_binarize(np.arange(model.in_dim) % 3 == 0, 0.5)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(model.forward_batch(bits[None]),
                           model.forward_batch(bits.astype(float)[None]))
 
 

@@ -29,26 +29,45 @@ def small_crossbar(rows=2, cols=4, sigma=0.0, p_on=0.0, p_off=0.0, seed=5):
 
 
 def test_threshold_basic_case_split():
-    hv = threshold_binarize(np.array([-1.0, 0.0, 2.0]), 0.5)
-    assert hv.to_bits().tolist() == [0, 0, 1]
+    bits = threshold_binarize(np.array([-1.0, 0.0, 2.0]), 0.5)
+    assert bits.tolist() == [0, 0, 1]
 
 
 def test_threshold_equality_maps_to_one():
-    hv = threshold_binarize(np.full(5, 0.25), 0.25)
-    assert hv.popcount() == 5
+    bits = threshold_binarize(np.full(5, 0.25), 0.25)
+    assert bits.sum() == 5
 
 
 def test_threshold_median_balances_bits():
     y = spawn_rng(0, "median").standard_normal(10_000)
     # oracle: sort-based median
     epsilon = float(np.sort(y)[4999:5001].mean())
-    pop = threshold_binarize(y, epsilon).popcount()
+    pop = int(threshold_binarize(y, epsilon).sum())
     assert abs(pop - 5000) <= 1
 
 
 def test_threshold_rejects_non_finite():
     with pytest.raises(ValueError):
         threshold_binarize(np.array([0.0, np.inf]), 0.0)
+
+
+def test_single_encodings_are_rows_of_the_batched_bits():
+    y = spawn_rng(5, "y").standard_normal((3, 40))
+    for row, ys in zip(binarize_batch(y, 0.1), y):
+        bits = threshold_binarize(ys, 0.1)
+        assert bits.dtype == np.uint8 and bits.shape == (40,)
+        assert np.array_equal(bits, row)
+    xbar = small_crossbar(rows=3, cols=24, sigma=0.2, seed=8)
+    xs = spawn_rng(9, "xs").uniform(-1, 1, (4, 3))
+    batch = encode_crossbar_batch(xbar, xs, 1e-5, spawn_rng(10, "s"))
+    stream = spawn_rng(10, "s")
+    for row, x in zip(batch, xs):
+        bits = encode_crossbar(xbar, x, 1e-5, stream)
+        assert bits.dtype == np.uint8 and bits.shape == (24,)
+        assert np.array_equal(bits, row)
+    for bad in (np.zeros(0), np.zeros((2, 2))):
+        with pytest.raises(DimensionError):
+            threshold_binarize(bad, 0.0)
 
 
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
@@ -65,7 +84,7 @@ def test_threshold_rejects_non_finite_epsilon(epsilon):
 def test_threshold_idempotent_on_binary(dim, seed):
     bits = np.random.default_rng(seed).integers(0, 2, size=dim)
     again = threshold_binarize(bits.astype(float), 0.5)
-    assert np.array_equal(again.to_bits(), bits)
+    assert np.array_equal(again, bits)
 
 
 # --- crossbar encoding -------------------------------------------------------
@@ -76,7 +95,7 @@ def test_noiseless_encoding_is_deterministic():
     x = np.array([0.4, -0.2, 0.9, -1.0])
     a = encode_crossbar(xbar, x, 0.0, spawn_rng(1, "a"))
     b = encode_crossbar(xbar, x, 0.0, spawn_rng(2, "b"))
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def test_noisy_encodings_differ_pass_to_pass():
@@ -85,7 +104,7 @@ def test_noisy_encodings_differ_pass_to_pass():
     x = spawn_rng(3, "x").uniform(-1, 1, 10)
     rng = spawn_rng(4, "passes")
     first = encode_crossbar(xbar, x, 0.0, rng)
-    assert any(encode_crossbar(xbar, x, 0.0, rng) != first for _ in range(10))
+    assert any(not np.array_equal(encode_crossbar(xbar, x, 0.0, rng), first) for _ in range(10))
 
 
 def test_crossbar_encoding_matches_hand_computed_bits(rng):
@@ -99,7 +118,7 @@ def test_crossbar_encoding_matches_hand_computed_bits(rng):
     y = np.array([2e-4 - 1.5e-4, 4e-4 - 0.5e-4, 6e-4 - 4.5e-4, 8e-4 - 1e-4]) - ref
     eps = float(np.median(y))
     got = encode_crossbar(xbar, x, eps, rng)
-    assert np.array_equal(got.to_bits(), (y >= eps).astype(np.uint8))
+    assert np.array_equal(got, (y >= eps).astype(np.uint8))
 
 
 def test_pre_threshold_cancels_common_mode(rng):
@@ -116,8 +135,8 @@ def test_batch_encoding_matches_single_calls():
     bits = encode_crossbar_batch(xbar, xs, 1e-5, spawn_rng(7, "s"))
     stream = spawn_rng(7, "s")
     singles = [encode_crossbar(xbar, x, 1e-5, stream) for x in xs]
-    for row, hv in zip(bits, singles):
-        assert np.array_equal(row, hv.to_bits())
+    for row, single in zip(bits, singles):
+        assert np.array_equal(row, single)
 
 
 def test_crossbar_encoding_checks_every_input_before_any_read():
@@ -387,10 +406,10 @@ def test_packed_encoding_agrees_with_unpacked_reference(rng):
     xbar = small_crossbar(rows=6, cols=100, sigma=0.15, p_on=0.1, p_off=0.1, seed=26)
     x = spawn_rng(27, "x").uniform(-1, 1, 6)
     y = crossbar_pre_threshold(xbar, x, spawn_rng(28, "s"))
-    hv = threshold_binarize(y, 0.0)
+    bits = threshold_binarize(y, 0.0)
     reference = np.array([1 if v >= 0.0 else 0 for v in y], dtype=np.uint8)
-    assert np.array_equal(hv.to_bits(), reference)
-    assert hv.popcount() == int(reference.sum())
+    assert np.array_equal(bits, reference)
+    assert int(bits.sum()) == int(reference.sum())
 
 
 def test_streamed_projection_matches_in_memory_encoder(monkeypatch):
@@ -444,4 +463,4 @@ def test_small_input_perturbation_flips_no_bits(rng):
     base = encode_crossbar(xbar, x, eps, rng)
     bumped = x.copy()
     bumped[2] += 1e-12
-    assert encode_crossbar(xbar, bumped, eps, rng) == base
+    assert np.array_equal(encode_crossbar(xbar, bumped, eps, rng), base)

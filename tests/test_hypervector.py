@@ -22,6 +22,11 @@ def _one_block_file(hv):
     return CipherText(hv.dim, hv.packed[None]).to_bytes()
 
 
+def _blocks(ct):
+    """Each packed row of a ciphertext as a hypervector."""
+    return tuple(BinaryHypervector(ct.dim, row) for row in ct.packed)
+
+
 @pytest.mark.parametrize("dim", [1, 7, 8, 63, 64, 65, 128, 1000])
 def test_wire_format_roundtrip(dim):
     # a hypervector's file is a one-block HLCT file: its bytes are the payload
@@ -33,7 +38,7 @@ def test_wire_format_roundtrip(dim):
     assert int.from_bytes(blob[12:20], "little") == dim
     assert blob[20:] == hv.packed.tobytes()
     assert len(blob) == 20 + (dim + 7) // 8
-    assert CipherText.from_bytes(blob).blocks == (hv,)
+    assert _blocks(CipherText.from_bytes(blob)) == (hv,)
 
 
 def test_wire_format_truncated_payload():
@@ -67,8 +72,8 @@ def test_fuzzed_bytes_roundtrip_or_raise_hdcrypt_error(data):
     except HdcryptError:
         return
     assert ct.to_bytes() == blob
-    for hv in ct.blocks:
-        assert CipherText.from_bytes(_one_block_file(hv)).blocks == (hv,)
+    for hv in _blocks(ct):
+        assert _blocks(CipherText.from_bytes(_one_block_file(hv))) == (hv,)
 
 
 def test_padding_bits_must_be_zero():

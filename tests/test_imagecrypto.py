@@ -397,15 +397,16 @@ def test_adjacency_stats_bundles_counts_for_binary():
 
 
 def test_bits_to_plane_shapes():
-    from hdcrypt.hypervector import BinaryHypervector
     bits = np.arange(4 * 6 * 4) % 2
-    hv = BinaryHypervector.from_bits(bits)
-    plane = bits_to_plane(hv, height=4, width=6, multiplier=4)
-    assert plane.shape == (8, 12)       # 4 = 2 x 2
     plane = bits_to_plane(bits, height=4, width=6, multiplier=4)
-    assert plane.shape == (8, 12)
+    assert plane.shape == (8, 12)       # 4 = 2 x 2
     with pytest.raises(DimensionError):
         bits_to_plane(bits, height=4, width=6, multiplier=2)
+    # the multiplier must be an integer >= 1; True is no integer here
+    for size, height, width, multiplier in ((0, 4, 6, 0), (10, 2, 2, 2.5), (24, 4, 6, True)):
+        with pytest.raises(ConfigError) as excinfo:
+            bits_to_plane(np.zeros(size, dtype=np.uint8), height, width, multiplier)
+        assert excinfo.value.field == "multiplier"
 
 
 def test_encrypted_stage_decorrelates_natural_image(rng):

@@ -10,7 +10,6 @@ from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder
 from hdcrypt.encoder import encode_crossbar_batch
 from hdcrypt.errors import CharsetError, DataFormatError, DimensionError
-from hdcrypt.hypervector import BinaryHypervector
 from hdcrypt.rng import spawn_rng
 from hdcrypt.textcrypto import (CHARSET, NUM_CLASSES, CipherText,
                                 SecretKeyTable, build_dataset, decrypt_text,
@@ -99,14 +98,14 @@ def test_encrypt_empty_string():
 def test_encrypt_noiseless_repeated_char_identical_blocks():
     xbar, keys = _system()
     ct = encrypt_text("AA", keys, xbar, 0.0, spawn_rng(1, "e"))
-    assert ct.blocks[0] == ct.blocks[1]
+    assert np.array_equal(ct.packed[0], ct.packed[1])
 
 
 def test_encrypt_noisy_repeats_differ():
     xbar, keys = _system(sigma=0.1, rows=10, cols=500)
     text = "A" * 200
     ct = encrypt_text(text, keys, xbar, 0.0, spawn_rng(2, "e"))
-    assert len({b for b in ct.blocks}) > 150
+    assert len({row.tobytes() for row in ct.packed}) > 150
 
 
 def test_encrypt_seeded_message_bytes_are_pinned():
@@ -160,8 +159,8 @@ def test_decrypt_blocks_independent(noiseless_system):
     text = "abcXYZ"
     ct = encrypt_text(text, s["keys"], s["xbar"], s["epsilon"], spawn_rng(6, "e"))
     whole = decrypt_text(ct, s["model"])
-    for i, block in enumerate(ct.blocks):
-        single = decrypt_text(CipherText(ct.dim, block.packed[None]), s["model"])
+    for i, row in enumerate(ct.packed):
+        single = decrypt_text(CipherText(ct.dim, row[None]), s["model"])
         assert single == whole[i]
 
 
@@ -223,12 +222,12 @@ def test_uniqueness_matches_naive_oracle():
     rng = spawn_rng(10, "u")
     hvs = [encode_crossbar(xbar, keys.vectors[CHARSET.index("k")], 1e-5, rng)
            for _ in range(n_passes)]
-    distinct = len(set(hvs))
+    distinct = len({hv.tobytes() for hv in hvs})
     total = 0
     pairs = 0
     for i in range(n_passes):
         for j in range(i + 1, n_passes):
-            total += int(np.count_nonzero(hvs[i].to_bits() != hvs[j].to_bits()))
+            total += int(np.count_nonzero(hvs[i] != hvs[j]))
             pairs += 1
     assert stats.distinct_fraction == pytest.approx(distinct / n_passes)
     assert stats.mean_pairwise_hamming == pytest.approx(total / pairs / 40)
@@ -308,11 +307,11 @@ def test_ciphertext_bytes_match_per_block_payloads():
     xbar, keys = _system(sigma=0.1, rows=5, cols=45, seed=32)
     text = "Per-block oracle, 45 bits a block!"
     blob = encrypt_text(text, keys, xbar, 0.0, spawn_rng(16, "e")).to_bytes()
-    # oracle: the same reads, packed one BinaryHypervector at a time
+    # oracle: the same reads, packed one block at a time
     classes = [CHARSET.index(ch) for ch in text]
     bits = encode_crossbar_batch(xbar, keys.vectors[classes], 0.0, spawn_rng(16, "e"))
     header = b"HLCT" + len(text).to_bytes(8, "little") + (45).to_bytes(8, "little")
-    payload = b"".join(BinaryHypervector.from_bits(row).packed.tobytes() for row in bits)
+    payload = b"".join(np.packbits(row, bitorder="little").tobytes() for row in bits)
     assert blob == header + payload
 
 
@@ -332,22 +331,12 @@ def test_ciphertext_equality_hash_and_immutability():
     other = encrypt_text("abc", keys, xbar, 0.0, spawn_rng(18, "e"))
     assert ct == same and hash(ct) == hash(same)
     assert ct != other and ct != ct.to_bytes()
-    assert CipherText(ct.dim, [block.packed for block in ct.blocks]) == ct
+    assert CipherText(ct.dim, list(ct.packed)) == ct
     assert len({ct, same, other}) == 2
     with pytest.raises(ValueError):
         ct.packed[0, 0] ^= 1
     with pytest.raises(AttributeError):
         ct.packed = other.packed
-
-
-def test_ciphertext_blocks_view_the_packed_rows():
-    xbar, keys = _system(sigma=0.1, rows=4, cols=21, seed=35)
-    ct = encrypt_text("views", keys, xbar, 0.0, spawn_rng(20, "e"))
-    bits = ct.bit_matrix()
-    for i, block in enumerate(ct.blocks):
-        assert block.dim == 21
-        assert np.shares_memory(block.packed, ct.packed)
-        assert np.array_equal(block.to_bits(), bits[i])
 
 
 @pytest.mark.parametrize("dim, packed, error", [
