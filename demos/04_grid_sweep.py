@@ -24,11 +24,10 @@ print(f"sweeping {len(spec.multipliers) * len(spec.sigmas)} cells "
       f"(k={spec.key_dim}, P_on=P_off={spec.p_stuck_on}) ...")
 report = run_grid(spec)
 
-print(f"\n{'cell':<24} {'accuracy':>9} {'distinct':>9} {'epochs':>7} {'good':>5}")
+print(f"\n{'cell':<24} {'accuracy':>9} {'distinct':>9} {'good':>5}")
 for row in report.rows:
     print(f"{row.cell:<24} {row.test_accuracy:>9.4f} "
-          f"{row.distinct_fraction:>9.3f} {row.epochs:>7} "
-          f"{str(row.good_flag):>5}")
+          f"{row.distinct_fraction:>9.3f} {str(row.good_flag):>5}")
 
 import os
 os.makedirs(out_dir, exist_ok=True)

@@ -1,36 +1,28 @@
-"""Single-layer decoder z = W x + b with one of two heads:
+"""Single-layer decoder z = W x + b with one of two heads, each fit in
+closed form:
 
 * "softmax"    - class probabilities softmax(z) (character decryption),
-                 fit by fit_naive_bayes and refined by train, mini-batch
-                 SGD on the mean negative log likelihood,
+                 fit by fit_naive_bayes,
 * "regression" - raw z (image reconstruction), fit by fit_ridge.
 
 The bits of one ciphertext block are independent given the class, since
 every cell draws its own read noise, so the Bayes-optimal decoder is
 linear and fit_naive_bayes finds it from per-class bit counts. Inference
 takes batches only, so a single input is a batch of one row. Gradients
-are hand-written and checked against central differences (grad_check).
+of both heads' objectives are hand-written and checked against central
+differences (grad_check).
 
-train scores the initial weights on the validation set as epoch -1,
-stops when the validation loss fails to improve by min_delta for
-`patience` consecutive epochs, and returns the weights of the
-best-validation epoch, the initial ones included. The loss cannot go
-below 0, so training stops at once when the best validation loss is
-0.0: an exact initial model runs no epoch at all. Every SGD step runs
-in float32, as the features are bits, which float32 holds exactly, and
-halving the width halves the memory each step streams. All else is
-float64: the validation loss and best-epoch choice (on the widened
-float32 weights), the returned LinearDecoder, inference, grad_check and
-the model files.
+train, mini-batch softmax SGD in float32 with patience early stopping,
+is called by no program path; it stays, with TrainConfig and
+TrainReport, while the benchmark harness traces it (ROADMAP item 3).
 
 No pass holds a float copy of a whole feature matrix, which may be
-stored as uint8 bits: inference and the validation loss widen one
-`hdcrypt.blocks` block of rows at a time, each SGD step its own batch,
-and fit_ridge forms the Gram matrices of bit features exactly from
-float32 blocks.
+stored as uint8 bits: inference widens one `hdcrypt.blocks` block of
+rows at a time, and fit_ridge forms the Gram matrices of bit features
+exactly from float32 blocks.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
@@ -332,6 +324,7 @@ def fit_ridge(features, targets, val_set):
     return LinearDecoder(weights, y_mean - weights @ x_mean, HEAD_REGRESSION)
 
 
+# called by no program path; bench/ reads it (ROADMAP item 3)
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float
@@ -356,6 +349,7 @@ class TrainConfig:
             raise ConfigError("min_delta", "must be >= 0")
 
 
+# called by no program path; bench/ reads it (ROADMAP item 3)
 @dataclass
 class TrainReport:
     # one mean NLL per epoch run in each history; epochs_run and the
@@ -454,6 +448,7 @@ def _check_set(name, data, head, in_dim, out_dim):
     return X, Y
 
 
+# called by no program path; bench/ traces it (ROADMAP item 3)
 def train(model, train_set, val_set, cfg):
     """Softmax mini-batch SGD with per-epoch shuffling and patience early stopping.
 
@@ -569,9 +564,11 @@ def grad_check(model, example, h=1e-5):
 # --- model files ----------------------------------------------------------
 
 
-def save_model(path, model, epsilon=None, train_config=None, seed=None):
+def save_model(path, model, epsilon=None, seed=None):
     """Versioned JSON with everything needed to decrypt: head, dims,
-    weights, bias, the encoder threshold, a config echo and the seed."""
+    weights, bias, the encoder threshold and the seed. `train_config` is
+    always null; load_model still reads the object that files from
+    SGD-trained versions hold there."""
     jsondoc.save(path, jsondoc.envelope("linear-decoder", {
         "head": model.head,
         "in_dim": model.in_dim,
@@ -579,13 +576,14 @@ def save_model(path, model, epsilon=None, train_config=None, seed=None):
         "weights": model.weights.ravel().tolist(),
         "bias": model.bias.tolist(),
         "epsilon": None if epsilon is None else float(epsilon),
-        "train_config": None if train_config is None else asdict(train_config),
+        "train_config": None,
         "seed": None if seed is None else int(seed),
     }))
 
 
 def load_model(path):
-    """Returns (LinearDecoder, metadata dict with epsilon/train_config/seed)."""
+    """Returns (LinearDecoder, metadata dict with epsilon/train_config/seed);
+    `train_config` is null in new files and an object in older ones."""
     fmt = "linear-decoder"
     doc = jsondoc.check(jsondoc.load(path), fmt, ("head", "in_dim", "out_dim", "weights", "bias"))
     in_dim, out_dim = (jsondoc.integer(doc, name, fmt, low=1) for name in ("in_dim", "out_dim"))

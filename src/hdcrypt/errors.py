@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError and DimensionError -> 2,
-DataFormatError (and subclasses) and DegenerateStatisticError -> 3,
-TrainingDivergedError -> 4.
+DataFormatError (and subclasses) and DegenerateStatisticError -> 3.
+TrainingDivergedError has no exit code: only decoder.train raises it,
+and no command trains by SGD.
 """
 
 import math
@@ -26,11 +27,12 @@ def require_finite(field, *values):
     """Raise ConfigError(field) unless every value is a finite real number.
 
     Range checks such as `value < 0` are all false for NaN, so config
-    classes call this before them. A bool (JSON `true`) is no number."""
+    classes call this before them. A bool (JSON `true`) is no number, and
+    an integer beyond float range counts as infinite, as in a float."""
     for value in values:
         try:
             finite = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
-        except TypeError:
+        except (TypeError, OverflowError):
             finite = False
         if not finite:
             raise ConfigError(field, f"must be a finite number, got {value!r}")

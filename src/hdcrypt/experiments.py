@@ -10,12 +10,13 @@ aside, which the comparison mode excludes).
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import jsondoc
 from .crossbar import Crossbar, CrossbarConfig
+# nothing here calls `train`; bench/tests reads `experiments.train` (ROADMAP item 3)
 from .decoder import TrainConfig, fit_naive_bayes, fit_ridge, train
 from .encoder import IdealEncoder, calibrate_epsilon, crossbar_pre_threshold_batch
 from .errors import ConfigError, DataFormatError, require_finite
@@ -49,9 +50,9 @@ __all__ = [
 DESK_SIZES = (20_000, 5_000, 10_000)
 PAPER_SIZES = (100_000, 100_000, 10_000)
 
+# no program path reads these; bench/workloads.py does (ROADMAP item 3)
 DEFAULT_TEXT_TRAIN = TrainConfig(learning_rate=0.05, batch_size=64,
                                  max_epochs=120, patience=5, min_delta=1e-4)
-# kept for callers that pass it; run_image_cell's closed-form fit reads none
 DEFAULT_IMAGE_TRAIN = TrainConfig(learning_rate=5.0, batch_size=16,
                                   max_epochs=60, patience=8, min_delta=1e-5)
 
@@ -106,19 +107,19 @@ def make_text_datasets(xbar, keys, epsilon, sizes, master_seed):
     return tuple(out)
 
 
-def train_text_system(xbar, keys, sizes, train_cfg, master_seed):
-    """Calibrate, generate data, train the 94-class decoder from its
-    closed-form fit (decoder.fit_naive_bayes), evaluate.
+def train_text_system(xbar, keys, sizes, master_seed):
+    """Calibrate, generate data, fit the 94-class decoder in closed form
+    (decoder.fit_naive_bayes), evaluate.
 
-    Returns (model, epsilon, accuracy, report).
+    The bits of one block are independent given the character, so the
+    naive-Bayes fit is already the Bayes-optimal linear decoder. The
+    validation set is still drawn, from its own stream, but nothing reads
+    it. Returns (model, epsilon, accuracy).
     """
     epsilon = calibrate_text_epsilon(xbar, keys, master_seed)
-    train_set, val_set, test_set = make_text_datasets(xbar, keys, epsilon, sizes, master_seed)
-    init = fit_naive_bayes(*train_set, NUM_CLASSES)
-    cfg = replace(train_cfg, seed=derive_seed(master_seed, "shuffle"))
-    model, report = train(init, train_set, val_set, cfg)
-    accuracy = evaluate_accuracy(model, test_set)
-    return model, epsilon, accuracy, report
+    train_set, _, test_set = make_text_datasets(xbar, keys, epsilon, sizes, master_seed)
+    model = fit_naive_bayes(*train_set, NUM_CLASSES)
+    return model, epsilon, evaluate_accuracy(model, test_set)
 
 
 # --- sweep cells ------------------------------------------------------------
@@ -132,10 +133,11 @@ class TextCell:
     crossbar: CrossbarConfig
     key_dim: int
     sizes: tuple
-    train_cfg: TrainConfig
     master_seed: int
     multiplier: int | None = None
     uniqueness_passes: int = UNIQUENESS_PASSES
+    # never read; bench/workloads.py still passes it (ROADMAP item 3)
+    train_cfg: TrainConfig | None = None
 
 
 @dataclass
@@ -152,6 +154,7 @@ class ReportRow:
     rmse: float | None = None
     distinct_fraction: float | None = None
     mean_hamming: float | None = None
+    # always 0, as no cell trains by SGD; bench/workloads.py reads it (ROADMAP item 3)
     epochs: int = 0
     wall_time_s: float = 0.0
     good_flag: bool | None = None
@@ -174,15 +177,13 @@ def run_text_cell(cell):
     try:
         xbar = Crossbar.new_random(cfg)
         keys = SecretKeyTable.new_random(cell.key_dim, derive_seed(cell.master_seed, "keys"))
-        model, epsilon, accuracy, t_report = train_text_system(
-            xbar, keys, cell.sizes, cell.train_cfg, cell.master_seed)
+        model, epsilon, accuracy = train_text_system(xbar, keys, cell.sizes, cell.master_seed)
         u_rng = spawn_rng(cell.master_seed, "uniqueness")
         stats = [uniqueness_stats(ch, cell.uniqueness_passes, keys, xbar, epsilon, u_rng)
                  for ch in UNIQUENESS_CHARS]
         row.test_accuracy = round(accuracy, 4)
         row.distinct_fraction = float(np.mean([s.distinct_fraction for s in stats]))
         row.mean_hamming = float(np.mean([s.mean_pairwise_hamming for s in stats]))
-        row.epochs = t_report.epochs_run
         row.good_flag = row.test_accuracy >= GOOD_ACCURACY
     except Exception as exc:  # crash isolation: report, don't propagate
         row.status = "failed"
@@ -205,9 +206,8 @@ def _run_cells(cells, jobs):
     return sorted(rows, key=lambda r: r.cell)
 
 
-def run_table1(sizes=DESK_SIZES, train_cfg=DEFAULT_TEXT_TRAIN, master_seed=0,
-               rows=TABLE1_ROWS, jobs=1):
-    """Train and evaluate one decoder per sample-hyperparameter row.
+def run_table1(sizes=DESK_SIZES, master_seed=0, rows=TABLE1_ROWS, jobs=1):
+    """Fit and evaluate one decoder per sample-hyperparameter row.
 
     A row whose configuration is itself invalid becomes a failed report
     row; it never aborts its siblings.
@@ -236,12 +236,10 @@ def run_table1(sizes=DESK_SIZES, train_cfg=DEFAULT_TEXT_TRAIN, master_seed=0,
                 reason=f"{type(exc).__name__}: {exc}"))
             continue
         cells.append(TextCell(label=label, crossbar=cfg, key_dim=spec_row["rows"],
-                              sizes=tuple(sizes), train_cfg=train_cfg,
-                              master_seed=cell_seed))
+                              sizes=tuple(sizes), master_seed=cell_seed))
     result_rows = sorted(_run_cells(cells, jobs) + failed, key=lambda r: r.cell)
     return ExperimentReport(rows=result_rows, spec_echo={
-        "kind": "table1", "sizes": list(sizes), "train": asdict(train_cfg),
-        "master_seed": master_seed,
+        "kind": "table1", "sizes": list(sizes), "master_seed": master_seed,
     })
 
 
@@ -260,11 +258,6 @@ class ExperimentSpec:
     train_size: int = DESK_SIZES[0]
     val_size: int = DESK_SIZES[1]
     test_size: int = DESK_SIZES[2]
-    learning_rate: float = DEFAULT_TEXT_TRAIN.learning_rate
-    batch_size: int = DEFAULT_TEXT_TRAIN.batch_size
-    max_epochs: int = DEFAULT_TEXT_TRAIN.max_epochs
-    patience: int = DEFAULT_TEXT_TRAIN.patience
-    min_delta: float = DEFAULT_TEXT_TRAIN.min_delta
     master_seed: int = 0
 
     def __post_init__(self):
@@ -274,8 +267,7 @@ class ExperimentSpec:
             raise ConfigError("multipliers", "sweep list must be nonempty")
         if not self.sigmas:
             raise ConfigError("sigmas", "sweep list must be nonempty")
-        for name in ("r_lrs", "r_hrs", "p_stuck_on", "p_stuck_off", "learning_rate",
-                     "min_delta"):
+        for name in ("r_lrs", "r_hrs", "p_stuck_on", "p_stuck_off"):
             require_finite(name, getattr(self, name))
         require_finite("multipliers", *self.multipliers)
         require_finite("sigmas", *self.sigmas)
@@ -291,11 +283,6 @@ class ExperimentSpec:
     @property
     def sizes(self):
         return (self.train_size, self.val_size, self.test_size)
-
-    def train_config(self):
-        return TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
-                           max_epochs=self.max_epochs, patience=self.patience,
-                           min_delta=self.min_delta)
 
     def to_json_dict(self):
         doc = asdict(self)
@@ -333,8 +320,7 @@ def grid_cells(spec):
                 seed=derive_seed(cell_seed, "crossbar"),
             )
             cells.append(TextCell(label=label, crossbar=cfg, key_dim=spec.key_dim,
-                                  sizes=spec.sizes, train_cfg=spec.train_config(),
-                                  master_seed=cell_seed, multiplier=m))
+                                  sizes=spec.sizes, master_seed=cell_seed, multiplier=m))
     return cells
 
 
@@ -446,8 +432,8 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
 
     The decoder is decoder.fit_ridge's closed-form fit on the raw encoder
     outputs, its penalty chosen on the validation images. `train_cfg` is
-    not read; the parameter is kept so existing positional calls still
-    work, and callers may pass None.
+    never read, and callers may pass None; bench/workloads.py still passes
+    one positionally (ROADMAP item 3).
     """
     if pipeline not in IMAGE_PIPELINES:
         raise ConfigError("pipeline", f"must be one of {IMAGE_PIPELINES}, got {pipeline!r}")
@@ -473,7 +459,6 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
         encode = enc.project_batch
     X, X_val, X_test = (encode(x, spawn_rng(master_seed, f"{name}-data")) for name, x in
                         (("train", repeated), ("val", val_flats), ("test", test_flats)))
-    # train_cfg is not read: the closed-form fit has no step size or epochs
     model = fit_ridge(X, repeated, (X_val, val_flats))
 
     pred = model.forward_batch(X_test)

@@ -5,7 +5,8 @@ hashing and popcounts are safe on the raw bytes.
 
 The package no longer builds these: its bits are uint8 arrays. The class
 stays, still exported, while the benchmark harness (`bench/spans.py`,
-checked by `bench/tests`) looks up `from_bits` and `to_bits` for spans.
+checked by `bench/tests`) looks up `from_bits` and `to_bits` for spans
+(ROADMAP item 3).
 """
 
 import numpy as np

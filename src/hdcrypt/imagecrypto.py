@@ -185,9 +185,10 @@ def bits_to_plane(bits, height, width, multiplier):
     The expansion factor is split into the most square factor pair (a, b),
     a <= b, giving a (height*a, width*b) plane for spatial statistics.
     """
-    integer = isinstance(multiplier, (int, np.integer)) and not isinstance(multiplier, bool)
-    if not (integer and multiplier >= 1):
-        raise ConfigError("multiplier", f"must be an integer >= 1, got {multiplier!r}")
+    for name, value in (("height", height), ("width", width), ("multiplier", multiplier)):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integer and value >= 1):
+            raise ConfigError(name, f"must be an integer >= 1, got {value!r}")
     bits = np.asarray(bits).ravel()
     if bits.size != height * width * multiplier:
         raise DimensionError(

@@ -104,7 +104,7 @@ def numbers(value, name, where, shape):
     `where` and the field otherwise."""
     try:
         array = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or not all numbers
+    except (TypeError, ValueError, OverflowError):  # ragged, not all numbers, or huge
         array = None
     if array is None or array.shape != shape or not np.all(np.isfinite(array)):
         expected = "a finite number" if shape == () else f"a {shape} array of finite numbers"
@@ -134,3 +134,5 @@ def load(path):
     except json.JSONDecodeError as exc:
         offset = len(text[:exc.pos].encode("utf-8"))
         raise DataFormatError(f"{path}: not JSON: {exc.msg}", offset=offset) from None
+    except RecursionError:  # the parser recurses once per nested list or object
+        raise DataFormatError(f"{path}: JSON nested too deeply to parse") from None

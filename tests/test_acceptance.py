@@ -14,9 +14,8 @@ from hdcrypt.datasets import synthetic_digits, synthetic_natural_image
 from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder,
                              grad_check)
 from hdcrypt.encoder import project_streamed, threshold_binarize
-from hdcrypt.experiments import (DEFAULT_TEXT_TRAIN, DESK_SIZES,
-                                 ExperimentSpec, run_grid, run_image_cell,
-                                 train_text_system)
+from hdcrypt.experiments import (DESK_SIZES, ExperimentSpec, run_grid,
+                                 run_image_cell, train_text_system)
 from hdcrypt.imagecrypto import adjacent_pixel_correlation, bits_to_plane
 from hdcrypt.rng import derive_seed, spawn_rng
 from hdcrypt.textcrypto import (SecretKeyTable, build_dataset,
@@ -41,10 +40,8 @@ def _text_run(rows, cols, sigma, p, master_seed, sizes=DESK_SIZES, r_hrs=1e4):
                            r_hrs=r_hrs)
     xbar = Crossbar.new_random(cfg)
     keys = SecretKeyTable.new_random(rows, derive_seed(master_seed, "keys"))
-    model, epsilon, accuracy, report = train_text_system(
-        xbar, keys, sizes, DEFAULT_TEXT_TRAIN, master_seed)
-    return dict(xbar=xbar, keys=keys, model=model, epsilon=epsilon,
-                accuracy=accuracy, report=report)
+    model, epsilon, accuracy = train_text_system(xbar, keys, sizes, master_seed)
+    return dict(xbar=xbar, keys=keys, model=model, epsilon=epsilon, accuracy=accuracy)
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +193,7 @@ def test_criterion_8_gradient_correctness():
 def test_criterion_9_grid_determinism():
     spec = ExperimentSpec(key_dim=5, multipliers=(10, 20), sigmas=(0.1, 0.4),
                           train_size=2_000, val_size=500, test_size=1_000,
-                          max_epochs=25, master_seed=derive_seed(MASTER, "c9"))
+                          master_seed=derive_seed(MASTER, "c9"))
     first = run_grid(spec).csv_text(include_wall_time=False)
     second = run_grid(spec).csv_text(include_wall_time=False)
     _report(9, first.encode() == second.encode(),

@@ -107,8 +107,7 @@ def test_missing_file_exits_3(tmp_path):
 
 def test_grid_cli_writes_reports(tmp_path, capsys):
     spec = ExperimentSpec(key_dim=4, multipliers=(8,), sigmas=(0.0,),
-                          train_size=600, val_size=200, test_size=300,
-                          max_epochs=12, master_seed=5)
+                          train_size=600, val_size=200, test_size=300, master_seed=5)
     spec_path = tmp_path / "spec.json"
     spec.save(spec_path)
     out_dir = tmp_path / "results"
@@ -121,8 +120,7 @@ def test_grid_cli_writes_reports(tmp_path, capsys):
 
 def test_report_reemit_matches(tmp_path):
     spec = ExperimentSpec(key_dim=4, multipliers=(8,), sigmas=(0.0,),
-                          train_size=600, val_size=200, test_size=300,
-                          max_epochs=12, master_seed=5)
+                          train_size=600, val_size=200, test_size=300, master_seed=5)
     spec_path = tmp_path / "spec.json"
     spec.save(spec_path)
     first = tmp_path / "a"
@@ -308,10 +306,14 @@ REQUIRED_FIELD = {"crossbar": "config", "secret-keys": "vectors",
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("case", ["non-utf8", "non-json", "list"])
+@pytest.mark.parametrize("case", ["non-utf8", "non-json", "list", "deeply-nested"])
 def test_malformed_json_document_exits_3(key_material, fmt, case, capsys):
     bad = key_material["dir"] / "bad.json"
-    if case == "non-utf8":
+    if case == "deeply-nested":
+        # deeper than the parser's recursion limit
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        problem = f"{bad}: JSON nested too deeply"
+    elif case == "non-utf8":
         bad.write_bytes(b'{"format": "\xff"}')
         problem = "not UTF-8"
     elif case == "non-json":
@@ -581,22 +583,32 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.strip() == hdcrypt.__version__
 
 
-def test_train_text_prints_init_loss_and_best_epoch(tmp_path, capsys):
-    xbar, keys, model = (tmp_path / n for n in ("xbar.json", "keys.json", "model.json"))
-    assert main(["gen-crossbar", "--rows", "6", "--cols", "96", "--sigma", "0.0",
-                 "--seed", "11", "--out", str(xbar)]) == 0
-    assert main(["gen-keys", "--key-dim", "6", "--seed", "12", "--out", str(keys)]) == 0
+def test_train_text_prints_model_threshold_and_accuracy_only(artifacts, tmp_path, capsys):
     capsys.readouterr()
-    assert main(["train-text", "--crossbar", str(xbar), "--keys", str(keys),
-                 "--train-size", "2500", "--val-size", "600", "--test-size", "800",
-                 "--seed", "13", "--out", str(model)]) == 0
+    model = tmp_path / "again.json"
+    assert main(["train-text", "--crossbar", str(artifacts["xbar"]),
+                 "--keys", str(artifacts["keys"]), "--train-size", "2500",
+                 "--val-size", "600", "--test-size", "800", "--seed", "13",
+                 "--out", str(model)]) == 0
     doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    # noiseless codes: the closed-form fit is nearly exact, so no epoch
-    # improves on it by min_delta and training stops after `patience`
-    assert isinstance(doc["init_val_loss"], float)
-    assert 0.0 <= doc["init_val_loss"] < 1e-4
-    assert doc["epochs"] == 5
-    assert -1 <= doc["best_epoch"] < doc["epochs"]
+    assert sorted(doc) == ["epsilon", "model", "test_accuracy"]
+    assert doc["model"] == str(model) and doc["test_accuracy"] == 1.0
+    # the closed-form fit is deterministic: the same flags write the same file
+    assert model.read_bytes() == artifacts["model"].read_bytes()
+    assert json.loads(model.read_text())["train_config"] is None
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "batch_size", "max_epochs",
+                                   "patience", "min_delta"])
+def test_grid_config_naming_a_removed_sgd_field_exits_3(tmp_path, field, capsys):
+    doc = ExperimentSpec().to_json_dict()
+    doc[field] = {"learning_rate": 0.05, "batch_size": 64, "max_epochs": 120,
+                  "patience": 5, "min_delta": 1e-4}[field]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["grid", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert f"unknown field {field!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["table1", "grid"])

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -221,6 +222,8 @@ def _step_case(out_dim, in_dim, batch, seed):
     return W, b, X, rng.integers(0, out_dim, size=batch)
 
 
+# The SGD tests below (_sgd_step, train, TrainConfig) cover code that no
+# program path calls; it stays while bench/ traces it (ROADMAP item 3).
 # the step is the softmax head's alone; the parameter keeps the case names
 _STEP_HEADS = pytest.mark.parametrize("head", [HEAD_SOFTMAX])
 
@@ -782,16 +785,28 @@ def test_train_config_rejects_non_finite(name, value):
 def test_model_file_roundtrip(tmp_path):
     rng = spawn_rng(14, "io")
     model = LinearDecoder(rng.normal(size=(3, 7)), rng.normal(size=3), HEAD_SOFTMAX)
-    cfg = TrainConfig(learning_rate=0.05, batch_size=64)
     path = tmp_path / "model.json"
-    save_model(path, model, epsilon=1.25e-4, train_config=cfg, seed=42)
+    save_model(path, model, epsilon=1.25e-4, seed=42)
+    assert json.loads(path.read_text())["train_config"] is None
     loaded, meta = load_model(path)
     assert loaded.head == HEAD_SOFTMAX
     assert np.array_equal(loaded.weights, model.weights)
     assert np.array_equal(loaded.bias, model.bias)
-    assert meta["epsilon"] == 1.25e-4
-    assert meta["seed"] == 42
-    assert meta["train_config"]["batch_size"] == 64
+    assert meta == {"epsilon": 1.25e-4, "train_config": None, "seed": 42}
+
+
+def test_model_file_with_an_sgd_config_still_loads(tmp_path):
+    # files written while SGD fine-tuned the fit echo its config as an object
+    model = LinearDecoder(np.eye(3, 5), np.zeros(3), HEAD_SOFTMAX)
+    path = tmp_path / "model.json"
+    save_model(path, model, epsilon=0.5, seed=7)
+    doc = json.loads(path.read_text())
+    doc["train_config"] = {"learning_rate": 0.05, "batch_size": 64, "max_epochs": 120,
+                           "patience": 5, "min_delta": 1e-4, "seed": 0}
+    path.write_text(json.dumps(doc))
+    loaded, meta = load_model(path)
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    assert meta["train_config"]["batch_size"] == 64 and meta["epsilon"] == 0.5
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))

@@ -1,29 +1,23 @@
 import numpy as np
 import pytest
 
-from hdcrypt import experiments
+from hdcrypt import decoder, experiments
+from hdcrypt.cli import main
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
-from hdcrypt.decoder import TrainConfig, fit_naive_bayes
+from hdcrypt.decoder import fit_naive_bayes, load_model
 from hdcrypt.encoder import crossbar_pre_threshold
 from hdcrypt.errors import ConfigError, DataFormatError
-from hdcrypt.experiments import (DEFAULT_TEXT_TRAIN, TABLE1_ROWS, ExperimentReport,
-                                 ExperimentSpec, ReportRow, calibrate_text_epsilon,
-                                 grid_cells, make_text_datasets, run_grid,
-                                 run_image_cell, run_table1, run_text_cell,
-                                 train_text_system)
+from hdcrypt.experiments import (TABLE1_ROWS, ExperimentReport, ExperimentSpec,
+                                 ReportRow, calibrate_text_epsilon, grid_cells,
+                                 make_text_datasets, run_grid, run_image_cell,
+                                 run_table1, run_text_cell, train_text_system)
 from hdcrypt.rng import derive_seed, spawn_rng
 from hdcrypt.textcrypto import NUM_CLASSES, SecretKeyTable
 
 
-SMALL_TRAIN = TrainConfig(learning_rate=0.05, batch_size=64, max_epochs=20,
-                          patience=4, min_delta=1e-4)
-
-
 def small_spec(**overrides):
     base = dict(key_dim=5, multipliers=(8, 16), sigmas=(0.1,),
-                train_size=1500, val_size=400, test_size=800,
-                learning_rate=0.05, batch_size=64, max_epochs=15,
-                patience=4, min_delta=1e-4, master_seed=7)
+                train_size=1500, val_size=400, test_size=800, master_seed=7)
     base.update(overrides)
     return ExperimentSpec(**base)
 
@@ -77,7 +71,7 @@ def test_spec_json_rejects_unknown_fields():
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", ["r_lrs", "r_hrs", "p_stuck_on", "p_stuck_off",
-                                   "learning_rate", "min_delta", "multipliers", "sigmas"])
+                                   "multipliers", "sigmas"])
 def test_spec_rejects_non_finite_values(field, value):
     if field in ("multipliers", "sigmas"):
         value = (1.0, value)
@@ -116,7 +110,7 @@ def test_grid_runs_are_byte_identical_without_wall_time():
 
 def test_worker_pool_matches_serial_run():
     spec = small_spec(multipliers=(8, 16), sigmas=(0.1,), train_size=800,
-                      val_size=200, test_size=400, max_epochs=10)
+                      val_size=200, test_size=400)
     serial = run_grid(spec, jobs=1).csv_text(include_wall_time=False)
     pooled = run_grid(spec, jobs=2).csv_text(include_wall_time=False)
     assert serial == pooled
@@ -166,11 +160,7 @@ def test_failed_cell_isolates_siblings():
     good = dict(rows=5, cols=96, r_lrs=1e3, r_hrs=1e4, sigma=0.0,
                 p_on=0.0, p_off=0.0, reference_accuracy=1.0)
     bad = dict(good, r_hrs=1.0)   # violates r_lrs < r_hrs
-    report = run_table1(sizes=(1500, 300, 500),
-                        train_cfg=TrainConfig(learning_rate=0.05, batch_size=64,
-                                              max_epochs=60, patience=6,
-                                              min_delta=1e-4),
-                        master_seed=3, rows=(good, bad))
+    report = run_table1(sizes=(1500, 300, 500), master_seed=3, rows=(good, bad))
     by_status = {row.status: row for row in report.rows}
     assert set(by_status) == {"ok", "failed"}
     assert "r_lrs" in by_status["failed"].reason
@@ -241,23 +231,36 @@ def test_image_cell_multiplier_monotonic_reconstruction():
     assert rmses[-1] < rmses[0]
 
 
-def test_warm_started_text_training_stops_after_patience():
-    # the 10x500, sigma 0.1 Table-1 row: SGD started from the closed-form
-    # fit has nothing left to gain. An exact fit (validation NLL 0.0) runs
-    # no epoch and is returned as it is; any other stops after `patience`.
-    cfg = CrossbarConfig(rows=10, cols=500, r_lrs=1e3, r_hrs=1e4, sigma_frac=0.1,
+def _no_sgd(*args, **kwargs):
+    raise AssertionError("a program path trained by SGD")
+
+
+def test_nothing_trains_by_sgd(monkeypatch, tmp_path):
+    # the fitted weights are bitwise fit_naive_bayes's on the cell's own
+    # training set, regenerated from its seeds
+    monkeypatch.setattr(decoder, "train", _no_sgd)
+    monkeypatch.setattr(experiments, "train", _no_sgd)
+    cfg = CrossbarConfig(rows=5, cols=60, r_lrs=1e3, r_hrs=1e4, sigma_frac=0.1,
                          p_stuck_on=0.02, p_stuck_off=0.02, seed=31)
     xbar = Crossbar.new_random(cfg)
-    keys = SecretKeyTable.new_random(10, 32)
-    sizes = (3000, 750, 1500)
-    model, epsilon, accuracy, report = train_text_system(xbar, keys, sizes,
-                                                         DEFAULT_TEXT_TRAIN, master_seed=33)
-    if report.init_val_loss == 0.0:
-        assert report.epochs_run == 0
-        train_set, _, _ = make_text_datasets(xbar, keys, epsilon, sizes, 33)
-        init = fit_naive_bayes(*train_set, NUM_CLASSES)
-        assert model.weights.tobytes() == init.weights.tobytes()
-        assert model.bias.tobytes() == init.bias.tobytes()
-    else:
-        assert report.epochs_run <= DEFAULT_TEXT_TRAIN.patience + 1
-    assert accuracy >= 0.995
+    keys = SecretKeyTable.new_random(5, 32)
+    sizes = (600, 100, 200)
+    model, epsilon, _ = train_text_system(xbar, keys, sizes, master_seed=33)
+    train_set, _, _ = make_text_datasets(xbar, keys, epsilon, sizes, 33)
+    expected = fit_naive_bayes(*train_set, NUM_CLASSES)
+    assert model.weights.tobytes() == expected.weights.tobytes()
+    assert model.bias.tobytes() == expected.bias.tobytes()
+
+    row = dict(rows=5, cols=60, r_lrs=1e3, r_hrs=1e4, sigma=0.1, p_on=0.02, p_off=0.02,
+               reference_accuracy=1.0)
+    report = run_table1(sizes=sizes, master_seed=3, rows=(row,))
+    assert [(r.status, r.epochs) for r in report.rows] == [("ok", 0)]
+    assert "train" not in report.spec_echo
+
+    paths = {name: tmp_path / f"{name}.json" for name in ("xbar", "keys", "model")}
+    xbar.save(paths["xbar"])
+    keys.save(paths["keys"])
+    assert main(["train-text", "--crossbar", str(paths["xbar"]), "--keys", str(paths["keys"]),
+                 "--train-size", "600", "--val-size", "100", "--test-size", "200",
+                 "--seed", "33", "--out", str(paths["model"])]) == 0
+    assert load_model(paths["model"])[0].weights.tobytes() == expected.weights.tobytes()

@@ -409,6 +409,18 @@ def test_bits_to_plane_shapes():
         assert excinfo.value.field == "multiplier"
 
 
+@pytest.mark.parametrize("size, height, width, field", [
+    (96, -4, -6, "height"),   # 96 = -4 * -6 * 4 passes the size check
+    (96, 4.0, 6, "height"),
+    (96, True, 24, "height"),
+    (96, 4, 6.0, "width"),
+])
+def test_bits_to_plane_needs_integer_height_and_width(size, height, width, field):
+    with pytest.raises(ConfigError) as excinfo:
+        bits_to_plane(np.zeros(size, dtype=np.uint8), height, width, 4)
+    assert excinfo.value.field == field
+
+
 def test_encrypted_stage_decorrelates_natural_image(rng):
     img = synthetic_natural_image(60, seed=20)
     assert adjacent_pixel_correlation(img.pixels, "horizontal") > 0.7
