@@ -11,7 +11,7 @@ from hdcrypt import pixel_histogram, spawn_rng, threshold_binarize
 from hdcrypt.datasets import synthetic_digits, synthetic_natural_image
 from hdcrypt.encoder import project_streamed
 from hdcrypt.experiments import run_image_cell
-from hdcrypt.imagecrypto import adjacent_pixel_correlation, bits_to_plane
+from hdcrypt.imagecrypto import adjacency_stats, bits_to_plane
 from hdcrypt.rng import derive_seed
 
 MASTER = 7
@@ -33,7 +33,7 @@ print(f"{SIZE}x{SIZE} image -> {bits.size}-bit ciphertext "
 print("adjacent-pixel correlation by stage:")
 print(f"  {'stage':<11} {'horizontal':>11} {'vertical':>9} {'diagonal':>9}")
 for name, plane in stages.items():
-    rs = [adjacent_pixel_correlation(plane, d)
+    rs = [adjacency_stats(plane, d).correlation
           for d in ("horizontal", "vertical", "diagonal")]
     print(f"  {name:<11} {rs[0]:>11.4f} {rs[1]:>9.4f} {rs[2]:>9.4f}")
 

@@ -11,15 +11,14 @@ from .crossbar import Crossbar, CrossbarConfig
 from .decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder,
                       TrainConfig, TrainReport, fit_naive_bayes, grad_check,
                       load_model, save_model, train)
-from .encoder import (IdealEncoder, calibrate_epsilon, crossbar_pre_threshold,
-                      crossbar_pre_threshold_batch, encode_crossbar,
-                      encode_crossbar_batch, threshold_binarize)
+from .encoder import (IdealEncoder, calibrate_epsilon,
+                      crossbar_pre_threshold_batch, encode_crossbar_batch,
+                      threshold_binarize)
 from .errors import (CharsetError, ConfigError, DataFormatError,
                      DegenerateStatisticError, DimensionError, HdcryptError,
                      TrainingDivergedError)
 from .hypervector import BinaryHypervector
 from .imagecrypto import (BenchmarkEncoder, GrayImage, adjacency_stats,
-                          adjacent_pixel_correlation, binary_pair_counts,
                           bits_to_plane, pixel_histogram)
 from .rng import derive_seed, spawn_rng
 from .textcrypto import (CHARSET, NUM_CLASSES, CipherText, SecretKeyTable,

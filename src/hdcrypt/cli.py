@@ -2,7 +2,8 @@
 
 Subcommands: gen-crossbar, gen-keys, train-text, encrypt, decrypt, eval,
 grid, table1, image-demo, report. Exit codes: 0 success, 2 configuration
-error, 3 data or file-format error.
+error (a size or dimension too large for memory included), 3 data or
+file-format error.
 """
 
 import argparse
@@ -18,8 +19,8 @@ from .datasets import load_digits, synthetic_natural_image
 from .decoder import load_model, save_model
 from .errors import (ConfigError, DataFormatError, DegenerateStatisticError,
                      DimensionError, require_finite)
-from .experiments import (DESK_SIZES, PAPER_SIZES, ExperimentReport,
-                          ExperimentSpec, run_grid, run_image_cell, run_table1,
+from .experiments import (DESK_SIZES, ExperimentReport, ExperimentSpec,
+                          run_grid, run_image_cell, run_table1,
                           train_text_system)
 from .imagecrypto import (GrayImage, adjacency_stats, bits_to_plane,
                           pixel_histogram)
@@ -61,11 +62,19 @@ def _require_positive(flag, value):
         raise ConfigError(flag, f"must be >= 1, got {value}")
 
 
+_SIZE_FLAGS = ("--train-size", "--val-size", "--test-size")
+
+
+def _add_size_flags(parser):
+    """Train / val / test character counts, desk-scale by default; the
+    paper's are --train-size 100000 --val-size 100000 --test-size 10000."""
+    for flag, default in zip(_SIZE_FLAGS, DESK_SIZES):
+        parser.add_argument(flag, type=int, default=default)
+
+
 def _sizes(args):
-    if getattr(args, "paper_scale", False):
-        return PAPER_SIZES
     sizes = (args.train_size, args.val_size, args.test_size)
-    for flag, n in zip(("--train-size", "--val-size", "--test-size"), sizes):
+    for flag, n in zip(_SIZE_FLAGS, sizes):
         _require_positive(flag, n)
     return sizes
 
@@ -251,10 +260,7 @@ def build_parser():
     p = sub.add_parser("train-text", help="fit a character decoder")
     p.add_argument("--crossbar", required=True)
     p.add_argument("--keys", required=True)
-    p.add_argument("--train-size", type=int, default=DESK_SIZES[0])
-    p.add_argument("--val-size", type=int, default=DESK_SIZES[1])
-    p.add_argument("--test-size", type=int, default=DESK_SIZES[2])
-    p.add_argument("--paper-scale", action="store_true")
+    _add_size_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_text)
@@ -285,10 +291,7 @@ def build_parser():
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("table1", help="run the sample hyperparameter rows")
-    p.add_argument("--train-size", type=int, default=DESK_SIZES[0])
-    p.add_argument("--val-size", type=int, default=DESK_SIZES[1])
-    p.add_argument("--test-size", type=int, default=DESK_SIZES[2])
-    p.add_argument("--paper-scale", action="store_true")
+    _add_size_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -334,6 +337,12 @@ def main(argv=None):
     except (DataFormatError, DegenerateStatisticError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # the sizes and dimensions that flags and files ask for are the cause
+        detail = " ".join(str(exc).split())
+        print(f"configuration error: out of memory{': ' + detail if detail else ''}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -14,9 +14,9 @@ entries >= epsilon map to 1. The threshold is calibrated per model:
 `calibrate_epsilon` takes the pre-threshold outputs of a calibration
 batch, read in one batched call, and returns their median, which
 balances the 0/1 bit budget of the ciphertext; bits are uint8 0s and 1s.
-Single-input calls are batches of one: IdealEncoder takes (n, input_dim)
-batches only, and `threshold_binarize`, `crossbar_pre_threshold` and
-`encode_crossbar` run the batched code on one row and return that row.
+Single-input calls are batches of one: IdealEncoder and the crossbar
+encoders take (n, input_dim) batches only, and `threshold_binarize` runs
+the batched code on one row and returns that row.
 
 For IdealEncoder the fresh noise is sampled in its exact projected form:
 since N has i.i.d. Normal(0, sigma^2) entries, N @ x is a vector of
@@ -38,7 +38,7 @@ __all__ = [
     "threshold_binarize",
     "binarize_batch",
     "calibrate_epsilon",
-    "encode_crossbar",
+    "crossbar_pre_threshold_batch",
     "encode_crossbar_batch",
     "IdealEncoder",
 ]
@@ -75,9 +75,10 @@ def calibrate_epsilon(pre_threshold):
     return float(np.median(pre_threshold))
 
 
-def crossbar_pre_threshold(xbar, x, rng):
-    """Differential crossbar read: the raw column currents minus the
-    current of an ideal reference column programmed to mid-range.
+def crossbar_pre_threshold_batch(xbar, xs, rng):
+    """Differential crossbar reads of each row of xs: the raw column
+    currents minus the current of an ideal reference column programmed
+    to mid-range.
 
     All conductances are positive, so a raw read carries a common-mode
     term mean(G) * sum(x) shared by every column; inputs with a large
@@ -86,19 +87,10 @@ def crossbar_pre_threshold(xbar, x, rng):
     G_mid = (G_on + G_off) / 2 cancels that term exactly:
     y_j = sum_i x_i * (G_ij - G_mid).
     """
-    return crossbar_pre_threshold_batch(xbar, np.asarray(x, dtype=np.float64)[None], rng)[0]
-
-
-def crossbar_pre_threshold_batch(xbar, xs, rng):
     xs = np.asarray(xs, dtype=np.float64)
     ys = xbar.read_vmm_batch(xs, rng)
     ys -= xs.sum(axis=1, keepdims=True) * xbar.config.g_mid
     return ys
-
-
-def encode_crossbar(xbar, x, epsilon, rng):
-    """One encryption pass of x: differential read, then threshold to bits."""
-    return threshold_binarize(crossbar_pre_threshold(xbar, x, rng), epsilon)
 
 
 def encode_crossbar_batch(xbar, xs, epsilon, rng):

@@ -10,6 +10,18 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "HdcryptError",
+    "ConfigError",
+    "require_finite",
+    "DimensionError",
+    "require_batch",
+    "DataFormatError",
+    "CharsetError",
+    "TrainingDivergedError",
+    "DegenerateStatisticError",
+]
+
 
 class HdcryptError(Exception):
     pass

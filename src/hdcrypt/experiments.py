@@ -8,6 +8,8 @@ and two runs of the same spec produce byte-identical reports (wall time
 aside, which the comparison mode excludes).
 """
 
+import csv
+import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -27,7 +29,6 @@ from .textcrypto import (NUM_CLASSES, SecretKeyTable, build_dataset,
 
 __all__ = [
     "DESK_SIZES",
-    "PAPER_SIZES",
     "DEFAULT_TEXT_TRAIN",
     "DEFAULT_IMAGE_TRAIN",
     "TABLE1_ROWS",
@@ -48,7 +49,6 @@ __all__ = [
 
 # train / val / test character counts
 DESK_SIZES = (20_000, 5_000, 10_000)
-PAPER_SIZES = (100_000, 100_000, 10_000)
 
 # no program path reads these; bench/workloads.py does (ROADMAP item 3)
 DEFAULT_TEXT_TRAIN = TrainConfig(learning_rate=0.05, batch_size=64,
@@ -206,6 +206,18 @@ def _run_cells(cells, jobs):
     return sorted(rows, key=lambda r: r.cell)
 
 
+def _text_cell(label, master_seed, sizes, key_dim, cols, sigma, r_lrs, r_hrs, p_on, p_off,
+               multiplier=None):
+    """The sweep cell `label` on a key_dim x cols crossbar; the cell's seed
+    derives from (master_seed, label) and its crossbar's from the cell's."""
+    cell_seed = derive_seed(master_seed, label)
+    cfg = CrossbarConfig(rows=key_dim, cols=cols, r_lrs=r_lrs, r_hrs=r_hrs, sigma_frac=sigma,
+                         p_stuck_on=p_on, p_stuck_off=p_off,
+                         seed=derive_seed(cell_seed, "crossbar"))
+    return TextCell(label=label, crossbar=cfg, key_dim=key_dim, sizes=tuple(sizes),
+                    master_seed=cell_seed, multiplier=multiplier)
+
+
 def run_table1(sizes=DESK_SIZES, master_seed=0, rows=TABLE1_ROWS, jobs=1):
     """Fit and evaluate one decoder per sample-hyperparameter row.
 
@@ -214,29 +226,18 @@ def run_table1(sizes=DESK_SIZES, master_seed=0, rows=TABLE1_ROWS, jobs=1):
     """
     cells = []
     failed = []
-    for spec_row in rows:
-        label = (f"table1:{spec_row['rows']}x{spec_row['cols']}"
-                 f":sigma={spec_row['sigma']!r}")
-        cell_seed = derive_seed(master_seed, label)
+    for row in rows:
+        label = f"table1:{row['rows']}x{row['cols']}:sigma={row['sigma']!r}"
         try:
-            cfg = CrossbarConfig(
-                rows=spec_row["rows"], cols=spec_row["cols"],
-                r_lrs=spec_row["r_lrs"], r_hrs=spec_row["r_hrs"],
-                sigma_frac=spec_row["sigma"],
-                p_stuck_on=spec_row["p_on"], p_stuck_off=spec_row["p_off"],
-                seed=derive_seed(cell_seed, "crossbar"),
-            )
-        except Exception as exc:
+            cells.append(_text_cell(label, master_seed, sizes, row["rows"], row["cols"],
+                                    row["sigma"], row["r_lrs"], row["r_hrs"],
+                                    row["p_on"], row["p_off"]))
+        except ConfigError as exc:
             failed.append(ReportRow(
-                task="text", cell=label,
-                multiplier=spec_row["cols"] / spec_row["rows"],
-                sigma=spec_row["sigma"], p_on=spec_row["p_on"],
-                p_off=spec_row["p_off"], rows=spec_row["rows"],
-                cols=spec_row["cols"], status="failed",
+                task="text", cell=label, multiplier=row["cols"] / row["rows"],
+                sigma=row["sigma"], p_on=row["p_on"], p_off=row["p_off"],
+                rows=row["rows"], cols=row["cols"], status="failed",
                 reason=f"{type(exc).__name__}: {exc}"))
-            continue
-        cells.append(TextCell(label=label, crossbar=cfg, key_dim=spec_row["rows"],
-                              sizes=tuple(sizes), master_seed=cell_seed))
     result_rows = sorted(_run_cells(cells, jobs) + failed, key=lambda r: r.cell)
     return ExperimentReport(rows=result_rows, spec_echo={
         "kind": "table1", "sizes": list(sizes), "master_seed": master_seed,
@@ -295,6 +296,8 @@ class ExperimentSpec:
         jsondoc.check(doc, "experiment-spec")
         fields = {k: v for k, v in doc.items() if k not in ("format", "version")}
         jsondoc.check_types(cls, fields, "experiment-spec document")
+        jsondoc.check_entries(fields, "multipliers", int, "experiment-spec document")
+        jsondoc.check_entries(fields, "sigmas", float, "experiment-spec document")
         fields.update((key, tuple(fields[key])) for key in ("multipliers", "sigmas")
                       if key in fields)
         return jsondoc.build(cls, fields, "experiment-spec document")
@@ -308,20 +311,10 @@ class ExperimentSpec:
 
 
 def grid_cells(spec):
-    cells = []
-    for m in spec.multipliers:
-        for sigma in spec.sigmas:
-            label = f"grid:m={m}:sigma={sigma!r}"
-            cell_seed = derive_seed(spec.master_seed, label)
-            cfg = CrossbarConfig(
-                rows=spec.key_dim, cols=spec.key_dim * m,
-                r_lrs=spec.r_lrs, r_hrs=spec.r_hrs, sigma_frac=sigma,
-                p_stuck_on=spec.p_stuck_on, p_stuck_off=spec.p_stuck_off,
-                seed=derive_seed(cell_seed, "crossbar"),
-            )
-            cells.append(TextCell(label=label, crossbar=cfg, key_dim=spec.key_dim,
-                                  sizes=spec.sizes, master_seed=cell_seed, multiplier=m))
-    return cells
+    return [_text_cell(f"grid:m={m}:sigma={sigma!r}", spec.master_seed, spec.sizes,
+                       spec.key_dim, spec.key_dim * m, sigma, spec.r_lrs, spec.r_hrs,
+                       spec.p_stuck_on, spec.p_stuck_off, multiplier=m)
+            for m in spec.multipliers for sigma in spec.sigmas]
 
 
 def run_grid(spec, jobs=1):
@@ -353,6 +346,15 @@ def _fmt(value, column):
     return str(value)
 
 
+def _csv_line(fields):
+    """`fields` as one CSV line ending in "\n". The csv module quotes a field
+    holding a character of the line terminator, and Python 3.11's leaves a
+    "\r" bare under "\n", so the line is written with "\r\n", then cut."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue()[:-2] + "\n"
+
+
 @dataclass
 class ExperimentReport:
     rows: list = field(default_factory=list)
@@ -360,17 +362,9 @@ class ExperimentReport:
 
     def csv_text(self, include_wall_time=True):
         columns = [c for c in _CSV_COLUMNS if include_wall_time or c != "wall_time_s"]
-        lines = [",".join(columns)]
-        for row in self.rows:
-            values = asdict(row)
-            cells = []
-            for col in columns:
-                text = _fmt(values[col], col)
-                if any(ch in text for ch in ',"\n'):
-                    text = '"' + text.replace('"', '""') + '"'
-                cells.append(text)
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        records = [[_fmt(values[col], col) for col in columns]
+                   for values in map(asdict, self.rows)]
+        return "".join(map(_csv_line, [columns] + records))
 
     def to_json_dict(self):
         return jsondoc.envelope("experiment-report", {

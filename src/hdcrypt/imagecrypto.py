@@ -1,6 +1,8 @@
 """Image types for the ideal stochastic encoder: the grayscale image,
 the no-expansion benchmark encoder, and the pixel statistics used to
-judge ciphertext quality (histograms and adjacent-pixel correlation).
+judge ciphertext quality: `pixel_histogram`, and `adjacency_stats`,
+which gives the adjacent-pixel correlation in one direction and, for a
+binary plane, the counts of the four adjacent-bit pairs.
 
 One image is encrypted by `encoder.project_streamed` plus
 `encoder.threshold_binarize` into uint8 bits; `experiments.run_image_cell`
@@ -18,8 +20,6 @@ __all__ = [
     "GrayImage",
     "BenchmarkEncoder",
     "pixel_histogram",
-    "adjacent_pixel_correlation",
-    "binary_pair_counts",
     "adjacency_stats",
     "AdjacencyStats",
     "bits_to_plane",
@@ -103,8 +103,6 @@ def pixel_histogram(values):
     values = np.asarray(values).ravel()
     if values.size == 0:
         raise DimensionError("histogram input must be nonempty")
-    if values.dtype == bool:
-        values = values.astype(np.uint8)
     if _is_binary(values):
         ones = int(values.astype(np.int64).sum())
         return np.array([values.size - ones, ones], dtype=np.int64)
@@ -142,29 +140,6 @@ def _adjacent_pairs(arr, direction):
     raise ConfigError("direction", f"must be one of {_DIRECTIONS}, got {direction!r}")
 
 
-def adjacent_pixel_correlation(arr, direction):
-    """Pearson correlation over all adjacent pixel pairs in a direction."""
-    first, second = _adjacent_pairs(arr, direction)
-    if first.min() == first.max() or second.min() == second.max():
-        raise DegenerateStatisticError(
-            f"{direction} adjacent pairs have zero variance, correlation undefined"
-        )
-    fc = first - first.mean()
-    sc = second - second.mean()
-    return float(np.dot(fc, sc) / np.sqrt(np.dot(fc, fc) * np.dot(sc, sc)))
-
-
-def binary_pair_counts(arr, direction):
-    """Counts of the four adjacent-bit combinations (0,0) (0,1) (1,0) (1,1)."""
-    first, second = _adjacent_pairs(arr, direction)
-    if not (_is_binary(first) and _is_binary(second)):
-        raise ValueError("pair counts are defined for binary data only")
-    combo = first.astype(np.int64) * 2 + second.astype(np.int64)
-    counts = np.bincount(combo, minlength=4)
-    return {(0, 0): int(counts[0]), (0, 1): int(counts[1]),
-            (1, 0): int(counts[2]), (1, 1): int(counts[3])}
-
-
 @dataclass(frozen=True)
 class AdjacencyStats:
     direction: str
@@ -173,9 +148,22 @@ class AdjacencyStats:
 
 
 def adjacency_stats(arr, direction):
-    """Correlation plus, for binary stages, the four pair counts."""
-    r = adjacent_pixel_correlation(arr, direction)
-    counts = binary_pair_counts(arr, direction) if _is_binary(np.asarray(arr)) else None
+    """Pearson correlation over all adjacent pixel pairs in a direction
+    plus, for binary data (every value 0 or 1), the counts of the four
+    adjacent-bit pairs (0,0) (0,1) (1,0) (1,1)."""
+    arr = np.asarray(arr)
+    first, second = _adjacent_pairs(arr, direction)
+    if first.min() == first.max() or second.min() == second.max():
+        raise DegenerateStatisticError(
+            f"{direction} adjacent pairs have zero variance, correlation undefined"
+        )
+    fc = first - first.mean()
+    sc = second - second.mean()
+    r = float(np.dot(fc, sc) / np.sqrt(np.dot(fc, fc) * np.dot(sc, sc)))
+    counts = None
+    if _is_binary(arr):
+        n = np.bincount(first.astype(np.int64) * 2 + second.astype(np.int64), minlength=4)
+        counts = {(0, 0): int(n[0]), (0, 1): int(n[1]), (1, 0): int(n[2]), (1, 1): int(n[3])}
     return AdjacencyStats(direction, r, counts)
 
 

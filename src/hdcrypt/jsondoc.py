@@ -12,6 +12,7 @@ unknown, wrongly typed or wrongly shaped field.
 
 import dataclasses
 import json
+import math
 import typing
 
 import numpy as np
@@ -32,7 +33,9 @@ def check(doc, fmt, required=()):
     if not isinstance(doc, dict):
         raise DataFormatError(
             f"a {fmt} document must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != fmt or doc.get("version") != VERSION:
+    version = doc.get("version")
+    # true and 1.0 compare equal to 1 in Python, but are no JSON integer
+    if doc.get("format") != fmt or not (_has_json_type(version, int) and version == VERSION):
         raise DataFormatError(f"not a version-{VERSION} {fmt} document")
     missing = [name for name in required if name not in doc]
     if missing:
@@ -86,6 +89,18 @@ def check_types(cls, fields, where):
             raise DataFormatError(f"{where} field {f.name!r} must be {expected}, "
                                   f"got {fields[f.name]!r}")
     return fields
+
+
+def check_entries(fields, name, kind, where):
+    """Raise DataFormatError naming `where`, the list field `name` and the
+    entry unless each entry of fields[name], if present, has the JSON type
+    of `kind`, as in check_types, or is a NaN or infinity, which the
+    caller's finiteness check rejects as a configuration value."""
+    for i, value in enumerate(fields.get(name, ())):
+        nonfinite = isinstance(value, float) and not math.isfinite(value)
+        if not (nonfinite or _has_json_type(value, kind)):
+            raise DataFormatError(f"{where} field {name!r} entry {i} must be "
+                                  f"{_JSON_NAMES[kind]}, got {value!r}")
 
 
 def integer(doc, name, where, low=None):

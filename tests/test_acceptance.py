@@ -16,7 +16,7 @@ from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX, LinearDecoder,
 from hdcrypt.encoder import project_streamed, threshold_binarize
 from hdcrypt.experiments import (DESK_SIZES, ExperimentSpec, run_grid,
                                  run_image_cell, train_text_system)
-from hdcrypt.imagecrypto import adjacent_pixel_correlation, bits_to_plane
+from hdcrypt.imagecrypto import adjacency_stats, bits_to_plane
 from hdcrypt.rng import derive_seed, spawn_rng
 from hdcrypt.textcrypto import (SecretKeyTable, build_dataset,
                                 evaluate_accuracy, uniqueness_stats)
@@ -169,8 +169,8 @@ def test_criterion_7_ciphertext_decorrelation():
     details = []
     ok = True
     for direction in ("horizontal", "vertical", "diagonal"):
-        r = adjacent_pixel_correlation(plane, direction)
-        original = adjacent_pixel_correlation(img.pixels, direction)
+        r = adjacency_stats(plane, direction).correlation
+        original = adjacency_stats(img.pixels, direction).correlation
         ok &= abs(r) < 0.05
         details.append(f"{direction}: |r|={abs(r):.4f} (original {original:.3f})")
     _report(7, ok, "; ".join(details))

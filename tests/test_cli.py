@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hdcrypt
+from hdcrypt import cli
 from hdcrypt.cli import main
 from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder, save_model
 from hdcrypt.experiments import ExperimentReport, ExperimentSpec, ReportRow
@@ -412,17 +413,55 @@ def _run_grid_spec(tmp_path, **fields):
     return main(["grid", "--config", str(spec), "--out", str(tmp_path / "g")])
 
 
-@pytest.mark.parametrize("multipliers", [[2.5], [4, 2.0], [True]])
-def test_grid_spec_non_integer_multiplier_exits_2(tmp_path, capsys, multipliers):
-    assert _run_grid_spec(tmp_path, multipliers=multipliers) == 2
-    assert "configuration error: multipliers:" in capsys.readouterr().err
-
-
-def test_grid_spec_boolean_sigma_exits_2(tmp_path, capsys):
-    # JSON true is no noise level, though Python counts it as 1
-    assert _run_grid_spec(tmp_path, sigmas=[True]) == 2
-    assert "configuration error: sigmas:" in capsys.readouterr().err
+@pytest.mark.parametrize("field, entries", [
+    ("multipliers", [2.5]), ("multipliers", [4, 2.0]), ("multipliers", [True]),
+    ("sigmas", [True]), ("sigmas", ["a"]),
+], ids=["multipliers-fraction", "multipliers-float", "multipliers-true",
+        "sigmas-true", "sigmas-string"])
+def test_grid_spec_wrong_typed_list_entry_exits_3(tmp_path, capsys, field, entries):
+    # as the same value in a scalar field does; JSON true is no number,
+    # though Python counts it as 1
+    assert _run_grid_spec(tmp_path, **{field: entries}) == 3
+    entry = len(entries) - 1
+    assert (f"data error: experiment-spec document field {field!r} entry {entry} must be"
+            in capsys.readouterr().err)
     assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("field", ["multipliers", "sigmas"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_grid_spec_non_finite_list_entry_exits_2(tmp_path, capsys, field, value):
+    assert _run_grid_spec(tmp_path, **{field: [4, value]}) == 2
+    assert f"configuration error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_grid_spec_of_a_non_integer_version_exits_3(tmp_path, capsys, version):
+    assert _run_grid_spec(tmp_path, version=version) == 3
+    assert "not a version-1 experiment-spec document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 PiB for an array", ""])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys, message):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cmd_table1", exhausted)
+    assert main(["table1", "--out", str(tmp_path / "t")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"configuration error: out of memory: {message}\n" if message
+                            else "configuration error: out of memory\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train-text", "table1"])
+def test_size_flags_set_every_size(command):
+    files = ["--crossbar", "x.json", "--keys", "k.json"] if command == "train-text" else []
+    argv = [command, *files, "--out", "o"]
+    sizes = ["--train-size", "100000", "--val-size", "100000", "--test-size", "10000"]
+    assert cli._sizes(cli.build_parser().parse_args(argv + sizes)) == (100_000, 100_000, 10_000)
+    assert cli._sizes(cli.build_parser().parse_args(argv)) == (20_000, 5_000, 10_000)
 
 
 def test_model_with_unknown_head_exits_2(key_material, capsys):

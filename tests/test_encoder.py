@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from hdcrypt import blocks
 from hdcrypt.blocks import _BLOCK_BYTES, GEMM_ROWS, block_size
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
-from hdcrypt.encoder import (IdealEncoder, binarize_batch,
-                             calibrate_epsilon, crossbar_pre_threshold,
-                             crossbar_pre_threshold_batch, encode_crossbar,
-                             encode_crossbar_batch, project_streamed,
-                             threshold_binarize)
+from hdcrypt.encoder import (IdealEncoder, binarize_batch, calibrate_epsilon,
+                             crossbar_pre_threshold_batch, encode_crossbar_batch,
+                             project_streamed, threshold_binarize)
 from hdcrypt.errors import ConfigError, DimensionError
 from hdcrypt.imagecrypto import BenchmarkEncoder
 from hdcrypt.rng import spawn_rng
@@ -62,7 +60,7 @@ def test_single_encodings_are_rows_of_the_batched_bits():
     batch = encode_crossbar_batch(xbar, xs, 1e-5, spawn_rng(10, "s"))
     stream = spawn_rng(10, "s")
     for row, x in zip(batch, xs):
-        bits = encode_crossbar(xbar, x, 1e-5, stream)
+        bits = encode_crossbar_batch(xbar, x[None], 1e-5, stream)[0]
         assert bits.dtype == np.uint8 and bits.shape == (24,)
         assert np.array_equal(bits, row)
     for bad in (np.zeros(0), np.zeros((2, 2))):
@@ -93,8 +91,8 @@ def test_threshold_idempotent_on_binary(dim, seed):
 def test_noiseless_encoding_is_deterministic():
     xbar = small_crossbar(rows=4, cols=16)
     x = np.array([0.4, -0.2, 0.9, -1.0])
-    a = encode_crossbar(xbar, x, 0.0, spawn_rng(1, "a"))
-    b = encode_crossbar(xbar, x, 0.0, spawn_rng(2, "b"))
+    a = encode_crossbar_batch(xbar, x[None], 0.0, spawn_rng(1, "a"))[0]
+    b = encode_crossbar_batch(xbar, x[None], 0.0, spawn_rng(2, "b"))[0]
     assert np.array_equal(a, b)
 
 
@@ -103,8 +101,9 @@ def test_noisy_encodings_differ_pass_to_pass():
     xbar = small_crossbar(rows=10, cols=500, sigma=0.1, p_on=0.02, p_off=0.02)
     x = spawn_rng(3, "x").uniform(-1, 1, 10)
     rng = spawn_rng(4, "passes")
-    first = encode_crossbar(xbar, x, 0.0, rng)
-    assert any(not np.array_equal(encode_crossbar(xbar, x, 0.0, rng), first) for _ in range(10))
+    first = encode_crossbar_batch(xbar, x[None], 0.0, rng)
+    assert any(not np.array_equal(encode_crossbar_batch(xbar, x[None], 0.0, rng), first)
+               for _ in range(10))
 
 
 def test_crossbar_encoding_matches_hand_computed_bits(rng):
@@ -117,7 +116,7 @@ def test_crossbar_encoding_matches_hand_computed_bits(rng):
     ref = (1.0 - 0.5) * xbar.config.g_mid
     y = np.array([2e-4 - 1.5e-4, 4e-4 - 0.5e-4, 6e-4 - 4.5e-4, 8e-4 - 1e-4]) - ref
     eps = float(np.median(y))
-    got = encode_crossbar(xbar, x, eps, rng)
+    got = encode_crossbar_batch(xbar, x[None], eps, rng)[0]
     assert np.array_equal(got, (y >= eps).astype(np.uint8))
 
 
@@ -125,7 +124,7 @@ def test_pre_threshold_cancels_common_mode(rng):
     # an input whose entry sum is extreme must not saturate the code
     xbar = small_crossbar(rows=8, cols=400, seed=11)
     ones = np.ones(8)
-    y = crossbar_pre_threshold(xbar, ones, rng)
+    y = crossbar_pre_threshold_batch(xbar, ones[None], rng)[0]
     assert (y > 0).mean() > 0.2 and (y > 0).mean() < 0.8
 
 
@@ -134,7 +133,7 @@ def test_batch_encoding_matches_single_calls():
     xs = spawn_rng(6, "xs").uniform(-1, 1, (9, 5))
     bits = encode_crossbar_batch(xbar, xs, 1e-5, spawn_rng(7, "s"))
     stream = spawn_rng(7, "s")
-    singles = [encode_crossbar(xbar, x, 1e-5, stream) for x in xs]
+    singles = [encode_crossbar_batch(xbar, x[None], 1e-5, stream)[0] for x in xs]
     for row, single in zip(bits, singles):
         assert np.array_equal(row, single)
 
@@ -153,7 +152,7 @@ def test_crossbar_encoding_checks_every_input_before_any_read():
 def test_encode_dimension_mismatch(rng):
     xbar = small_crossbar()
     with pytest.raises(DimensionError):
-        encode_crossbar(xbar, np.ones(3), 0.0, rng)
+        encode_crossbar_batch(xbar, np.ones((1, 3)), 0.0, rng)
 
 
 _ORACLE_BLOCK = _BLOCK_BYTES // (8 * 6 * 40)    # reads per block of a 6x40 crossbar
@@ -405,7 +404,7 @@ def test_packed_encoding_agrees_with_unpacked_reference(rng):
     # invariant: packed bit operations match a plain boolean-array pipeline
     xbar = small_crossbar(rows=6, cols=100, sigma=0.15, p_on=0.1, p_off=0.1, seed=26)
     x = spawn_rng(27, "x").uniform(-1, 1, 6)
-    y = crossbar_pre_threshold(xbar, x, spawn_rng(28, "s"))
+    y = crossbar_pre_threshold_batch(xbar, x[None], spawn_rng(28, "s"))[0]
     bits = threshold_binarize(y, 0.0)
     reference = np.array([1 if v >= 0.0 else 0 for v in y], dtype=np.uint8)
     assert np.array_equal(bits, reference)
@@ -459,8 +458,8 @@ def test_streamed_projection_memory_stays_near_output_size():
 def test_small_input_perturbation_flips_no_bits(rng):
     xbar = small_crossbar(rows=4, cols=32, seed=29)
     x = spawn_rng(30, "x").uniform(-1, 1, 4)
-    eps = float(np.median(crossbar_pre_threshold(xbar, x, rng))) + 1e-7
-    base = encode_crossbar(xbar, x, eps, rng)
+    eps = float(np.median(crossbar_pre_threshold_batch(xbar, x[None], rng)[0])) + 1e-7
+    base = encode_crossbar_batch(xbar, x[None], eps, rng)[0]
     bumped = x.copy()
     bumped[2] += 1e-12
-    assert np.array_equal(encode_crossbar(xbar, bumped, eps, rng), base)
+    assert np.array_equal(encode_crossbar_batch(xbar, bumped[None], eps, rng)[0], base)

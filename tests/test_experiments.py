@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from hdcrypt import decoder, experiments
 from hdcrypt.cli import main
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import fit_naive_bayes, load_model
-from hdcrypt.encoder import crossbar_pre_threshold
+from hdcrypt.encoder import crossbar_pre_threshold_batch
 from hdcrypt.errors import ConfigError, DataFormatError
 from hdcrypt.experiments import (TABLE1_ROWS, ExperimentReport, ExperimentSpec,
                                  ReportRow, calibrate_text_epsilon, grid_cells,
@@ -38,9 +41,10 @@ def test_calibrated_threshold_equals_looped_median(row):
                          p_stuck_on=row["p_on"], p_stuck_off=row["p_off"], seed=31)
     xbar = Crossbar.new_random(cfg)
     keys = SecretKeyTable.new_random(row["rows"], 32)
-    # reference: one single read per key vector per pass, in order
+    # reference: one read (a batch of one) per key vector per pass, in order
     rng = spawn_rng(33, "calibrate")
-    reads = [crossbar_pre_threshold(xbar, v, rng) for _ in range(4) for v in keys.vectors]
+    reads = [crossbar_pre_threshold_batch(xbar, v[None], rng)
+             for _ in range(4) for v in keys.vectors]
     assert calibrate_text_epsilon(xbar, keys, 33) == float(np.median(reads))
 
 
@@ -173,6 +177,20 @@ def test_report_csv_accuracy_formatting():
     report = ExperimentReport(rows=[row])
     line = report.csv_text().splitlines()[1]
     assert ",0.9955," in line
+
+
+def test_report_csv_quotes_what_csv_reader_reads_back():
+    reasons = ["ValueError: a, b", 'say "no"', "two\nlines", "carriage\rreturn", ""]
+    rows = [ReportRow(task="text", cell=f"c{i}", multiplier=4, sigma=0.1, p_on=0.0,
+                      p_off=0.0, rows=5, cols=20, status="failed", reason=reason)
+            for i, reason in enumerate(reasons)]
+    text = ExperimentReport(rows=rows).csv_text()
+    back = list(csv.reader(io.StringIO(text, newline="")))
+    assert back[0] == list(experiments._CSV_COLUMNS)
+    assert [r[-1] for r in back[1:]] == reasons
+    # quoted only where needed, as the CSV files of earlier versions were
+    assert ',failed,"ValueError: a, b"\n' in text and ',failed,"say ""no"""\n' in text
+    assert text.endswith(",failed,\n")
 
 
 def test_report_json_roundtrip(tmp_path):

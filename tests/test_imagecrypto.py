@@ -11,9 +11,7 @@ from hdcrypt.encoder import IdealEncoder
 from hdcrypt.errors import (ConfigError, DataFormatError,
                             DegenerateStatisticError, DimensionError)
 from hdcrypt.imagecrypto import (AdjacencyStats, BenchmarkEncoder, GrayImage,
-                                 adjacency_stats, adjacent_pixel_correlation,
-                                 binary_pair_counts, bits_to_plane,
-                                 pixel_histogram)
+                                 adjacency_stats, bits_to_plane, pixel_histogram)
 from hdcrypt.imageio import IDX_IMAGES_MAGIC, read_idx_images, read_pgm, write_pgm
 from hdcrypt.rng import spawn_rng
 
@@ -305,8 +303,8 @@ def test_histogram_all_zero_image():
 
 def test_histogram_binary_stage_two_bins():
     bits = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-    counts = pixel_histogram(bits)
-    assert counts.tolist() == [2, 3]
+    assert pixel_histogram(bits).tolist() == [2, 3]
+    assert pixel_histogram(bits.astype(bool)).tolist() == [2, 3]
 
 
 def test_histogram_real_stage_256_bins():
@@ -339,14 +337,14 @@ def test_histogram_conservation_across_stages(rng):
 def test_correlation_repeated_columns_is_one():
     column = np.array([0.1, 0.5, 0.9, 0.3])
     img = np.tile(column[:, None], (1, 6))
-    assert adjacent_pixel_correlation(img, "horizontal") == pytest.approx(1.0)
+    assert adjacency_stats(img, "horizontal").correlation == pytest.approx(1.0)
 
 
 def test_correlation_checkerboard_is_minus_one():
     img = np.indices((6, 6)).sum(axis=0) % 2
-    assert adjacent_pixel_correlation(img, "horizontal") == pytest.approx(-1.0)
-    assert adjacent_pixel_correlation(img, "vertical") == pytest.approx(-1.0)
-    assert adjacent_pixel_correlation(img, "diagonal") == pytest.approx(1.0)
+    assert adjacency_stats(img, "horizontal").correlation == pytest.approx(-1.0)
+    assert adjacency_stats(img, "vertical").correlation == pytest.approx(-1.0)
+    assert adjacency_stats(img, "diagonal").correlation == pytest.approx(1.0)
 
 
 def test_correlation_matches_direct_formula():
@@ -361,23 +359,23 @@ def test_correlation_matches_direct_formula():
         fm, sm = first.mean(), second.mean()
         num = ((first - fm) * (second - sm)).sum()
         den = np.sqrt(((first - fm) ** 2).sum() * ((second - sm) ** 2).sum())
-        assert abs(adjacent_pixel_correlation(img, direction) - num / den) < 1e-12
+        assert abs(adjacency_stats(img, direction).correlation - num / den) < 1e-12
 
 
 def test_correlation_zero_variance_raises():
     with pytest.raises(DegenerateStatisticError):
-        adjacent_pixel_correlation(np.full((4, 4), 0.7), "horizontal")
+        adjacency_stats(np.full((4, 4), 0.7), "horizontal")
 
 
 def test_correlation_unknown_direction():
     with pytest.raises(ConfigError):
-        adjacent_pixel_correlation(np.zeros((3, 3)), "antidiagonal")
+        adjacency_stats(np.zeros((3, 3)), "antidiagonal")
 
 
-def test_binary_pair_counts_match_loops():
+def test_adjacency_pair_counts_match_loops():
     rng = spawn_rng(17, "p")
     bits = rng.integers(0, 2, size=(9, 11))
-    counts = binary_pair_counts(bits, "horizontal")
+    counts = adjacency_stats(bits, "horizontal").pair_counts
     # oracle: nested loops
     naive = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     for r in range(9):
@@ -385,6 +383,31 @@ def test_binary_pair_counts_match_loops():
             naive[(bits[r, c], bits[r, c + 1])] += 1
     assert counts == naive
     assert sum(counts.values()) == 9 * 10
+
+
+@pytest.mark.parametrize("plane", [
+    spawn_rng(20, "b").integers(0, 2, size=(7, 9)).astype(np.uint8),
+    spawn_rng(20, "b").integers(0, 2, size=(7, 9)).astype(bool),
+    spawn_rng(21, "r").random((7, 9)),
+], ids=["uint8-bits", "bool-bits", "real"])
+def test_adjacency_stats_match_corrcoef_and_bincount(plane):
+    binary = plane.dtype != np.float64
+    for direction, (first, second) in {
+        "horizontal": (plane[:, :-1], plane[:, 1:]),
+        "vertical": (plane[:-1, :], plane[1:, :]),
+        "diagonal": (plane[:-1, :-1], plane[1:, 1:]),
+    }.items():
+        first, second = first.ravel().astype(np.float64), second.ravel().astype(np.float64)
+        st = adjacency_stats(plane, direction)
+        assert st.direction == direction
+        assert st.correlation == pytest.approx(np.corrcoef(first, second)[0, 1],
+                                               rel=0, abs=1e-12)
+        if binary:
+            pairs = np.bincount(2 * first.astype(int) + second.astype(int), minlength=4)
+            assert st.pair_counts == {(0, 0): pairs[0], (0, 1): pairs[1],
+                                      (1, 0): pairs[2], (1, 1): pairs[3]}
+        else:
+            assert st.pair_counts is None
 
 
 def test_adjacency_stats_bundles_counts_for_binary():
@@ -423,10 +446,10 @@ def test_bits_to_plane_needs_integer_height_and_width(size, height, width, field
 
 def test_encrypted_stage_decorrelates_natural_image(rng):
     img = synthetic_natural_image(60, seed=20)
-    assert adjacent_pixel_correlation(img.pixels, "horizontal") > 0.7
+    assert adjacency_stats(img.pixels, "horizontal").correlation > 0.7
     enc = IdealEncoder.new_random(3600, 4, sigma=1.0, seed=21)
     pre = enc.project_batch(img.flatten()[None], rng)[0]
     bits = enc.with_epsilon(float(np.median(pre))).encode_batch(img.flatten()[None], rng)[0]
     plane = bits_to_plane(bits, 60, 60, 4)
     for direction in ("horizontal", "vertical", "diagonal"):
-        assert abs(adjacent_pixel_correlation(plane, direction)) < 0.05
+        assert abs(adjacency_stats(plane, direction).correlation) < 0.05

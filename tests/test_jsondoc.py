@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import HEAD_REGRESSION, LinearDecoder, load_model, save_model
-from hdcrypt.errors import HdcryptError
+from hdcrypt.errors import DataFormatError, HdcryptError
 from hdcrypt.experiments import ExperimentReport, ExperimentSpec, ReportRow
 from hdcrypt.textcrypto import SecretKeyTable
 
@@ -108,6 +108,19 @@ def test_fuzzed_json_files_load_or_raise_hdcrypt_error(tmp_path_factory, fmt, da
         loader(path)
     except HdcryptError:
         pass
+
+
+@pytest.mark.parametrize("fmt", sorted(DOCUMENTS))
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_version_must_be_the_json_integer_1(tmp_path, fmt, version):
+    # true and 1.0 compare equal to 1 in Python
+    doc, loader = DOCUMENTS[fmt]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    loader(path)
+    path.write_text(json.dumps({**doc, "version": version}))
+    with pytest.raises(DataFormatError, match=f"not a version-1 {fmt} document"):
+        loader(path)
 
 
 @pytest.mark.parametrize("fmt, place", [

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -19,6 +20,17 @@ def test_public_names_resolve():
         module = importlib.import_module(f"hdcrypt.{name}")
         for public in getattr(module, "__all__", ()):
             assert hasattr(module, public), f"hdcrypt.{name}.__all__ names missing {public!r}"
+
+
+def test_package_exports_are_public_names_of_their_modules():
+    tree = ast.parse((ROOT / "src" / "hdcrypt" / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"hdcrypt.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, \
+                f"hdcrypt.{node.module}.__all__ lacks {alias.name!r}"
 
 
 @pytest.mark.parametrize("demo", ["01_crossbar_noise.py", "02_text_roundtrip.py",

@@ -218,9 +218,8 @@ def test_uniqueness_matches_naive_oracle():
     n_passes = 40
     stats = uniqueness_stats("k", n_passes, keys, xbar, 1e-5, spawn_rng(10, "u"))
     # oracle: re-encode with the same stream, then nested-loop comparisons
-    from hdcrypt.encoder import encode_crossbar
     rng = spawn_rng(10, "u")
-    hvs = [encode_crossbar(xbar, keys.vectors[CHARSET.index("k")], 1e-5, rng)
+    hvs = [encode_crossbar_batch(xbar, keys.vectors[CHARSET.index("k")][None], 1e-5, rng)[0]
            for _ in range(n_passes)]
     distinct = len({hv.tobytes() for hv in hvs})
     total = 0
