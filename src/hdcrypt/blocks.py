@@ -9,9 +9,10 @@ the batch size. The count is rounded down to a multiple of the loop's
 alignment, and is at least one alignment:
 
 * GEMM_ROWS = 16: OpenBLAS computes matrix-product row blocks that start
-  at multiples of 16, and blocks of 16k output columns, bitwise as parts
-  of the one product at the shapes tests/test_blas.py pins (13- or
-  83-row blocks are not);
+  at multiples of 16 bitwise as parts of the one product, at the shapes
+  tests/test_blas.py pins (13- or 83-row blocks are not); the ridge
+  fit's Gram matrices of bits, exact integer sums whatever the blocks,
+  take the same alignment;
 * GEMV_ROWS = 4: its matrix-vector kernels work on groups of four rows
   and round a shorter group differently, so whole groups keep the output
   independent of the block size;

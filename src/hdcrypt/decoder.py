@@ -1,9 +1,12 @@
-"""Single-layer decoder z = W x + b with one of two heads, each fit in
-closed form:
+"""Single-layer decoder z = W x + b with one of two heads:
 
 * "softmax"    - class probabilities softmax(z) (character decryption),
-                 fit by fit_naive_bayes,
-* "regression" - raw z (image reconstruction), fit by fit_ridge.
+                 fit in closed form by fit_naive_bayes,
+* "regression" - raw z, which grad_check and model files cover.
+
+Image reconstruction builds no decoder: ridge_predict returns a ridge
+regression's predictions for the test rows from an eigendecomposition
+of the Gram matrix, and never forms the weights.
 
 The bits of one ciphertext block are independent given the class, since
 every cell draws its own read noise, so the Bayes-optimal decoder is
@@ -18,8 +21,8 @@ TrainReport, while the benchmark harness traces it (ROADMAP item 3).
 
 No pass holds a float copy of a whole feature matrix, which may be
 stored as uint8 bits: inference widens one `hdcrypt.blocks` block of
-rows at a time, and fit_ridge forms the Gram matrices of bit features
-exactly from float32 blocks.
+rows at a time, and ridge_predict forms the Gram matrices of bit
+features exactly from float32 blocks.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +44,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "fit_naive_bayes",
-    "fit_ridge",
+    "ridge_predict",
     "train",
     "grad_check",
     "save_model",
@@ -52,7 +55,7 @@ HEAD_SOFTMAX = "softmax"
 HEAD_REGRESSION = "regression"
 
 PROB_FLOOR = 1e-12
-# fit_ridge's penalties, in units of trace(Gram) / d, the mean eigenvalue
+# ridge_predict's penalties, in units of trace(Gram) / d, the mean eigenvalue
 # of the centered Gram matrix
 _RIDGE_GRID = np.logspace(-4, 1, 11)
 # float32 holds every integer below this exactly
@@ -92,7 +95,7 @@ def _affine(weights, bias, X):
     which the in-place SGD update (_sgd_step) needs. numpy may bundle a
     second BLAS with its own thread pool: with two BLAS threads on a 2-core
     host, alternating calls between the two pools made a softmax SGD step
-    26 times slower. fit_ridge's few large products use numpy's: on one
+    26 times slower. ridge_predict's few large products use numpy's: on one
     BLAS thread they time as scipy's do, and on two the switch around its
     eigh added 0.1-0.2 s to fits of 1,080 to 7,200 rows on that host. Its
     blocked products of bit features (_centered_bit_products) run in a
@@ -196,9 +199,10 @@ def fit_naive_bayes(features, labels, num_classes):
     return LinearDecoder(log_on - log_off, log_off.sum(axis=1), HEAD_SOFTMAX)
 
 
-def _centered_bit_products(X, Y, Xv, x_mean, y_mean):
-    """fit_ridge's (gram, rhs, val_side) for 0/1 uint8 features X and Xv,
-    from exact integer products and sums; rhs is None in the dual fit.
+def _centered_bit_products(X, Y, Xs, x_mean, y_mean):
+    """ridge_predict's (gram, rhs, side) for 0/1 uint8 features X and
+    prediction rows Xs, from exact integer products and sums; rhs is None
+    in the dual fit.
 
     A GEMM-aligned block of X (columns in the dual, rows in the primal)
     is widened to float32 at a time and added to the Gram matrix by a
@@ -209,18 +213,20 @@ def _centered_bit_products(X, Y, Xv, x_mean, y_mean):
     With the column sums s = X^T 1:
     * primal: Xc^T Xc = X^T X - s s^T / n, where s is the diagonal of
       X^T X, and rhs = Xc^T Yc = X^T Yc, since Yc sums to zero, is summed
-      over the row blocks; val_side = Xv - x_mean, as for float features;
+      over the row blocks; side = Xs - x_mean, as for float features;
     * dual: Xc Xc^T = X X^T - (t 1^T + 1 t^T) / n + s^T s / n^2, where
-      t = X s are the row sums of X X^T and s^T s is their sum; Xvc Xc^T
-      is alike with tv = Xv s, the row sums of Xv X^T.
-    Both centered Gram matrices are exactly symmetric, as eigh needs.
+      t = X s are the row sums of X X^T and s^T s is their sum; side,
+      Xsc Xc^T, is alike with ts = Xs s, the row sums of Xs X^T.
+    The Gram matrix is centered in float64 and rounded to float32 a block
+    of rows at a time, in place, so it stays float32 and exactly
+    symmetric, as eigh needs; side and rhs are float64.
     """
     n, d = X.shape
     dual = n < d
     # BLAS updates these Fortran-ordered sums in place
     if dual:
         blocks = [np.s_[:, cols] for cols in block_slices(d, block_size(n, GEMM_ROWS))]
-        G, Gv = np.zeros((n, n), np.float32, "F"), np.zeros((len(Xv), n), np.float32, "F")
+        G, Gs = np.zeros((n, n), np.float32, "F"), np.zeros((len(Xs), n), np.float32, "F")
     else:
         blocks = block_slices(n, block_size(d, GEMM_ROWS))
         G, rhs = np.zeros((d, d), np.float32, "F"), np.zeros((d, Y.shape[1]), order="F")
@@ -229,54 +235,59 @@ def _centered_bit_products(X, Y, Xv, x_mean, y_mean):
         Bt = X[block].T.astype(np.float32)  # Fortran-ordered, as BLAS reads it
         # dual: G += Bt^T Bt = B B^T; primal: G += Bt Bt^T = B^T B
         G = syrk(1.0, Bt, beta=1.0, c=G, trans=int(dual), overwrite_c=True)
-        if dual:    # Gv += Xv[block] Bt
-            Gv = _gemm(Gv)(1.0, Xv[block].T.astype(np.float32), Bt, beta=1.0, c=Gv,
+        if dual:    # Gs += Xs[block] Bt
+            Gs = _gemm(Gs)(1.0, Xs[block].T.astype(np.float32), Bt, beta=1.0, c=Gs,
                            trans_a=True, overwrite_c=True)
         else:       # rhs += Bt (Y[block] - y_mean)
             rhs = _gemm(rhs)(1.0, Bt.astype(np.float64), (Y[block] - y_mean).T, beta=1.0,
                              c=rhs, trans_b=True, overwrite_c=True)
     G += np.triu(G, 1).T
-    G = G.T.astype(np.float64)  # C-ordered, so fit_ridge's eigh can overwrite G.T
-    # G is centered a block of rows at a time, with no temporary of its
-    # size. glibc's malloc raises its mmap threshold to the size of each
-    # large block it frees, so after such a temporary eigh's eigenvectors,
-    # as large as G, would come from the heap and stay resident once
-    # fit_ridge frees them: 6 MiB more process peak in a 1,080-row bhv cell
+    G = G.T     # C-ordered, the same symmetric matrix
     if dual:
-        Gv = Gv.astype(np.float64)
-        t, tv = G.sum(axis=1), Gv.sum(axis=1)
+        t, ts = G.sum(axis=1, dtype=np.float64), Gs.sum(axis=1, dtype=np.float64)
         offset = t.sum() / n**2
-        for rows in block_slices(n, block_size(n)):
-            G[rows] -= (t[rows, None] + t) / n
-            G[rows] += offset
-        Gv -= (tv[:, None] + t) / n
-        Gv += offset
-        return G, None, Gv
-    s = G.diagonal().copy()
-    for rows in block_slices(d, block_size(d)):
-        G[rows] -= np.outer(s[rows], s) / n
-    return G, rhs, Xv - x_mean
+        side = Gs.astype(np.float64)
+        side -= (ts[:, None] + t) / n
+        side += offset
+    else:
+        s = G.diagonal().astype(np.float64)
+        side = Xs - x_mean
+    for rows in block_slices(len(G), block_size(len(G))):
+        centered = G[rows].astype(np.float64)
+        if dual:
+            centered -= (t[rows, None] + t) / n
+            centered += offset
+        else:
+            centered -= np.outer(s[rows], s) / n
+        G[rows] = centered
+    return G, (None if dual else rhs), side
 
 
-def fit_ridge(features, targets, val_set):
-    """Ridge regression decoder: W minimizes |Xc W^T - Yc|^2 + lam |W|^2
-    for the centered features and targets Xc and Yc, and the bias absorbs
-    the centering. Of lam in _RIDGE_GRID times trace / d, the one with the
-    lowest (unclipped) validation RMSE wins, the smallest on a tie.
+def ridge_predict(features, targets, val_set, test_features):
+    """Ridge regression's unclipped predictions for the rows of
+    test_features: the model W minimizes |Xc W^T - Yc|^2 + lam |W|^2 for
+    the centered features and targets, and its bias absorbs the
+    centering. Of lam in _RIDGE_GRID times trace / d, the one with the
+    lowest validation RMSE wins, the smallest on a tie.
 
-    The Gram matrix on the smaller side, Xc Xc^T if n < d, else Xc^T Xc,
-    is eigendecomposed once, in place, as U diag(s) U^T; each lam then
-    only rescales M = diag(1 / (s + lam)) U^T R, where R is Yc or Xc^T Yc,
-    and W is (U M)^T Xc or (U M)^T. No d x n product of Xc and U is formed.
+    The Gram matrix on the smaller side, Xc Xc^T if n < d (dual), else
+    Xc^T Xc (primal), is centered in float64, rounded to float32 and
+    eigendecomposed once, in place, as U diag(s) U^T. The validation
+    rows, then the test rows, enter that basis as side @ U, where side is
+    their centered Gram rows (dual) or centered features (primal). With
+    R = Yc (dual) or Xc^T Yc (primal), a row's prediction is
+    (side @ U) diag(1 / (s + lam)) (U^T R) + y_mean. U^T R and side @ U
+    are float32 products, and each lam only rescales the validation rows
+    of their float64 results. W is never formed: the prediction rows
+    cost (n_val + n_test) n^2 in the dual and (n_val + n_test) d^2 in
+    the primal, where W costs k n (n + d) and k d^2, so this is cheaper
+    while there are fewer prediction rows than k outputs (an image cell
+    has 100 to 400 test images and k = 784 pixels).
 
-    Features that are 0/1 uint8 bits (ciphertexts) have their Gram
-    and validation products formed exactly by _centered_bit_products,
-    with no float copy of X. Other features are centered into a float64
-    Xc, held only until those products are formed. The dual fit (n < d)
-    then recenters the features a GEMM-aligned block of columns at a
-    time to form W = (U M)^T Xc, bitwise the one product's with OpenBLAS,
-    so its largest arrays after the Gram matrix are n x n and n x k, not
-    n x d. The primal fit keeps its d x d form.
+    0/1 uint8 features (ciphertexts) have their Gram matrix and side
+    formed exactly by _centered_bit_products, with no float copy of X.
+    Other features are centered into a float64 Xc, held only until those
+    products are formed.
     """
     X, Y = np.asarray(features), np.asarray(targets)
     if X.ndim != 2 or Y.ndim != 2:
@@ -284,44 +295,39 @@ def fit_ridge(features, targets, val_set):
     dims = (HEAD_REGRESSION, X.shape[1], Y.shape[1])
     X, Y = _check_set("train", (X, Y), *dims)
     Xv, Yv = _check_set("val", val_set, *dims)
+    Xs = np.concatenate([Xv, _check_features("test", test_features, X.shape[1])])
     n, d = X.shape
     x_mean, y_mean = X.mean(axis=0, dtype=np.float64), Y.mean(axis=0)
     dual = n < d
-    bits = X.dtype == Xv.dtype == np.uint8 and max(X.max(), Xv.max()) <= 1
+    bits = X.dtype == Xs.dtype == np.uint8 and max(X.max(), Xs.max()) <= 1
     if bits and max(n, d) < _F32_EXACT:
-        gram, rhs, val_side = _centered_bit_products(X, Y, Xv, x_mean, y_mean)
+        gram, rhs, side = _centered_bit_products(X, Y, Xs, x_mean, y_mean)
     else:
         Xc = X - x_mean
         if dual:
-            gram, rhs, val_side = Xc @ Xc.T, None, (Xv - x_mean) @ Xc.T
+            gram, rhs, side = Xc @ Xc.T, None, (Xs - x_mean) @ Xc.T
         else:
-            gram, rhs, val_side = Xc.T @ Xc, Xc.T @ (Y - y_mean), Xv - x_mean
+            gram, rhs, side = Xc.T @ Xc, Xc.T @ (Y - y_mean), Xs - x_mean
         del Xc
-    lambdas = _RIDGE_GRID * (np.trace(gram) / d or 1.0)
+        gram = gram.astype(np.float32)
+    lambdas = _RIDGE_GRID * (np.trace(gram, dtype=np.float64) / d or 1.0)
     # the Gram matrix is exactly symmetric, so its transpose, which is
     # Fortran-ordered, is the same matrix and LAPACK can overwrite it
-    s, U = eigh(gram.T, overwrite_a=True)
+    s, U = eigh(gram.T, overwrite_a=True, driver="evd")
     del gram
     if dual:
         rhs = Y - y_mean
-    UtY, val_basis = U.T @ rhs, val_side @ U
-    del rhs
+    rhs = rhs.astype(np.float32)    # the float64 one is freed before the products
+    UtR, basis = U.T @ rhs, side.astype(np.float32) @ U
+    del U, rhs, side
+    UtR, basis, s = UtR.astype(np.float64), basis.astype(np.float64), s.astype(np.float64)
+    val_basis = basis[:len(Xv)]
 
     def val_rmse(lam):
-        R = val_basis @ (UtY / (s + lam)[:, None]) + y_mean - Yv
+        R = (val_basis / (s + lam)) @ UtR + y_mean - Yv
         return float(np.sqrt(np.mean(R * R)))
 
-    M = UtY
-    M /= (s + min(lambdas, key=val_rmse))[:, None]
-    del UtY     # M is now the only name of that n x k (or d x k) buffer
-    if dual:    # U is freed before the (k, d) product
-        M, U = U @ M, None
-        weights = np.empty((M.shape[1], d))
-        for cols in block_slices(d, block_size(n, GEMM_ROWS)):
-            np.matmul(M.T, X[:, cols] - x_mean[cols], out=weights[:, cols])
-    else:
-        weights = M.T @ U.T
-    return LinearDecoder(weights, y_mean - weights @ x_mean, HEAD_REGRESSION)
+    return (basis[len(Xv):] / (s + min(lambdas, key=val_rmse))) @ UtR + y_mean
 
 
 # called by no program path; bench/ reads it (ROADMAP item 3)
@@ -425,13 +431,18 @@ def _mean_nll(weights, bias, X, Y):
     return float(losses.sum()) / len(losses)
 
 
-def _check_set(name, data, head, in_dim, out_dim):
-    X, Y = data
+def _check_features(name, X, in_dim):
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DimensionError(f"{name} features must be a nonempty (n, d) array")
     if X.shape[1] != in_dim:
         raise DimensionError(f"{name} feature dim {X.shape[1]}, model expects {in_dim}")
+    return X
+
+
+def _check_set(name, data, head, in_dim, out_dim):
+    X, Y = data
+    X = _check_features(name, X, in_dim)
     if head == HEAD_SOFTMAX:
         Y = np.asarray(Y)
         if Y.shape != (X.shape[0],):

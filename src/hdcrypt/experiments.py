@@ -19,9 +19,9 @@ import numpy as np
 from . import jsondoc
 from .crossbar import Crossbar, CrossbarConfig
 # nothing here calls `train`; bench/tests reads `experiments.train` (ROADMAP item 3)
-from .decoder import TrainConfig, fit_naive_bayes, fit_ridge, train
+from .decoder import TrainConfig, fit_naive_bayes, ridge_predict, train
 from .encoder import IdealEncoder, calibrate_epsilon, crossbar_pre_threshold_batch
-from .errors import ConfigError, DataFormatError, require_finite
+from .errors import ConfigError, DataFormatError, DimensionError, require_finite
 from .imagecrypto import BenchmarkEncoder
 from .rng import derive_seed, spawn_rng
 from .textcrypto import (NUM_CLASSES, SecretKeyTable, build_dataset,
@@ -234,7 +234,8 @@ def run_table1(sizes=DESK_SIZES, master_seed=0, rows=TABLE1_ROWS, jobs=1):
                                     row["p_on"], row["p_off"]))
         except ConfigError as exc:
             failed.append(ReportRow(
-                task="text", cell=label, multiplier=row["cols"] / row["rows"],
+                task="text", cell=label,
+                multiplier=row["cols"] / row["rows"] if row["rows"] else 0.0,
                 sigma=row["sigma"], p_on=row["p_on"], p_off=row["p_off"],
                 rows=row["rows"], cols=row["cols"], status="failed",
                 reason=f"{type(exc).__name__}: {exc}"))
@@ -410,13 +411,17 @@ class ImageCellResult:
 
 def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
                    multiplier=4, pipeline="bhv"):
-    """Fit one image-reconstruction decoder and report held-out RMSE.
+    """Reconstruct held-out images from their encodings and report the RMSE.
 
     pipeline "bhv": expanding encoder + threshold; "benchmark": square
     projection, no threshold, reported at multiplier 1. Images are
-    (n, h, w) arrays in [0, 1]. The last IMAGE_VAL_FRACTION of the
-    training images (at least one) are held out for validation.
-    Returns (ImageCellResult, fitted decoder, encoder).
+    (n, h, w) arrays in [0, 1], train and test of one (h, w). The last
+    IMAGE_VAL_FRACTION of the training images (at least one) are held out
+    for validation, so at least two are needed, and at least one test
+    image; other inputs raise DimensionError before anything is encoded.
+    Returns (ImageCellResult, reconstructions, encoder), where
+    reconstructions are the (n_test, h, w) test images decoded and
+    clipped to [0, 1].
 
     Because every encoding pass draws fresh noise, each training image is
     encoded IMAGE_ENCODE_REPEATS times; the decoder then sees the noise
@@ -424,16 +429,23 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
     expanded dimension exceeds the image count. Validation and test
     images are encoded once, matching how a receiver decodes.
 
-    The decoder is decoder.fit_ridge's closed-form fit on the raw encoder
-    outputs, its penalty chosen on the validation images. `train_cfg` is
-    never read, and callers may pass None; bench/workloads.py still passes
-    one positionally (ROADMAP item 3).
+    The decoder is ridge regression on the raw encoder outputs, its
+    penalty chosen on the validation images; decoder.ridge_predict
+    returns its test predictions without forming its weights. `train_cfg`
+    is never read, and callers may pass None; bench/workloads.py still
+    passes one positionally (ROADMAP item 3).
     """
     if pipeline not in IMAGE_PIPELINES:
         raise ConfigError("pipeline", f"must be one of {IMAGE_PIPELINES}, got {pipeline!r}")
     started = time.perf_counter()
     train_images = np.asarray(train_images, dtype=np.float64)
     test_images = np.asarray(test_images, dtype=np.float64)
+    if train_images.ndim != 3 or train_images.shape[1:] != test_images.shape[1:]:
+        raise DimensionError(f"train and test images must be (n, h, w) arrays of one (h, w), "
+                             f"got shapes {train_images.shape} and {test_images.shape}")
+    if len(train_images) < 2 or len(test_images) == 0:
+        raise DimensionError(f"{len(train_images)} training and {len(test_images)} test images: "
+                             "at least 2 (one is held out for validation) and 1 are needed")
     k = train_images.shape[1] * train_images.shape[2]
     flats = train_images.reshape(len(train_images), k)
     test_flats = test_images.reshape(len(test_images), k)
@@ -453,11 +465,10 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
         encode = enc.project_batch
     X, X_val, X_test = (encode(x, spawn_rng(master_seed, f"{name}-data")) for name, x in
                         (("train", repeated), ("val", val_flats), ("test", test_flats)))
-    model = fit_ridge(X, repeated, (X_val, val_flats))
-
-    pred = model.forward_batch(X_test)
+    pred = ridge_predict(X, repeated, (X_val, val_flats), X_test)
     np.clip(pred, 0.0, 1.0, out=pred)
     rmse = float(np.sqrt(np.mean((pred - test_flats) ** 2)))
-    return ImageCellResult(pipeline=pipeline, sigma=sigma,
-                           multiplier=multiplier if binary else 1, rmse=rmse,
-                           wall_time_s=round(time.perf_counter() - started, 3)), model, enc
+    result = ImageCellResult(pipeline=pipeline, sigma=sigma,
+                             multiplier=multiplier if binary else 1, rmse=rmse,
+                             wall_time_s=round(time.perf_counter() - started, 3))
+    return result, pred.reshape(test_images.shape), enc

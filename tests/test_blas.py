@@ -1,15 +1,14 @@
 """The BLAS property behind the blocked encoder, decoder and decryption.
 
-`IdealEncoder.encode_batch`, decoder inference, `decoder.fit_ridge`'s
-dual fit and `textcrypto.decrypt_text` compute one large matrix product
-a block at a time, taking their slices from `blocks.block_slices` at GEMM_ROWS
-alignment: row blocks that start at multiples of 16, or blocks of 16k
-output columns. Each test below iterates those same slices. Their outputs
-are bitwise those of the one-product forms only because the BLAS
-computes every output entry the same way whatever the block. OpenBLAS
-does so at these shapes (13- or 83-row blocks, and blocks of 242
-columns, do not). A BLAS build that breaks it fails here first, naming
-the shape, rather than as a last-bit drift in the seeded outputs.
+`IdealEncoder.encode_batch`, decoder inference and
+`textcrypto.decrypt_text` compute one large matrix product a block at a
+time, taking their slices from `blocks.block_slices` at GEMM_ROWS
+alignment: row blocks that start at multiples of 16. Each test below
+iterates those same slices. Their outputs are bitwise those of the
+one-product forms only because the BLAS computes every output entry the
+same way whatever the block. OpenBLAS does so at these shapes (13- or
+83-row blocks do not). A BLAS build that breaks it fails here first,
+naming the shape, rather than as a last-bit drift in the seeded outputs.
 """
 
 import numpy as np
@@ -32,19 +31,6 @@ def test_blas_row_blocks_at_multiples_of_16_reproduce_the_one_product(n, k, D):
         assert np.array_equal(xs[rows] @ W.T, whole[rows]), rows.start
 
 
-@pytest.mark.parametrize("n, d, k", [
-    (1080, 3136, 784),      # a bhv image cell's dual ridge fit
-    (160, 3364, 3),         # test_decoder's blocked dual fit
-], ids=["bhv-cell", "ridge-test"])
-def test_blas_output_column_blocks_reproduce_the_one_product(n, d, k):
-    rng = spawn_rng(2, f"cols-{n}x{d}x{k}")
-    X, M = rng.integers(0, 2, (n, d)).astype(np.uint8), rng.normal(size=(n, k))
-    x_mean = X.mean(axis=0)
-    whole = M.T @ (X - x_mean)
-    for cols in block_slices(d, block_size(n, GEMM_ROWS)):
-        assert np.array_equal(M.T @ (X[:, cols] - x_mean[cols]), whole[:, cols]), cols.start
-
-
 def test_blas_decryption_chunks_reproduce_the_one_product_logits():
     # a 94-class text decoder on 500-bit blocks, 512 blocks per chunk
     rng = spawn_rng(3, "logits")
@@ -57,8 +43,8 @@ def test_blas_decryption_chunks_reproduce_the_one_product_logits():
 
 
 def test_blas_image_head_row_blocks_reproduce_the_one_product():
-    # a bhv image cell's forward_batch: 100 test images at m = 4 through a
-    # 3,136 -> 784 regression head, the one inference shape that splits
+    # forward_batch of 100 rows of image bits at m = 4 through a 3,136 -> 784
+    # regression head, an inference shape that splits into 80-row blocks
     rng = spawn_rng(4, "image-head")
     W, b = rng.normal(size=(784, 3136)), rng.normal(size=784)
     X = rng.integers(0, 2, (100, 3136)).astype(np.float64)

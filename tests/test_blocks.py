@@ -4,8 +4,8 @@ from hdcrypt.blocks import _BLOCK_BYTES, GEMM_ROWS, GEMV_ROWS, block_size, block
 
 
 def gemm_rows(width):
-    """The GEMM row rule: IdealEncoder.encode_batch, fit_ridge's column
-    blocks and decrypt_text."""
+    """The GEMM row rule: IdealEncoder.encode_batch, the dual ridge fit's
+    column blocks and decrypt_text."""
     return max(16, _BLOCK_BYTES // (8 * width) // 16 * 16)
 
 

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdcrypt import blocks, decoder
-from hdcrypt.blocks import GEMM_ROWS, block_size
 from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX,
                              LinearDecoder, TrainConfig, fit_naive_bayes,
-                             fit_ridge, grad_check, load_model, save_model,
+                             grad_check, load_model, ridge_predict, save_model,
                              train, _RIDGE_GRID, _batch_loss_dz,
                              _batch_loss_grads, _mean_nll, _sgd_step,
                              _softmax)
@@ -490,128 +489,100 @@ def test_naive_bayes_fit_memory_stays_near_feature_size():
     assert peak < X.nbytes + 6 * table
 
 
-def _ridge_problem(n, d, k=3, n_val=40, seed=30):
-    """Noisy linear targets of n training and n_val validation bit rows."""
+def _ridge_problem(n, d, k=3, n_val=40, n_test=25, seed=30):
+    """Noisy linear targets of n training, n_val validation and n_test
+    test bit rows: ((X, Y), (Xv, Yv), Xt)."""
     rng = spawn_rng(seed, f"ridge-{n}x{d}")
-    X = rng.integers(0, 2, size=(n + n_val, d)).astype(np.uint8)
-    Y = X @ rng.normal(size=(d, k)) + rng.normal(scale=3.0, size=(n + n_val, k)) + 0.5
-    return (X[:n], Y[:n]), (X[n:], Y[n:])
+    X = rng.integers(0, 2, size=(n + n_val + n_test, d)).astype(np.uint8)
+    Y = X @ rng.normal(size=(d, k)) + rng.normal(scale=3.0, size=(len(X), k)) + 0.5
+    return (X[:n], Y[:n]), (X[n:n + n_val], Y[n:n + n_val]), X[n + n_val:]
 
 
-@pytest.mark.parametrize("n, d", [(30, 60), (50, 30)])  # n < d, then n >= d
-def test_fit_ridge_is_the_normal_equations_at_the_best_grid_penalty(n, d):
-    (X, Y), (Xv, Yv) = _ridge_problem(n, d)
-    Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
-    fits = []
+def _normal_equations(X, Y, Xv, Yv, Xt):
+    """The float64 oracle: for each grid penalty lam, the validation RMSE
+    and the test predictions Xt_c (Xc^T Xc + lam I)^-1 Xc^T Yc + y_mean,
+    from one linear solve."""
+    x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
+    Xc, Yc = X - x_mean, Y - y_mean
+    d = X.shape[1]
+    rmses, preds = [], []
     for lam in _RIDGE_GRID * np.sum(Xc * Xc) / d:
-        w = np.linalg.solve(Xc.T @ Xc + lam * np.eye(d), Xc.T @ Yc).T
-        b = Y.mean(axis=0) - w @ X.mean(axis=0)
-        fits.append((np.sqrt(np.mean((Xv @ w.T + b - Yv) ** 2)), w, b))
-    best = int(np.argmin([rmse for rmse, _, _ in fits]))
-    assert 0 < best < len(fits) - 1    # the choice is not at an end of the grid
-    model = fit_ridge(X, Y, (Xv, Yv))
-    np.testing.assert_allclose(model.weights, fits[best][1], rtol=1e-8, atol=1e-10)
-    np.testing.assert_allclose(model.bias, fits[best][2], rtol=1e-8, atol=1e-10)
-    # no other penalty of the grid gives these weights
-    assert [np.allclose(model.weights, w, rtol=1e-6, atol=0) for _, w, _ in fits] == \
-        [j == best for j in range(len(fits))]
+        w = np.linalg.solve(Xc.T @ Xc + lam * np.eye(d), Xc.T @ Yc)
+        rmses.append(np.sqrt(np.mean(((Xv - x_mean) @ w + y_mean - Yv) ** 2)))
+        preds.append((Xt - x_mean) @ w + y_mean)
+    return rmses, preds
+
+
+def _float64_eigh_choice(X, Y, Xv, Yv):
+    """The grid index the validation rule picks with a float64 eigh of the
+    Gram matrix on the smaller side, as the fit did before float32."""
+    x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
+    Xc, Yc = X - x_mean, Y - y_mean
+    dual = len(X) < X.shape[1]
+    gram = Xc @ Xc.T if dual else Xc.T @ Xc
+    s, U = scipy.linalg.eigh(gram)
+    UtR = U.T @ (Yc if dual else Xc.T @ Yc)
+    val_basis = ((Xv - x_mean) @ Xc.T if dual else Xv - x_mean) @ U
+    lambdas = _RIDGE_GRID * np.trace(gram) / X.shape[1]
+    return int(np.argmin([np.sqrt(np.mean(((val_basis / (s + lam)) @ UtR + y_mean - Yv) ** 2))
+                          for lam in lambdas]))
+
+
+# ridge_predict eigendecomposes in float32 (unit rounding 6e-8): its
+# predictions stay within this fraction of the largest float64 oracle
+# prediction (3e-7 to 9e-7 on these problems); the next grid penalty's
+# predictions are 3e-2 or more away
+_F32_PREDICTION_RTOL = 1e-5
+
+
+@pytest.mark.parametrize("n, d", [(30, 60), (50, 30)])  # dual (n < d), then primal
+def test_fit_ridge_is_the_normal_equations_at_the_best_grid_penalty(n, d):
+    (X, Y), (Xv, Yv), Xt = _ridge_problem(n, d)
+    rmses, preds = _normal_equations(X, Y, Xv, Yv, Xt)
+    best = int(np.argmin(rmses))
+    assert 0 < best < len(preds) - 1    # the choice is not at an end of the grid
+    assert _float64_eigh_choice(X, Y, Xv, Yv) == best
+    atol = _F32_PREDICTION_RTOL * np.abs(preds[best]).max()
+    for dtype in (np.uint8, np.float64):
+        got = ridge_predict(X.astype(dtype), Y, (Xv.astype(dtype), Yv), Xt.astype(dtype))
+        assert got.shape == (len(Xt), Y.shape[1])
+        # the predictions of the grid penalty the float64 oracles pick, and of no other
+        assert [np.allclose(got, p, rtol=0, atol=atol) for p in preds] == \
+            [j == best for j in range(len(preds))]
 
 
 def test_fit_ridge_of_constant_features_predicts_the_mean_target():
-    (_, Y), (_, Yv) = _ridge_problem(30, 4)
+    (_, Y), (_, Yv), _ = _ridge_problem(30, 4)
     X = np.ones((30, 4))
-    model = fit_ridge(X, Y, (X[:5], Yv[:5]))
-    assert np.array_equal(model.weights, np.zeros((3, 4)))
-    np.testing.assert_allclose(model.bias, Y.mean(axis=0), rtol=1e-12)
+    pred = ridge_predict(X, Y, (X[:5], Yv[:5]), X[:7])
+    np.testing.assert_allclose(pred, np.tile(Y.mean(axis=0), (7, 1)), rtol=1e-12)
 
 
-
-def _exact_bit_products(X, Y, Xv):
-    """(gram, rhs, val_side) of fit_ridge for 0/1 features, from int64
-    products of the bits centered by fit_ridge's formulas. rhs, None in
-    the dual fit, is one GEMM through scipy's BLAS, which fit_ridge sums
-    over row blocks: the two agree bitwise when X is one block."""
+def _exact_bit_products(X, Y, Xs):
+    """(gram, rhs, side) of ridge_predict for 0/1 features X and
+    prediction rows Xs, from int64 products of the bits centered by
+    _centered_bit_products' formulas in float64; the Gram matrix is then
+    rounded to float32. rhs, None in the dual fit, is one GEMM through
+    scipy's BLAS, which _centered_bit_products sums over row blocks: the
+    two agree bitwise when X is one block."""
     n, d = X.shape
     Xi = X.astype(np.int64)
     if n < d:
-        G, Gv = Xi @ Xi.T, Xv.astype(np.int64) @ Xi.T
-        t, tv = G.sum(axis=1), Gv.sum(axis=1)
+        G, Gs = Xi @ Xi.T, Xs.astype(np.int64) @ Xi.T
+        t, ts = G.sum(axis=1), Gs.sum(axis=1)
         offset = t.sum() / n**2
-        return G - (t[:, None] + t) / n + offset, None, Gv - (tv[:, None] + t) / n + offset
+        gram = G - (t[:, None] + t) / n + offset
+        return gram.astype(np.float32), None, Gs - (ts[:, None] + t) / n + offset
     s = Xi.sum(axis=0)
     rhs = scipy.linalg.blas.dgemm(1.0, X.T, Y - Y.mean(axis=0))
-    return Xi.T @ Xi - np.outer(s, s) / n, rhs, Xv - X.mean(axis=0)
-
-
-def _fit_ridge_one_product(X, Y, Xv, Yv):
-    """fit_ridge as one product per step, the oracle of its blocked fits.
-
-    For 0/1 uint8 features the Gram and validation products are int64
-    products of the bits, centered by the formulas fit_ridge uses, and
-    the primal right-hand side is one product X^T Yc. For other features
-    they are products of the float64 Xc. Xc lives to the end, the Gram
-    matrix is copied into eigh, and W = (U M)^T Xc is one GEMM. Returns
-    (weights, bias)."""
-    x_mean, y_mean = X.mean(axis=0, dtype=np.float64), Y.mean(axis=0)
-    Xc = X - x_mean
-    n, d = X.shape
-    dual = n < d
-    if X.dtype == np.uint8:
-        gram, rhs, val_side = _exact_bit_products(X, Y, Xv)
-        if dual:
-            rhs = Y - y_mean
-    elif dual:
-        gram = Xc @ Xc.T
-        rhs, val_side = Y - y_mean, (Xv - x_mean) @ Xc.T
-    else:
-        gram = Xc.T @ Xc
-        rhs, val_side = Xc.T @ (Y - y_mean), Xv - x_mean
-    lambdas = _RIDGE_GRID * (np.trace(gram) / d or 1.0)
-    s, U = scipy.linalg.eigh(gram)
-    UtY, val_basis = U.T @ rhs, val_side @ U
-
-    def val_rmse(lam):
-        R = val_basis @ (UtY / (s + lam)[:, None]) + y_mean - Yv
-        return float(np.sqrt(np.mean(R * R)))
-
-    M = UtY / (s + min(lambdas, key=val_rmse))[:, None]
-    weights = (U @ M).T @ Xc if dual else M.T @ U.T
-    return weights, y_mean - weights @ x_mean
-
-
-# a dual problem whose weights take two full column blocks and a partial one
-_DUAL_ROWS = 160
-_DUAL_BLOCK = block_size(_DUAL_ROWS, GEMM_ROWS)   # 1,632 columns
-
-
-_ONE_PRODUCT_SHAPES = pytest.mark.parametrize(
-    "n, d", [(_DUAL_ROWS, 2 * _DUAL_BLOCK + 100), (50, 30)], ids=["dual-blocked", "primal"])
-
-
-def _assert_fit_ridge_is_its_one_product_form(n, d, dtype):
-    (X, Y), (Xv, Yv) = _ridge_problem(n, d)
-    X, Xv = X.astype(dtype), Xv.astype(dtype)
-    model = fit_ridge(X, Y, (Xv, Yv))
-    weights, bias = _fit_ridge_one_product(X, Y, Xv, Yv)
-    assert np.array_equal(model.weights, weights)
-    assert np.array_equal(model.bias, bias)
-
-
-@_ONE_PRODUCT_SHAPES
-def test_fit_ridge_equals_its_one_product_form_bitwise(n, d):
-    # uint8 bits: the exact Gram matrices
-    _assert_fit_ridge_is_its_one_product_form(n, d, np.uint8)
-
-
-@_ONE_PRODUCT_SHAPES
-def test_fit_ridge_of_float_features_equals_its_one_product_form_bitwise(n, d):
-    # the same bits as float64: the centered float64 features
-    _assert_fit_ridge_is_its_one_product_form(n, d, np.float64)
+    return (Xi.T @ Xi - np.outer(s, s) / n).astype(np.float32), rhs, Xs - X.mean(axis=0)
 
 
 def test_dual_fit_ridge_frees_the_centered_features_once_the_gram_matrix_exists(monkeypatch):
-    n, d = _DUAL_ROWS, 2 * _DUAL_BLOCK + 100
-    (X, Y), val_set = _ridge_problem(n, d)
+    # float features: the centered float64 Xc is n x d
+    n, d = 160, 3364
+    (X, Y), (Xv, Yv), Xt = _ridge_problem(n, d)
+    X, Xv, Xt = (a.astype(np.float64) for a in (X, Xv, Xt))
     real_eigh = decoder.eigh
 
     def eigh_from_here(*args, **kwargs):
@@ -621,7 +592,7 @@ def test_dual_fit_ridge_frees_the_centered_features_once_the_gram_matrix_exists(
     monkeypatch.setattr(decoder, "eigh", eigh_from_here)
     tracemalloc.start()
     try:
-        fit_ridge(X, Y, val_set)
+        ridge_predict(X, Y, (Xv, Yv), Xt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -631,10 +602,10 @@ def test_dual_fit_ridge_frees_the_centered_features_once_the_gram_matrix_exists(
 
 @pytest.mark.parametrize("n, d", [(160, 10_000), (20_000, 100)], ids=["dual", "primal"])
 def test_fit_ridge_on_bits_holds_no_float_copy_of_the_features(n, d):
-    (X, Y), val_set = _ridge_problem(n, d)
+    (X, Y), val_set, Xt = _ridge_problem(n, d)
     tracemalloc.start()
     try:
-        fit_ridge(X, Y, val_set)
+        ridge_predict(X, Y, val_set, Xt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -645,12 +616,14 @@ def test_fit_ridge_on_bits_holds_no_float_copy_of_the_features(n, d):
 @pytest.mark.parametrize("n, d", [(100, 2_000), (3_000, 60)], ids=["dual", "primal"])
 def test_bit_gram_matrices_are_the_exact_integer_products(n, d, block_bytes, monkeypatch):
     monkeypatch.setattr(blocks, "_BLOCK_BYTES", block_bytes)
-    (X, Y), (Xv, _) = _ridge_problem(n, d)
+    (X, Y), (Xv, _), Xt = _ridge_problem(n, d)
+    Xs = np.concatenate([Xv, Xt])   # validation rows, then test rows
     x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
-    gram, rhs, val_side = decoder._centered_bit_products(X, Y, Xv, x_mean, y_mean)
-    ref_gram, ref_rhs, ref_val_side = _exact_bit_products(X, Y, Xv)
+    gram, rhs, side = decoder._centered_bit_products(X, Y, Xs, x_mean, y_mean)
+    ref_gram, ref_rhs, ref_side = _exact_bit_products(X, Y, Xs)
+    assert gram.dtype == np.float32
     assert np.array_equal(gram, ref_gram) and np.array_equal(gram, gram.T)
-    assert np.array_equal(val_side, ref_val_side)
+    assert side.shape == (len(Xs), min(n, d)) and np.array_equal(side, ref_side)
     if n < d:
         assert rhs is None
     else:   # summed over row blocks, in another order than the one product
@@ -658,15 +631,19 @@ def test_bit_gram_matrices_are_the_exact_integer_products(n, d, block_bytes, mon
 
 
 def test_fit_ridge_rejects_mismatched_sets():
-    (X, Y), (Xv, Yv) = _ridge_problem(30, 6)
+    (X, Y), (Xv, Yv), Xt = _ridge_problem(30, 6)
     with pytest.raises(DimensionError, match="val target dim 1"):
-        fit_ridge(X, Y, (Xv, Yv[:, :1]))
+        ridge_predict(X, Y, (Xv, Yv[:, :1]), Xt)
     with pytest.raises(DimensionError, match="val feature dim 5"):
-        fit_ridge(X, Y, (Xv[:, :5], Yv))
+        ridge_predict(X, Y, (Xv[:, :5], Yv), Xt)
+    with pytest.raises(DimensionError, match="test feature dim 5"):
+        ridge_predict(X, Y, (Xv, Yv), Xt[:, :5])
+    with pytest.raises(DimensionError, match="test features must be a nonempty"):
+        ridge_predict(X, Y, (Xv, Yv), Xt[:0])
     with pytest.raises(DimensionError, match="train targets"):
-        fit_ridge(X, Y[:-1], (Xv, Yv))
+        ridge_predict(X, Y[:-1], (Xv, Yv), Xt)
     with pytest.raises(DimensionError):
-        fit_ridge(X[0], Y, (Xv, Yv))
+        ridge_predict(X[0], Y, (Xv, Yv), Xt)
 
 
 def _separable_codes():

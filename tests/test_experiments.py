@@ -7,11 +7,12 @@ import pytest
 from hdcrypt import decoder, experiments
 from hdcrypt.cli import main
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
+from hdcrypt.datasets import synthetic_digits
 from hdcrypt.decoder import fit_naive_bayes, load_model
 from hdcrypt.encoder import crossbar_pre_threshold_batch
-from hdcrypt.errors import ConfigError, DataFormatError
-from hdcrypt.experiments import (TABLE1_ROWS, ExperimentReport, ExperimentSpec,
-                                 ReportRow, calibrate_text_epsilon, grid_cells,
+from hdcrypt.errors import ConfigError, DataFormatError, DimensionError
+from hdcrypt.experiments import (IMAGE_PIPELINES, TABLE1_ROWS, ExperimentReport,
+                                 ExperimentSpec, ReportRow, calibrate_text_epsilon, grid_cells,
                                  make_text_datasets, run_grid, run_image_cell,
                                  run_table1, run_text_cell, train_text_system)
 from hdcrypt.rng import derive_seed, spawn_rng
@@ -171,6 +172,19 @@ def test_failed_cell_isolates_siblings():
     assert by_status["ok"].test_accuracy >= 0.9
 
 
+def test_table1_row_of_zero_rows_fails_alone():
+    good = dict(rows=5, cols=60, r_lrs=1e3, r_hrs=1e4, sigma=0.0,
+                p_on=0.0, p_off=0.0, reference_accuracy=1.0)
+    report = run_table1(sizes=(300, 50, 100), master_seed=3,
+                        rows=(dict(TABLE1_ROWS[0], rows=0), good))
+    by_status = {row.status: row for row in report.rows}
+    assert set(by_status) == {"ok", "failed"}
+    failed = by_status["failed"]
+    assert "rows" in failed.reason and (failed.rows, failed.cols) == (0, 250)
+    assert failed.multiplier == 0.0     # cols / rows has no value
+    assert by_status["ok"].test_accuracy >= 0.9
+
+
 def test_report_csv_accuracy_formatting():
     row = ReportRow(task="text", cell="c", multiplier=4, sigma=0.1, p_on=0.0,
                     p_off=0.0, rows=5, cols=20, test_accuracy=0.9955)
@@ -232,10 +246,46 @@ def test_image_cell_rejects_unknown_pipeline():
     assert excinfo.value.field == "pipeline"
 
 
+def _no_encoder(*args, **kwargs):
+    raise AssertionError("an encoder was built")
+
+
+@pytest.mark.parametrize("train_shape, test_shape, message", [
+    ((1, 4, 4), (5, 4, 4), "1 training and 5 test images"),
+    ((20, 4, 4), (0, 4, 4), "20 training and 0 test images"),
+    ((20, 4, 4), (5, 4, 5), "of one \\(h, w\\)"),
+    ((20, 16), (5, 16), "of one \\(h, w\\)"),
+], ids=["one-train-image", "no-test-images", "other-test-shape", "flat-images"])
+def test_image_cell_rejects_unusable_image_sets_before_encoding(
+        monkeypatch, train_shape, test_shape, message):
+    monkeypatch.setattr(experiments.IdealEncoder, "new_random", _no_encoder)
+    monkeypatch.setattr(experiments.BenchmarkEncoder, "new_random", _no_encoder)
+    for pipeline in IMAGE_PIPELINES:
+        with pytest.raises(DimensionError, match=message):
+            run_image_cell(np.zeros(train_shape), np.zeros(test_shape), 1.0, None, 0,
+                           pipeline=pipeline)
+
+
+def test_image_cell_returns_clipped_reconstructions_and_builds_no_decoder(monkeypatch):
+    def no_decoder(self, *args, **kwargs):
+        raise AssertionError("a LinearDecoder was built")
+
+    monkeypatch.setattr(decoder.LinearDecoder, "__init__", no_decoder)
+    images, _ = synthetic_digits(120, seed=5)
+    train_imgs, test_imgs = images[:100], images[100:]
+    for pipeline in IMAGE_PIPELINES:
+        result, recon, _ = run_image_cell(train_imgs, test_imgs, 1.0, None, 3,
+                                          pipeline=pipeline)
+        assert recon.shape == test_imgs.shape
+        assert recon.min() >= 0.0 and recon.max() <= 1.0
+        assert result.rmse == pytest.approx(np.sqrt(np.mean((recon - test_imgs) ** 2)),
+                                            rel=1e-12)
+        assert result.rmse < 0.2
+
+
 def test_image_cell_multiplier_monotonic_reconstruction():
     # trend oracle: same seeds, reconstruction improves with expansion;
     # pooled to 14x14 so training data covers the largest model
-    from hdcrypt.datasets import synthetic_digits
     images, _ = synthetic_digits(900, seed=23)
     pooled = images.reshape(900, 14, 2, 14, 2).mean(axis=(2, 4))
     train_imgs, test_imgs = pooled[:700], pooled[700:]

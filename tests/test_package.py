@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,25 @@ def test_package_exports_are_public_names_of_their_modules():
         for alias in node.names:
             assert alias.name in module.__all__, \
                 f"hdcrypt.{node.module}.__all__ lacks {alias.name!r}"
+
+
+def test_readme_names_of_hdcrypt_modules_resolve():
+    # `module.name` or `hdcrypt.module.name`, as the README writes them
+    package = importlib.import_module("hdcrypt")
+    modules = {m.name for m in pkgutil.iter_modules(package.__path__)}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    checked = []
+    for name in re.findall(r"`([a-z_]\w*(?:\.\w+)+)", text):
+        parts = name.split(".")
+        parts = parts[1:] if parts[0] == "hdcrypt" else parts
+        if parts[0] not in modules:
+            continue
+        target = importlib.import_module(f"hdcrypt.{parts[0]}")
+        for part in parts[1:]:
+            assert hasattr(target, part), f"README.md names `{name}`, which does not resolve"
+            target = getattr(target, part)
+        checked.append(name)
+    assert len(checked) >= 20, checked
 
 
 @pytest.mark.parametrize("demo", ["01_crossbar_noise.py", "02_text_roundtrip.py",
