@@ -18,7 +18,7 @@ from .crossbar import Crossbar, CrossbarConfig
 from .datasets import load_digits, synthetic_natural_image
 from .decoder import load_model, save_model
 from .errors import (ConfigError, DataFormatError, DegenerateStatisticError,
-                     DimensionError, require_finite)
+                     DimensionError, require_finite, require_int)
 from .experiments import (DESK_SIZES, ExperimentReport, ExperimentSpec,
                           run_grid, run_image_cell, run_table1,
                           train_text_system)
@@ -57,11 +57,6 @@ def _cmd_gen_keys(args):
     print(f"wrote {args.key_dim}-dimensional key table to {args.out}")
 
 
-def _require_positive(flag, value):
-    if value < 1:
-        raise ConfigError(flag, f"must be >= 1, got {value}")
-
-
 _SIZE_FLAGS = ("--train-size", "--val-size", "--test-size")
 
 
@@ -75,7 +70,7 @@ def _add_size_flags(parser):
 def _sizes(args):
     sizes = (args.train_size, args.val_size, args.test_size)
     for flag, n in zip(_SIZE_FLAGS, sizes):
-        _require_positive(flag, n)
+        require_int(flag, n, low=1)
     return sizes
 
 
@@ -97,17 +92,22 @@ def _load_model_for(xbar, path):
     return model, meta
 
 
+def _threshold(args, meta):
+    """--epsilon, else the threshold in `meta`, the --model metadata or None."""
+    if args.epsilon is not None:
+        return args.epsilon
+    if meta is None:
+        raise ConfigError("epsilon", "need --epsilon or --model to fix the threshold")
+    if meta["epsilon"] is None:
+        raise DataFormatError(f"model file {args.model} carries no threshold; pass --epsilon")
+    return meta["epsilon"]
+
+
 def _cmd_encrypt(args):
     xbar = Crossbar.load(args.crossbar)
     keys = SecretKeyTable.load(args.keys)
-    epsilon = args.epsilon
-    if args.model is not None:
-        meta = _load_model_for(xbar, args.model)[1]
-        epsilon = meta["epsilon"] if epsilon is None else epsilon
-        if epsilon is None:
-            raise DataFormatError(f"model file {args.model} carries no threshold")
-    if epsilon is None:
-        raise ConfigError("epsilon", "need --epsilon or --model to fix the threshold")
+    meta = None if args.model is None else _load_model_for(xbar, args.model)[1]
+    epsilon = _threshold(args, meta)
     # latin-1 maps bytes one to one; out-of-charset bytes are rejected
     # by the encoder with the offending index
     with open(args.infile, "r", encoding="latin-1") as fh:
@@ -128,14 +128,12 @@ def _cmd_decrypt(args):
 
 def _cmd_eval(args):
     from .textcrypto import build_dataset, evaluate_accuracy
-    _require_positive("--n", args.n)
+    require_int("--n", args.n, low=1)
     xbar = Crossbar.load(args.crossbar)
     keys = SecretKeyTable.load(args.keys)
     model, meta = _load_model_for(xbar, args.model)
-    epsilon = args.epsilon if args.epsilon is not None else meta["epsilon"]
-    if epsilon is None:
-        raise DataFormatError("model file carries no threshold; pass --epsilon")
-    test = build_dataset(args.n, keys, xbar, epsilon, spawn_rng(args.seed, "eval-data"))
+    test = build_dataset(args.n, keys, xbar, _threshold(args, meta),
+                         spawn_rng(args.seed, "eval-data"))
     print(json.dumps({"n": args.n, "accuracy": round(evaluate_accuracy(model, test), 4)}))
 
 
@@ -150,7 +148,7 @@ def _write_report(report, out_dir, stem):
 
 
 def _cmd_table1(args):
-    _require_positive("--jobs", args.jobs)
+    require_int("--jobs", args.jobs, low=1)
     report = run_table1(sizes=_sizes(args), master_seed=args.seed, jobs=args.jobs)
     _write_report(report, args.out, "table1")
     for row in report.rows:
@@ -159,7 +157,7 @@ def _cmd_table1(args):
 
 
 def _cmd_grid(args):
-    _require_positive("--jobs", args.jobs)
+    require_int("--jobs", args.jobs, low=1)
     spec = ExperimentSpec.load(args.config) if args.config else ExperimentSpec()
     if args.seed is not None:
         from dataclasses import replace
@@ -171,15 +169,12 @@ def _cmd_grid(args):
 
 
 def _cmd_image_demo(args):
-    require_finite("--noise-sigma", args.noise_sigma)
-    if args.noise_sigma < 0:
-        raise ConfigError("--noise-sigma", f"must be >= 0, got {args.noise_sigma}")
-    if args.multiplier < 1:
-        raise ConfigError("--multiplier", f"must be >= 1, got {args.multiplier}")
-    if not args.image and args.size < 2:
-        raise ConfigError("--size", f"must be >= 2, got {args.size}")
-    if args.reconstruct and args.digits < 2:
-        raise ConfigError("--digits", f"must be >= 2, got {args.digits}")
+    require_finite("--noise-sigma", args.noise_sigma, low=0)
+    require_int("--multiplier", args.multiplier, low=1)
+    if not args.image:
+        require_int("--size", args.size, low=2)
+    if args.reconstruct:
+        require_int("--digits", args.digits, low=2)
     import os
     os.makedirs(args.out, exist_ok=True)
     if args.image:

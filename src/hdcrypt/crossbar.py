@@ -21,7 +21,7 @@ import numpy as np
 from . import jsondoc
 from .blocks import block_size, block_slices
 from .errors import (ConfigError, DataFormatError, DimensionError, require_batch,
-                     require_finite)
+                     require_finite, require_int)
 from .rng import spawn_rng
 
 __all__ = ["CrossbarConfig", "Crossbar", "STUCK_FREE", "STUCK_ON", "STUCK_OFF"]
@@ -56,26 +56,17 @@ class CrossbarConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("rows", "cols", "seed"):
-            value = getattr(self, name)
-            # bool is an int subclass, so `"rows": true` would pass as 1
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(name, f"must be an integer, got {value!r}")
         for name in ("rows", "cols"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(name, f"must be a positive integer, got {getattr(self, name)!r}")
-        for name in ("r_lrs", "r_hrs", "sigma_frac", "p_stuck_on", "p_stuck_off"):
+            require_int(name, getattr(self, name), low=1)
+        require_int("seed", self.seed)
+        for name in ("r_lrs", "r_hrs"):
             require_finite(name, getattr(self, name))
         if not (0 < self.r_lrs < self.r_hrs):
             raise ConfigError(
                 "r_lrs", f"need 0 < r_lrs < r_hrs, got r_lrs={self.r_lrs!r} r_hrs={self.r_hrs!r}"
             )
-        if self.sigma_frac < 0:
-            raise ConfigError("sigma_frac", f"must be >= 0, got {self.sigma_frac!r}")
-        if self.p_stuck_on < 0:
-            raise ConfigError("p_stuck_on", f"must be >= 0, got {self.p_stuck_on!r}")
-        if self.p_stuck_off < 0:
-            raise ConfigError("p_stuck_off", f"must be >= 0, got {self.p_stuck_off!r}")
+        for name in ("sigma_frac", "p_stuck_on", "p_stuck_off"):
+            require_finite(name, getattr(self, name), low=0)
         if self.p_stuck_on + self.p_stuck_off > 1:
             raise ConfigError("p_stuck_on", "p_stuck_on + p_stuck_off must be <= 1")
 

@@ -34,7 +34,7 @@ from scipy.linalg.blas import get_blas_funcs
 from . import jsondoc
 from .blocks import GEMM_ROWS, block_size, block_slices
 from .errors import (ConfigError, DimensionError, TrainingDivergedError,
-                     require_finite)
+                     require_finite, require_int)
 from .rng import spawn_rng
 
 __all__ = [
@@ -342,17 +342,11 @@ class TrainConfig:
 
     def __post_init__(self):
         require_finite("learning_rate", self.learning_rate)
-        require_finite("min_delta", self.min_delta)
+        require_finite("min_delta", self.min_delta, low=0)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate", "must be > 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", "must be >= 1")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs", "must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience", "must be >= 1")
-        if self.min_delta < 0:
-            raise ConfigError("min_delta", "must be >= 0")
+        for name in ("batch_size", "max_epochs", "patience"):
+            require_int(name, getattr(self, name), low=1)
 
 
 # called by no program path; bench/ reads it (ROADMAP item 3)

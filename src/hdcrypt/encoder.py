@@ -10,13 +10,16 @@ input x of length k:
   be a finite number >= 0.
 
 Binarization compares y against a single global threshold `epsilon`;
-entries >= epsilon map to 1. The threshold is calibrated per model:
-`calibrate_epsilon` takes the pre-threshold outputs of a calibration
-batch, read in one batched call, and returns their median, which
-balances the 0/1 bit budget of the ciphertext; bits are uint8 0s and 1s.
-Single-input calls are batches of one: IdealEncoder and the crossbar
-encoders take (n, input_dim) batches only, and `threshold_binarize` runs
-the batched code on one row and returns that row.
+entries >= epsilon map to 1. The threshold is no state of either
+backend: `encode_crossbar_batch(xbar, xs, epsilon, rng)` and
+`IdealEncoder.encode_batch(xs, epsilon, rng)` both take it as an
+argument and run one blocked project-and-threshold loop. It is
+calibrated per model: `calibrate_epsilon` takes the pre-threshold
+outputs of a calibration batch, read in one batched call, and returns
+their median, which balances the 0/1 bit budget of the ciphertext; bits
+are uint8 0s and 1s. Single-input calls are batches of one: both
+backends take (n, input_dim) batches only, and `threshold_binarize`
+runs the batched code on one row and returns that row.
 
 For IdealEncoder the fresh noise is sampled in its exact projected form:
 since N has i.i.d. Normal(0, sigma^2) entries, N @ x is a vector of
@@ -31,7 +34,7 @@ these projection paths.
 import numpy as np
 
 from .blocks import GEMM_ROWS, GEMV_ROWS, block_size, block_slices
-from .errors import ConfigError, DimensionError, require_batch, require_finite
+from .errors import DimensionError, require_batch, require_finite, require_int
 from .rng import spawn_rng
 
 __all__ = [
@@ -52,14 +55,9 @@ def threshold_binarize(y, epsilon):
     return binarize_batch(y[None], epsilon)[0]
 
 
-def _check_epsilon(epsilon):
-    if not np.isfinite(epsilon):
-        raise ConfigError("epsilon", f"threshold must be finite, got {epsilon!r}")
-
-
 def binarize_batch(ys, epsilon):
     """Threshold a (n, D) batch into a uint8 bit matrix."""
-    _check_epsilon(epsilon)
+    require_finite("epsilon", epsilon)
     ys = np.asarray(ys, dtype=np.float64)
     if not np.all(np.isfinite(ys)):
         raise ValueError("pre-threshold values must be finite")
@@ -93,31 +91,32 @@ def crossbar_pre_threshold_batch(xbar, xs, rng):
     return ys
 
 
+def _encode_blocks(project, xs, epsilon, in_dim, out_dim, step):
+    """Bits of each row of the (n, in_dim) batch xs: `project` maps a block
+    of rows to its (rows, out_dim) pre-threshold values, which are
+    thresholded at epsilon, `step` rows at a time. Threshold and inputs are
+    checked before any draw; the uint8 bits are the only array of one entry
+    per output bit, and the noise stream is consumed in order."""
+    require_finite("epsilon", epsilon)
+    xs = require_batch(xs, in_dim)
+    bits = np.empty((len(xs), out_dim), dtype=np.uint8)
+    for rows in block_slices(len(xs), step):
+        bits[rows] = binarize_batch(project(xs[rows]), epsilon)
+    return bits
+
+
 def encode_crossbar_batch(xbar, xs, epsilon, rng):
     """Encode each row of xs with fresh per-pass noise; returns (n, cols) bits.
 
     The reads are made and thresholded one `read_vmm_batch` block at a
-    time, so the uint8 bits are the only array of n x cols entries. The
-    noise stream is consumed in order, so the bits, and the stream's final
-    state, are bitwise those of
+    time. The bits, and the stream's final state, are bitwise those of
     `binarize_batch(crossbar_pre_threshold_batch(xbar, xs, rng), epsilon)`.
     """
-    _check_epsilon(epsilon)
-    xs = require_batch(xs, xbar.rows)
-    bits = np.empty((xs.shape[0], xbar.cols), dtype=np.uint8)
-    for reads in block_slices(len(xs), block_size(xbar.rows * xbar.cols)):
-        bits[reads] = binarize_batch(crossbar_pre_threshold_batch(xbar, xs[reads], rng), epsilon)
-    return bits
+    return _encode_blocks(lambda block: crossbar_pre_threshold_batch(xbar, block, rng), xs,
+                          epsilon, xbar.rows, xbar.cols, block_size(xbar.rows * xbar.cols))
 
 
 _INIT_INTERVAL = (-2.0, 2.0)  # every projection entry is drawn uniform in it
-
-
-def _check_sigma(sigma):
-    """The noise level must be finite (NaN would pass as 0) and >= 0."""
-    require_finite("sigma", sigma)
-    if sigma < 0:
-        raise ConfigError("sigma", f"must be >= 0, got {sigma!r}")
 
 
 def _weight_blocks(label, seed, rows, cols, step):
@@ -165,19 +164,17 @@ def _add_noise(ys, xs, sigma, rng):
 class IdealEncoder:
     """Fixed random projection plus fresh Gaussian matrix noise per pass."""
 
-    __slots__ = ("weights", "sigma", "epsilon")
+    __slots__ = ("weights", "sigma")
     _INIT_LABEL = "ideal-encoder-init"  # new_random's seeded stream
 
-    def __init__(self, weights, sigma, epsilon):
+    def __init__(self, weights, sigma):
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise DimensionError("weights must be 2-D (output_dim x input_dim)")
-        _check_sigma(sigma)
-        _check_epsilon(epsilon)
+        require_finite("sigma", sigma, low=0)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "sigma", float(sigma))
-        object.__setattr__(self, "epsilon", float(epsilon))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -185,12 +182,10 @@ class IdealEncoder:
     @classmethod
     def new_random(cls, input_dim, multiplier, sigma, seed):
         """D = input_dim * multiplier rows of projection entries, i.i.d.
-        uniform in (-2, 2), and threshold 0 until `with_epsilon`."""
-        if input_dim < 1:
-            raise ConfigError("input_dim", "must be >= 1")
-        if multiplier < 1:
-            raise ConfigError("multiplier", "must be >= 1")
-        return cls(cls._seeded_weights(seed, input_dim * multiplier, input_dim), sigma, 0.0)
+        uniform in (-2, 2)."""
+        require_int("input_dim", input_dim, low=1)
+        require_int("multiplier", multiplier, low=1)
+        return cls(cls._seeded_weights(seed, input_dim * multiplier, input_dim), sigma)
 
     @classmethod
     def _seeded_weights(cls, seed, rows, cols):
@@ -205,35 +200,27 @@ class IdealEncoder:
     def output_dim(self):
         return self.weights.shape[0]
 
-    def with_epsilon(self, epsilon):
-        return IdealEncoder(self.weights, self.sigma, epsilon)
-
     def project_batch(self, xs, rng):
         """Pre-threshold output (W + N) x of each row x, each with fresh noise."""
         xs = require_batch(xs, self.input_dim)
         return _add_noise(xs @ self.weights.T, xs, self.sigma, rng)
 
-    def encode_batch(self, xs, rng):
+    def encode_batch(self, xs, epsilon, rng):
         """Encode each row of xs with fresh per-pass noise; returns (n, D) bits.
 
-        The inputs are checked before any draw; the threshold was checked
-        when the encoder was made. Then each GEMM-aligned block of rows (80
-        at D = 3,136) is projected, given its noise and thresholded in turn,
-        so the uint8 bits are the only array of n x D entries. The noise
-        stream is consumed in order, so the bits, and the stream's final
-        state, are those of
+        Each GEMM-aligned block of rows (80 at D = 3,136) is projected,
+        given its noise and thresholded in turn. The bits, and the stream's
+        final state, are those of
         `binarize_batch(self.project_batch(xs, rng), epsilon)` wherever the
         BLAS computes such row blocks bitwise as rows of one product.
         OpenBLAS did at each D a multiple of 8 that was tried, the image
         cells' case; at D = 300 a value can differ in its last bit, which
         flips a bit only at a value within rounding of epsilon.
         """
-        xs = require_batch(xs, self.input_dim)
-        bits = np.empty((len(xs), self.output_dim), dtype=np.uint8)
-        for rows in block_slices(len(xs), block_size(self.output_dim, GEMM_ROWS)):
-            ys = _add_noise(xs[rows] @ self.weights.T, xs[rows], self.sigma, rng)
-            bits[rows] = binarize_batch(ys, self.epsilon)
-        return bits
+        def project(block):
+            return _add_noise(block @ self.weights.T, block, self.sigma, rng)
+        return _encode_blocks(project, xs, epsilon, self.input_dim, self.output_dim,
+                              block_size(self.output_dim, GEMM_ROWS))
 
 
 def project_streamed(x, output_dim, sigma, seed, rng):
@@ -245,7 +232,7 @@ def project_streamed(x, output_dim, sigma, seed, rng):
     into one buffer, so the working memory beyond the output vector stays
     about a block (4 rows past 65,536 inputs) whatever the input length.
     """
-    _check_sigma(sigma)
+    require_finite("sigma", sigma, low=0)
     if np.ndim(x) != 1 or np.size(x) == 0:
         raise DimensionError("expected a nonempty 1-D input")
     x = require_batch([x], len(x))[0]

@@ -14,6 +14,7 @@ __all__ = [
     "HdcryptError",
     "ConfigError",
     "require_finite",
+    "require_int",
     "DimensionError",
     "require_batch",
     "DataFormatError",
@@ -35,11 +36,12 @@ class ConfigError(HdcryptError, ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def require_finite(field, *values):
-    """Raise ConfigError(field) unless every value is a finite real number.
+def require_finite(field, *values, low=None):
+    """Raise ConfigError(field) unless every value is a finite real number
+    and, if `low` is given, at least `low`.
 
-    Range checks such as `value < 0` are all false for NaN, so config
-    classes call this before them. A bool (JSON `true`) is no number, and
+    Range checks such as `value < 0` are all false for NaN, so the
+    finiteness check comes first. A bool (JSON `true`) is no number, and
     an integer beyond float range counts as infinite, as in a float."""
     for value in values:
         try:
@@ -48,6 +50,18 @@ def require_finite(field, *values):
             finite = False
         if not finite:
             raise ConfigError(field, f"must be a finite number, got {value!r}")
+        if low is not None and value < low:
+            raise ConfigError(field, f"must be >= {low}, got {value!r}")
+
+
+def require_int(field, *values, low=None):
+    """Raise ConfigError(field) unless every value is an integer, Python's
+    or numpy's but no bool, and, if `low` is given, at least `low`."""
+    for value in values:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(field, f"must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ConfigError(field, f"must be >= {low}, got {value!r}")
 
 
 class DimensionError(HdcryptError, ValueError):

@@ -12,7 +12,8 @@ import csv
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .crossbar import Crossbar, CrossbarConfig
 # nothing here calls `train`; bench/tests reads `experiments.train` (ROADMAP item 3)
 from .decoder import TrainConfig, fit_naive_bayes, ridge_predict, train
 from .encoder import IdealEncoder, calibrate_epsilon, crossbar_pre_threshold_batch
-from .errors import ConfigError, DataFormatError, DimensionError, require_finite
+from .errors import ConfigError, DataFormatError, DimensionError, require_finite, require_int
 from .imagecrypto import BenchmarkEncoder
 from .rng import derive_seed, spawn_rng
 from .textcrypto import (NUM_CLASSES, SecretKeyTable, build_dataset,
@@ -93,8 +94,8 @@ IMAGE_PIPELINES = ("bhv", "benchmark")
 def calibrate_text_epsilon(xbar, keys, master_seed):
     """Threshold = median pre-threshold output over every key vector,
     read CALIBRATION_PASSES times each with fresh noise."""
-    reads = crossbar_pre_threshold_batch(xbar, np.tile(keys.vectors, (CALIBRATION_PASSES, 1)),
-                                         spawn_rng(master_seed, "calibrate"))
+    xs = np.tile(keys.vectors_for(xbar), (CALIBRATION_PASSES, 1))
+    reads = crossbar_pre_threshold_batch(xbar, xs, spawn_rng(master_seed, "calibrate"))
     return calibrate_epsilon(reads)
 
 
@@ -195,8 +196,7 @@ def run_text_cell(cell):
 def _run_cells(cells, jobs):
     """Run the cells serially, or in a pool of at most one worker per
     cell: a fork-based pool starts all its workers at the first submit."""
-    if jobs < 1:
-        raise ConfigError("jobs", f"must be >= 1, got {jobs}")
+    require_int("jobs", jobs, low=1)
     workers = min(jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -265,22 +265,16 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.task not in ("text",):
             raise ConfigError("task", f"unsupported task {self.task!r}")
-        if not self.multipliers:
-            raise ConfigError("multipliers", "sweep list must be nonempty")
-        if not self.sigmas:
-            raise ConfigError("sigmas", "sweep list must be nonempty")
+        for name in ("multipliers", "sigmas"):
+            if not getattr(self, name):
+                raise ConfigError(name, "sweep list must be nonempty")
         for name in ("r_lrs", "r_hrs", "p_stuck_on", "p_stuck_off"):
             require_finite(name, getattr(self, name))
+        require_int("multipliers", *self.multipliers, low=1)
         require_finite("multipliers", *self.multipliers)
-        require_finite("sigmas", *self.sigmas)
-        if any(isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1
-               for m in self.multipliers):
-            raise ConfigError("multipliers", "must be integers >= 1")
-        if any(s < 0 for s in self.sigmas):
-            raise ConfigError("sigmas", "must be >= 0")
+        require_finite("sigmas", *self.sigmas, low=0)
         for name in ("key_dim", "train_size", "val_size", "test_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "must be >= 1")
+            require_int(name, getattr(self, name), low=1)
 
     @property
     def sizes(self):
@@ -328,11 +322,7 @@ def run_grid(spec, jobs=1):
 
 # --- report -----------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "task", "cell", "multiplier", "sigma", "p_on", "p_off", "rows", "cols",
-    "test_accuracy", "rmse", "distinct_fraction", "mean_hamming", "epochs",
-    "wall_time_s", "good_flag", "status", "reason",
-)
+_CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _fmt(value, column):
@@ -458,12 +448,12 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
     calib_rng = spawn_rng(master_seed, "calibrate")
     if binary:
         enc = IdealEncoder.new_random(k, multiplier, sigma, derive_seed(master_seed, "encoder"))
-        enc = enc.with_epsilon(calibrate_epsilon(enc.project_batch(flats[:64], calib_rng)))
-        encode = enc.encode_batch
+        epsilon = calibrate_epsilon(enc.project_batch(flats[:64], calib_rng))
+        encode = partial(enc.encode_batch, epsilon=epsilon)
     else:
         enc = BenchmarkEncoder.new_random(k, sigma, derive_seed(master_seed, "encoder"))
         encode = enc.project_batch
-    X, X_val, X_test = (encode(x, spawn_rng(master_seed, f"{name}-data")) for name, x in
+    X, X_val, X_test = (encode(x, rng=spawn_rng(master_seed, f"{name}-data")) for name, x in
                         (("train", repeated), ("val", val_flats), ("test", test_flats)))
     pred = ridge_predict(X, repeated, (X_val, val_flats), X_test)
     np.clip(pred, 0.0, 1.0, out=pred)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import IdealEncoder
-from .errors import ConfigError, DegenerateStatisticError, DimensionError
+from .errors import ConfigError, DegenerateStatisticError, DimensionError, require_int
 
 __all__ = [
     "GrayImage",
@@ -72,13 +72,11 @@ class BenchmarkEncoder(IdealEncoder):
         shape = np.shape(weights)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise DimensionError("benchmark weights must be square")
-        # epsilon is never read: the benchmark pipeline does not threshold
-        super().__init__(weights, sigma, 0.0)
+        super().__init__(weights, sigma)
 
     @classmethod
     def new_random(cls, dim, sigma, seed):
-        if dim < 1:
-            raise ConfigError("dim", "must be >= 1")
+        require_int("dim", dim, low=1)
         return cls(cls._seeded_weights(seed, dim, dim), sigma)
 
     # own entry, so the traced span imagecrypto.BenchmarkEncoder.project_batch resolves
@@ -174,9 +172,7 @@ def bits_to_plane(bits, height, width, multiplier):
     a <= b, giving a (height*a, width*b) plane for spatial statistics.
     """
     for name, value in (("height", height), ("width", width), ("multiplier", multiplier)):
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not (integer and value >= 1):
-            raise ConfigError(name, f"must be an integer >= 1, got {value!r}")
+        require_int(name, value, low=1)
     bits = np.asarray(bits).ravel()
     if bits.size != height * width * multiplier:
         raise DimensionError(

@@ -83,6 +83,12 @@ class SecretKeyTable:
     def __setattr__(self, name, value):
         raise AttributeError("SecretKeyTable is immutable")
 
+    def vectors_for(self, xbar):
+        """The key vectors, checked to drive the crossbar: one entry per row."""
+        if self.key_dim != xbar.rows:
+            raise DimensionError(f"key_dim {self.key_dim} != crossbar rows {xbar.rows}")
+        return self.vectors
+
     @classmethod
     def new_random(cls, key_dim, seed):
         """Entries i.i.d. uniform in [-1, 1]. A new seed is a new cryptosystem
@@ -222,9 +228,7 @@ class CipherText:
 
 def encrypt_text(text, keys, xbar, epsilon, rng):
     """Encrypt a string block by block; each block gets fresh read noise."""
-    if keys.key_dim != xbar.rows:
-        raise DimensionError(f"key_dim {keys.key_dim} != crossbar rows {xbar.rows}")
-    bits = encode_crossbar_batch(xbar, keys.vectors[text_to_classes(text)], epsilon, rng)
+    bits = encode_crossbar_batch(xbar, keys.vectors_for(xbar)[text_to_classes(text)], epsilon, rng)
     return CipherText(xbar.cols, np.packbits(bits, axis=1, bitorder="little"))
 
 
@@ -257,10 +261,9 @@ def build_dataset(n, keys, xbar, epsilon, rng):
     """
     if n < 1:
         raise DimensionError("dataset size must be >= 1")
-    if keys.key_dim != xbar.rows:
-        raise DimensionError(f"key_dim {keys.key_dim} != crossbar rows {xbar.rows}")
+    vectors = keys.vectors_for(xbar)
     labels = rng.integers(0, NUM_CLASSES, size=n)
-    features = encode_crossbar_batch(xbar, keys.vectors[labels], epsilon, rng)
+    features = encode_crossbar_batch(xbar, vectors[labels], epsilon, rng)
     return features, labels
 
 
@@ -279,7 +282,7 @@ def uniqueness_stats(char, n_passes, keys, xbar, epsilon, rng):
     """
     if n_passes < 2:
         raise DimensionError("need at least 2 passes")
-    vecs = keys.vectors[text_to_classes(char)]
+    vecs = keys.vectors_for(xbar)[text_to_classes(char)]
     if len(vecs) != 1:
         raise DimensionError(f"expected one character, got {char!r}")
     bits = encode_crossbar_batch(xbar, np.repeat(vecs, n_passes, axis=0), epsilon, rng)

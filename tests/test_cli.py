@@ -518,6 +518,10 @@ DIMENSION_CASES = {
                                              "--epsilon", "0", "--in", str(km["plain"]),
                                              "--out", str(km["dir"] / "c")],
                                  ("key_dim 10", "crossbar rows 4")),
+    "keys-wider-than-crossbar-train": (lambda km: ["train-text", "--crossbar", str(km["xbar"]),
+                                                   "--keys", _wide_keys(km["dir"] / "k.json"),
+                                                   "--out", str(km["dir"] / "k")],
+                                       ("key_dim 10", "crossbar rows 4")),
     "ciphertext-wider-than-model": (lambda km: ["decrypt", "--in", _ciphertext(km),
                                                 "--model", _zero_model(km["dir"] / "m.json", 30),
                                                 "--out", str(km["dir"] / "p")],
@@ -543,6 +547,21 @@ def test_dimension_mismatch_exits_2(key_material, case, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert all(name in err for name in names)
+    assert not (key_material["dir"] / "k").exists()
+
+
+@pytest.mark.parametrize("command", ["encrypt", "eval"])
+def test_model_without_threshold_exits_3_with_one_message(key_material, command, capsys):
+    model = key_material["dir"] / "m.json"
+    save_model(model, LinearDecoder(np.zeros((94, 40)), np.zeros(94), HEAD_SOFTMAX))
+    argv = [command, "--crossbar", str(key_material["xbar"]), "--keys",
+            str(key_material["keys"]), "--model", str(model)]
+    if command == "encrypt":
+        argv += ["--in", str(key_material["plain"]), "--out", str(key_material["dir"] / "k")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (f"data error: model file {model} carries no threshold; "
+                                       "pass --epsilon\n")
     assert not (key_material["dir"] / "k").exists()
 
 

@@ -204,8 +204,8 @@ def test_encoding_memory_stays_near_bit_output_size():
 def test_ideal_sigma_zero_is_pure_function():
     enc = IdealEncoder.new_random(4, 8, sigma=0.0, seed=8)
     x = np.array([0.1, 0.9, -0.4, 0.0])
-    assert np.array_equal(enc.encode_batch(x[None], spawn_rng(1, "u")),
-                          enc.encode_batch(x[None], spawn_rng(2, "v")))
+    assert np.array_equal(enc.encode_batch(x[None], 0.0, spawn_rng(1, "u")),
+                          enc.encode_batch(x[None], 0.0, spawn_rng(2, "v")))
 
 
 def test_ideal_init_interval_respected():
@@ -216,7 +216,7 @@ def test_ideal_init_interval_respected():
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
 def test_ideal_sigma_must_be_finite_and_non_negative(sigma):
-    for make in (lambda: IdealEncoder(np.ones((4, 2)), sigma, 0.0),
+    for make in (lambda: IdealEncoder(np.ones((4, 2)), sigma),
                  lambda: IdealEncoder.new_random(2, 2, sigma, seed=9),
                  lambda: project_streamed(np.ones(2), 4, sigma, 9, spawn_rng(1, "s"))):
         with pytest.raises(ConfigError) as excinfo:
@@ -225,19 +225,21 @@ def test_ideal_sigma_must_be_finite_and_non_negative(sigma):
 
 
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
-def test_ideal_epsilon_must_be_finite_when_the_encoder_is_made(epsilon):
+def test_ideal_epsilon_must_be_finite_when_encoding(epsilon):
     enc = IdealEncoder.new_random(2, 2, sigma=0.1, seed=9)
-    for make in (lambda: IdealEncoder(np.ones((4, 2)), 0.1, epsilon),
-                 lambda: enc.with_epsilon(epsilon)):
+    rng = spawn_rng(1, "s")
+    before = rng.bit_generator.state
+    for xs in (np.zeros((0, 2)), np.ones((3, 2))):
         with pytest.raises(ConfigError) as excinfo:
-            make()
+            enc.encode_batch(xs, epsilon, rng)
         assert excinfo.value.field == "epsilon"
+    assert rng.bit_generator.state == before
 
 
 def test_ideal_hand_computed_row_sums(rng):
     w = np.array([[1.0, 2.0], [-3.0, 1.0], [0.5, -0.5]])
-    enc = IdealEncoder(w, sigma=0.0, epsilon=0.5)
-    bits = enc.encode_batch(np.array([[1.0, 1.0]]), rng)
+    enc = IdealEncoder(w, sigma=0.0)
+    bits = enc.encode_batch(np.array([[1.0, 1.0]]), 0.5, rng)
     # oracle: row sums are 3, -2, 0 -> thresholded at 0.5
     assert bits.tolist() == [[1, 0, 0]]
 
@@ -329,10 +331,10 @@ _IDEAL_BLOCK = block_size(640, GEMM_ROWS)   # 400 rows
 @pytest.mark.parametrize("sigma", [0.6, 0.0])
 @pytest.mark.parametrize("n", [0, 1, _IDEAL_BLOCK, 2 * _IDEAL_BLOCK + 137])
 def test_blocked_ideal_encoding_matches_one_shot_threshold(sigma, n):
-    enc = IdealEncoder.new_random(*_IDEAL_SHAPE, sigma=sigma, seed=47).with_epsilon(0.25)
+    enc = IdealEncoder.new_random(*_IDEAL_SHAPE, sigma=sigma, seed=47)
     xs = spawn_rng(48, "xs").uniform(-1, 1, (n, _IDEAL_SHAPE[0]))
     stream = spawn_rng(49, "s")
-    bits = enc.encode_batch(xs, stream)
+    bits = enc.encode_batch(xs, 0.25, stream)
     # oracle: the whole batch's pre-threshold values at once, then one threshold
     oracle = spawn_rng(49, "s")
     expected = binarize_batch(enc.project_batch(xs, oracle), 0.25)
@@ -349,11 +351,11 @@ def test_ideal_encoding_checks_input_and_threshold_before_any_draw(bad):
     xs = np.zeros((2 * _IDEAL_BLOCK + 1, _IDEAL_SHAPE[0]))
     xs[-1, 0] = bad     # in the last block, which an unchecked loop reaches last
     with pytest.raises(ValueError, match="finite"):
-        enc.encode_batch(xs, rng)
+        enc.encode_batch(xs, 0.0, rng)
     with pytest.raises(ConfigError, match="epsilon"):
-        enc.with_epsilon(float("nan")).encode_batch(np.zeros((3, _IDEAL_SHAPE[0])), rng)
+        enc.encode_batch(np.zeros((3, _IDEAL_SHAPE[0])), float("nan"), rng)
     with pytest.raises(DimensionError):
-        enc.encode_batch(np.zeros((3, _IDEAL_SHAPE[0] + 1)), rng)
+        enc.encode_batch(np.zeros((3, _IDEAL_SHAPE[0] + 1)), 0.0, rng)
     assert rng.bit_generator.state == before
 
 
@@ -362,7 +364,7 @@ def test_ideal_encoding_memory_stays_near_bit_output_size():
     xs = spawn_rng(53, "xs").uniform(0, 1, (2_000, 64))
     tracemalloc.start()
     try:
-        bits = enc.encode_batch(xs, spawn_rng(54, "s"))
+        bits = enc.encode_batch(xs, 0.0, spawn_rng(54, "s"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

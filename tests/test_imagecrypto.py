@@ -197,19 +197,18 @@ def test_fuzzed_idx_bytes_parse_or_raise_data_format_error(tmp_path_factory, dat
 
 
 def test_encrypt_all_zero_image(rng):
-    enc = IdealEncoder.new_random(16, 4, sigma=2.0, seed=3).with_epsilon(0.1)
+    enc = IdealEncoder.new_random(16, 4, sigma=2.0, seed=3)
     img = GrayImage.from_array(np.zeros((4, 4)))
-    bits = enc.encode_batch(img.flatten()[None], rng)
+    bits = enc.encode_batch(img.flatten()[None], 0.1, rng)
     assert bits.sum() == 0             # 0 < epsilon everywhere
-    enc2 = enc.with_epsilon(-0.1)
-    assert enc2.encode_batch(img.flatten()[None], rng).sum() == 64
+    assert enc.encode_batch(img.flatten()[None], -0.1, rng).sum() == 64
 
 
 def test_encrypt_dimension_is_pixels_times_multiplier(rng):
     images, _ = synthetic_digits(1, seed=4)
     for m in (1, 4):
         enc = IdealEncoder.new_random(784, m, sigma=0.5, seed=5)
-        bits = enc.encode_batch(GrayImage.from_array(images[0]).flatten()[None], rng)
+        bits = enc.encode_batch(GrayImage.from_array(images[0]).flatten()[None], 0.0, rng)
         assert bits.shape == (1, 784 * m)
 
 
@@ -224,19 +223,19 @@ def test_encrypt_hand_computed_two_by_two(rng):
         [0.0, 2.0, 0.0, -2.0],
         [1.0, -1.0, 1.0, -1.0],
     ])
-    enc = IdealEncoder(w, sigma=0.0, epsilon=0.25)
+    enc = IdealEncoder(w, sigma=0.0)
     img = GrayImage.from_array(np.array([[1.0, 0.5], [0.0, 1.0]]))
     # oracle: y = w @ (1, 0.5, 0, 1) computed row by row; row 4 lands
     # exactly on the threshold and must map to 1
     y = np.array([1.0, -0.5, 2.5, 2.0, 0.25, 2.0, -1.0, -0.5])
-    bits = enc.encode_batch(img.flatten()[None], rng)
+    bits = enc.encode_batch(img.flatten()[None], 0.25, rng)
     assert np.array_equal(bits[0], (y >= 0.25).astype(np.uint8))
 
 
 def test_encrypt_size_mismatch(rng):
     enc = IdealEncoder.new_random(10, 2, sigma=0.0, seed=6)
     with pytest.raises(DimensionError):
-        enc.encode_batch(GrayImage.from_array(np.zeros((3, 3))).flatten()[None], rng)
+        enc.encode_batch(GrayImage.from_array(np.zeros((3, 3))).flatten()[None], 0.0, rng)
 
 
 def test_benchmark_exact_inverse_roundtrip(rng):
@@ -328,7 +327,7 @@ def test_histogram_conservation_across_stages(rng):
     img = synthetic_natural_image(30, seed=14)
     enc = IdealEncoder.new_random(900, 4, sigma=1.0, seed=15)
     pre = enc.project_batch(img.flatten()[None], rng)[0]
-    bits = enc.with_epsilon(float(np.median(pre))).encode_batch(img.flatten()[None], rng)[0]
+    bits = enc.encode_batch(img.flatten()[None], float(np.median(pre)), rng)[0]
     assert pixel_histogram(img.pixels).sum() == 900
     assert pixel_histogram(pre).sum() == 3600
     assert pixel_histogram(bits).sum() == 3600
@@ -449,7 +448,7 @@ def test_encrypted_stage_decorrelates_natural_image(rng):
     assert adjacency_stats(img.pixels, "horizontal").correlation > 0.7
     enc = IdealEncoder.new_random(3600, 4, sigma=1.0, seed=21)
     pre = enc.project_batch(img.flatten()[None], rng)[0]
-    bits = enc.with_epsilon(float(np.median(pre))).encode_batch(img.flatten()[None], rng)[0]
+    bits = enc.encode_batch(img.flatten()[None], float(np.median(pre)), rng)[0]
     plane = bits_to_plane(bits, 60, 60, 4)
     for direction in ("horizontal", "vertical", "diagonal"):
         assert abs(adjacency_stats(plane, direction).correlation) < 0.05

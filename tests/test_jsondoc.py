@@ -126,12 +126,13 @@ def test_version_must_be_the_json_integer_1(tmp_path, fmt, version):
 @pytest.mark.parametrize("fmt, place", [
     ("experiment-spec", lambda doc: doc.update(r_lrs=10**400)),
     ("experiment-spec", lambda doc: doc.update(sigmas=[0.1, -10**400])),
+    ("experiment-spec", lambda doc: doc.update(multipliers=[25, 10**400])),
     ("crossbar", lambda doc: doc["config"].update(sigma_frac=10**400)),
     ("crossbar", lambda doc: doc["g_target"].__setitem__(0, 10**400)),
     ("linear-decoder", lambda doc: doc["weights"].__setitem__(0, 10**400)),
     ("linear-decoder", lambda doc: doc.update(epsilon=-10**400)),
-], ids=["spec-r_lrs", "spec-sigmas", "crossbar-sigma_frac", "crossbar-g_target",
-        "model-weights", "model-epsilon"])
+], ids=["spec-r_lrs", "spec-sigmas", "spec-multipliers", "crossbar-sigma_frac",
+        "crossbar-g_target", "model-weights", "model-epsilon"])
 def test_integers_beyond_float_range_raise_hdcrypt_error(tmp_path, fmt, place):
     # json reads such an integer exactly; float() of it overflows
     doc, loader = DOCUMENTS[fmt]

@@ -35,22 +35,31 @@ def test_package_exports_are_public_names_of_their_modules():
 
 
 def test_readme_names_of_hdcrypt_modules_resolve():
-    # `module.name` or `hdcrypt.module.name`, as the README writes them
+    # `module.name` or `hdcrypt.module.name`, as the README writes them, and
+    # `Class.attr` for a class that an hdcrypt module exports
     package = importlib.import_module("hdcrypt")
-    modules = {m.name for m in pkgutil.iter_modules(package.__path__)}
+    modules = {m.name: importlib.import_module(f"hdcrypt.{m.name}")
+               for m in pkgutil.iter_modules(package.__path__) if m.name != "__main__"}
+    classes = {name: getattr(module, name) for module in modules.values()
+               for name in getattr(module, "__all__", ())
+               if isinstance(getattr(module, name), type)}
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     checked = []
-    for name in re.findall(r"`([a-z_]\w*(?:\.\w+)+)", text):
+    for name in re.findall(r"`(\w+(?:\.\w+)+)", text):
         parts = name.split(".")
         parts = parts[1:] if parts[0] == "hdcrypt" else parts
-        if parts[0] not in modules:
+        if parts[0] in modules:
+            target = modules[parts[0]]
+        elif parts[0] in classes:
+            target = classes[parts[0]]
+        else:
             continue
-        target = importlib.import_module(f"hdcrypt.{parts[0]}")
         for part in parts[1:]:
             assert hasattr(target, part), f"README.md names `{name}`, which does not resolve"
             target = getattr(target, part)
         checked.append(name)
-    assert len(checked) >= 20, checked
+    assert sum(name[0].isupper() for name in checked) >= 6, checked
+    assert len(checked) >= 26, checked
 
 
 @pytest.mark.parametrize("demo", ["01_crossbar_noise.py", "02_text_roundtrip.py",
