@@ -13,7 +13,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .imagecrypto import GrayImage
-from .errors import DataFormatError, DimensionError
+from .errors import DataFormatError, require_int
 from .imageio import read_idx_images
 from .rng import spawn_rng
 
@@ -47,10 +47,8 @@ _STAMPS = {
 
 def synthetic_digits(n, seed, size=28):
     """Render n digit images; returns (images (n, size, size) in [0, 1], labels)."""
-    if n < 0:
-        raise DimensionError(f"n must be >= 0, got {n}")
-    if size < 24:
-        raise DimensionError(f"size must be at least 24, got {size}")
+    require_int("n", n, low=0)
+    require_int("size", size, low=24)
     rng = spawn_rng(seed, "synthetic-digits")
     images = np.zeros((n, size, size))
     labels = rng.integers(0, 10, size=n)
@@ -72,8 +70,7 @@ def synthetic_digits(n, seed, size=28):
 def synthetic_natural_image(size, seed):
     """A smooth random field with the strong adjacent-pixel correlation
     of natural photographs; stands in for one when none is supplied."""
-    if size < 2:
-        raise DimensionError(f"size must be at least 2, got {size}")
+    require_int("size", size, low=2)
     rng = spawn_rng(seed, "natural-image")
     field = gaussian_filter(rng.normal(size=(size, size)), sigma=size / 18)
     field += 0.35 * gaussian_filter(rng.normal(size=(size, size)), sigma=size / 60)
@@ -84,8 +81,7 @@ def synthetic_natural_image(size, seed):
 def load_digits(n, seed, idx_images_path=None):
     """The first n images of an IDX corpus, or n synthetic digits when no
     path is given. A corpus of fewer than n images raises DataFormatError."""
-    if n < 0:
-        raise DimensionError(f"n must be >= 0, got {n}")
+    require_int("n", n, low=0)
     if idx_images_path is None:
         return synthetic_digits(n, seed)[0]
     images = read_idx_images(idx_images_path)

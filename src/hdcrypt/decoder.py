@@ -21,8 +21,8 @@ TrainReport, while the benchmark harness traces it (ROADMAP item 3).
 
 No pass holds a float copy of a whole feature matrix, which may be
 stored as uint8 bits: inference widens one `hdcrypt.blocks` block of
-rows at a time, and ridge_predict forms the Gram matrices of bit
-features exactly from float32 blocks.
+rows at a time, and ridge_predict sums its Gram matrices over blocks of
+the features, those of bits exactly in float32.
 """
 
 from dataclasses import dataclass, field
@@ -98,8 +98,8 @@ def _affine(weights, bias, X):
     26 times slower. ridge_predict's few large products use numpy's: on one
     BLAS thread they time as scipy's do, and on two the switch around its
     eigh added 0.1-0.2 s to fits of 1,080 to 7,200 rows on that host. Its
-    blocked products of bit features (_centered_bit_products) run in a
-    loop, so they all use scipy's.
+    blocked Gram products (_centered_products) run in a loop, so they all
+    use scipy's.
     """
     Z = _gemm(weights)(1.0, weights.T, X.T, trans_a=True).T
     Z += bias
@@ -199,48 +199,46 @@ def fit_naive_bayes(features, labels, num_classes):
     return LinearDecoder(log_on - log_off, log_off.sum(axis=1), HEAD_SOFTMAX)
 
 
-def _centered_bit_products(X, Y, Xs, x_mean, y_mean):
-    """ridge_predict's (gram, rhs, side) for 0/1 uint8 features X and
-    prediction rows Xs, from exact integer products and sums; rhs is None
-    in the dual fit.
+def _centered_products(X, Y, Xs, s, y_mean, dtype):
+    """ridge_predict's (gram, rhs, side) for features X with column sums
+    s = X^T 1 and prediction rows Xs; rhs is None in the dual fit.
 
     A GEMM-aligned block of X (columns in the dual, rows in the primal)
-    is widened to float32 at a time and added to the Gram matrix by a
+    is widened to `dtype` at a time and added to the Gram matrix by a
     SYRK rank-k update, which writes one triangle at half a GEMM's cost;
-    the other is copied in at the end. Every partial sum is a count below
+    the other is copied in at the end. No n x d float array is made. For
+    0/1 features summed in float32 every partial sum is a count below
     2**24, which float32 holds exactly, so the products do not depend on
-    the blocks, their order or the BLAS. No n x d float array is made.
-    With the column sums s = X^T 1:
-    * primal: Xc^T Xc = X^T X - s s^T / n, where s is the diagonal of
-      X^T X, and rhs = Xc^T Yc = X^T Yc, since Yc sums to zero, is summed
-      over the row blocks; side = Xs - x_mean, as for float features;
+    the blocks, their order or the BLAS.
+    * primal: Xc^T Xc = X^T X - s s^T / n, and rhs = Xc^T Yc = X^T Yc,
+      since Yc sums to zero, is summed over the row blocks; side = Xs - s / n;
     * dual: Xc Xc^T = X X^T - (t 1^T + 1 t^T) / n + s^T s / n^2, where
       t = X s are the row sums of X X^T and s^T s is their sum; side,
       Xsc Xc^T, is alike with ts = Xs s, the row sums of Xs X^T.
-    The Gram matrix is centered in float64 and rounded to float32 a block
-    of rows at a time, in place, so it stays float32 and exactly
-    symmetric, as eigh needs; side and rhs are float64.
+    The Gram matrix is centered in float64 a block of rows at a time, in
+    place, and returned rounded to float32 and exactly symmetric, as eigh
+    needs; side and rhs are float64.
     """
     n, d = X.shape
     dual = n < d
     # BLAS updates these Fortran-ordered sums in place
     if dual:
         blocks = [np.s_[:, cols] for cols in block_slices(d, block_size(n, GEMM_ROWS))]
-        G, Gs = np.zeros((n, n), np.float32, "F"), np.zeros((len(Xs), n), np.float32, "F")
+        G, Gs = np.zeros((n, n), dtype, "F"), np.zeros((len(Xs), n), dtype, "F")
     else:
         blocks = block_slices(n, block_size(d, GEMM_ROWS))
-        G, rhs = np.zeros((d, d), np.float32, "F"), np.zeros((d, Y.shape[1]), order="F")
-    syrk = get_blas_funcs("syrk", dtype=np.float32)
+        G, rhs = np.zeros((d, d), dtype, "F"), np.zeros((d, Y.shape[1]), order="F")
+    syrk = get_blas_funcs("syrk", dtype=dtype)
     for block in blocks:
-        Bt = X[block].T.astype(np.float32)  # Fortran-ordered, as BLAS reads it
+        Bt = X[block].T.astype(dtype)  # Fortran-ordered, as BLAS reads it
         # dual: G += Bt^T Bt = B B^T; primal: G += Bt Bt^T = B^T B
         G = syrk(1.0, Bt, beta=1.0, c=G, trans=int(dual), overwrite_c=True)
         if dual:    # Gs += Xs[block] Bt
-            Gs = _gemm(Gs)(1.0, Xs[block].T.astype(np.float32), Bt, beta=1.0, c=Gs,
+            Gs = _gemm(Gs)(1.0, Xs[block].T.astype(dtype), Bt, beta=1.0, c=Gs,
                            trans_a=True, overwrite_c=True)
         else:       # rhs += Bt (Y[block] - y_mean)
-            rhs = _gemm(rhs)(1.0, Bt.astype(np.float64), (Y[block] - y_mean).T, beta=1.0,
-                             c=rhs, trans_b=True, overwrite_c=True)
+            rhs = _gemm(rhs)(1.0, Bt.astype(np.float64, copy=False), (Y[block] - y_mean).T,
+                             beta=1.0, c=rhs, trans_b=True, overwrite_c=True)
     G += np.triu(G, 1).T
     G = G.T     # C-ordered, the same symmetric matrix
     if dual:
@@ -250,8 +248,7 @@ def _centered_bit_products(X, Y, Xs, x_mean, y_mean):
         side -= (ts[:, None] + t) / n
         side += offset
     else:
-        s = G.diagonal().astype(np.float64)
-        side = Xs - x_mean
+        side = Xs - s / n
     for rows in block_slices(len(G), block_size(len(G))):
         centered = G[rows].astype(np.float64)
         if dual:
@@ -260,7 +257,7 @@ def _centered_bit_products(X, Y, Xs, x_mean, y_mean):
         else:
             centered -= np.outer(s[rows], s) / n
         G[rows] = centered
-    return G, (None if dual else rhs), side
+    return G.astype(np.float32, copy=False), (None if dual else rhs), side
 
 
 def ridge_predict(features, targets, val_set, test_features):
@@ -284,10 +281,9 @@ def ridge_predict(features, targets, val_set, test_features):
     while there are fewer prediction rows than k outputs (an image cell
     has 100 to 400 test images and k = 784 pixels).
 
-    0/1 uint8 features (ciphertexts) have their Gram matrix and side
-    formed exactly by _centered_bit_products, with no float copy of X.
-    Other features are centered into a float64 Xc, held only until those
-    products are formed.
+    _centered_products forms the Gram matrix and side from blocks of the
+    features, with no float copy of them: 0/1 uint8 features
+    (ciphertexts) summed exactly in float32, others in float64.
     """
     X, Y = np.asarray(features), np.asarray(targets)
     if X.ndim != 2 or Y.ndim != 2:
@@ -297,25 +293,17 @@ def ridge_predict(features, targets, val_set, test_features):
     Xv, Yv = _check_set("val", val_set, *dims)
     Xs = np.concatenate([Xv, _check_features("test", test_features, X.shape[1])])
     n, d = X.shape
-    x_mean, y_mean = X.mean(axis=0, dtype=np.float64), Y.mean(axis=0)
-    dual = n < d
+    y_mean = Y.mean(axis=0)
     bits = X.dtype == Xs.dtype == np.uint8 and max(X.max(), Xs.max()) <= 1
-    if bits and max(n, d) < _F32_EXACT:
-        gram, rhs, side = _centered_bit_products(X, Y, Xs, x_mean, y_mean)
-    else:
-        Xc = X - x_mean
-        if dual:
-            gram, rhs, side = Xc @ Xc.T, None, (Xs - x_mean) @ Xc.T
-        else:
-            gram, rhs, side = Xc.T @ Xc, Xc.T @ (Y - y_mean), Xs - x_mean
-        del Xc
-        gram = gram.astype(np.float32)
+    dtype = np.float32 if bits and max(n, d) < _F32_EXACT else np.float64
+    gram, rhs, side = _centered_products(X, Y, Xs, X.sum(axis=0, dtype=np.float64), y_mean,
+                                         dtype)
     lambdas = _RIDGE_GRID * (np.trace(gram, dtype=np.float64) / d or 1.0)
     # the Gram matrix is exactly symmetric, so its transpose, which is
     # Fortran-ordered, is the same matrix and LAPACK can overwrite it
     s, U = eigh(gram.T, overwrite_a=True, driver="evd")
     del gram
-    if dual:
+    if rhs is None:     # dual
         rhs = Y - y_mean
     rhs = rhs.astype(np.float32)    # the float64 one is freed before the products
     UtR, basis = U.T @ rhs, side.astype(np.float32) @ U

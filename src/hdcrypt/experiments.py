@@ -445,10 +445,10 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
     repeated = np.tile(train_flats, (IMAGE_ENCODE_REPEATS, 1))
 
     binary = pipeline == "bhv"
-    calib_rng = spawn_rng(master_seed, "calibrate")
     if binary:
         enc = IdealEncoder.new_random(k, multiplier, sigma, derive_seed(master_seed, "encoder"))
-        epsilon = calibrate_epsilon(enc.project_batch(flats[:64], calib_rng))
+        epsilon = calibrate_epsilon(enc.project_batch(flats[:64],
+                                                      spawn_rng(master_seed, "calibrate")))
         encode = partial(enc.encode_batch, epsilon=epsilon)
     else:
         enc = BenchmarkEncoder.new_random(k, sigma, derive_seed(master_seed, "encoder"))

@@ -27,7 +27,7 @@ from . import jsondoc
 from .blocks import GEMM_ROWS, block_size, block_slices
 from .decoder import HEAD_SOFTMAX, _check_set
 from .encoder import encode_crossbar_batch
-from .errors import CharsetError, DataFormatError, DimensionError
+from .errors import CharsetError, DataFormatError, DimensionError, require_int
 from .rng import spawn_rng
 
 __all__ = [
@@ -93,8 +93,7 @@ class SecretKeyTable:
     def new_random(cls, key_dim, seed):
         """Entries i.i.d. uniform in [-1, 1]. A new seed is a new cryptosystem
         on the same crossbar."""
-        if key_dim < 1:
-            raise DimensionError("key_dim must be >= 1")
+        require_int("key_dim", key_dim, low=1)
         rng = spawn_rng(seed, "secret-keys")
         vectors = rng.uniform(-1.0, 1.0, size=(NUM_CLASSES, key_dim))
         return cls(key_dim, seed, vectors)
@@ -146,9 +145,8 @@ class CipherText:
     __slots__ = ("dim", "packed")
 
     def __init__(self, dim, packed):
+        require_int("dim", dim, low=0)
         dim = int(dim)
-        if dim < 0:
-            raise DimensionError(f"ciphertext dim must be >= 0, got {dim}")
         packed = np.ascontiguousarray(packed)
         if packed.dtype != np.uint8:
             raise TypeError(f"packed blocks must be uint8, got {packed.dtype}")
@@ -158,8 +156,9 @@ class CipherText:
         if dim == 0 and len(packed):
             raise DimensionError("dim must be positive for nonempty ciphertext")
         bad = _first_bad_padding(dim, packed)
-        if bad is not None:
-            raise DataFormatError(f"padding bits beyond dim must be zero in block {bad}")
+        if bad is not None:     # offset: the block's last byte in the HLCT bytes
+            raise DataFormatError(f"padding bits beyond dim must be zero in block {bad}",
+                                  offset=_CT_HEADER_LEN + (bad + 1) * packed.shape[1] - 1)
         packed.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "packed", packed)
@@ -209,12 +208,7 @@ class CipherText:
                 offset=_CT_HEADER_LEN + min(whole, count) * block_len,
             )
         packed = np.frombuffer(data, dtype=np.uint8, offset=_CT_HEADER_LEN)
-        packed = packed.reshape(count, block_len)
-        bad = _first_bad_padding(dim, packed)
-        if bad is not None:
-            raise DataFormatError("padding bits beyond dim must be zero",
-                                  offset=_CT_HEADER_LEN + (bad + 1) * block_len - 1)
-        return cls(dim, packed)
+        return cls(dim, packed.reshape(count, block_len))
 
     def save(self, path):
         with open(path, "wb") as fh:
@@ -256,11 +250,10 @@ def decrypt_text(ct, model):
 def build_dataset(n, keys, xbar, epsilon, rng):
     """n uniformly random characters, each encrypted once.
 
-    Returns (features, labels): packed rows of ciphertext bits as uint8
-    and the class index of each character.
+    Returns (features, labels): one row of uint8 ciphertext bits and the
+    class index of each character.
     """
-    if n < 1:
-        raise DimensionError("dataset size must be >= 1")
+    require_int("n", n, low=1)
     vectors = keys.vectors_for(xbar)
     labels = rng.integers(0, NUM_CLASSES, size=n)
     features = encode_crossbar_batch(xbar, vectors[labels], epsilon, rng)
@@ -280,14 +273,12 @@ def uniqueness_stats(char, n_passes, keys, xbar, epsilon, rng):
     mean_pairwise_hamming is averaged over all unordered pairs and
     normalized by the block dimension.
     """
-    if n_passes < 2:
-        raise DimensionError("need at least 2 passes")
+    require_int("n_passes", n_passes, low=2)
     vecs = keys.vectors_for(xbar)[text_to_classes(char)]
     if len(vecs) != 1:
         raise DimensionError(f"expected one character, got {char!r}")
     bits = encode_crossbar_batch(xbar, np.repeat(vecs, n_passes, axis=0), epsilon, rng)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    distinct = len({row.tobytes() for row in packed})
+    distinct = len({row.tobytes() for row in bits})
     ones = bits.sum(axis=0, dtype=np.int64)
     differing_pairs = float(np.sum(ones * (n_passes - ones)))
     n_pairs = n_passes * (n_passes - 1) / 2

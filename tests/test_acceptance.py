@@ -21,6 +21,8 @@ from hdcrypt.rng import derive_seed, spawn_rng
 from hdcrypt.textcrypto import (SecretKeyTable, build_dataset,
                                 evaluate_accuracy, uniqueness_stats)
 
+pytestmark = pytest.mark.slow
+
 MASTER = 20_260_809
 
 

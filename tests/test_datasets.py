@@ -8,7 +8,7 @@ from scipy.ndimage import gaussian_filter
 from hdcrypt import datasets
 from hdcrypt.datasets import (_GLYPH_ARRAYS, _STAMPS, load_digits, synthetic_digits,
                               synthetic_natural_image)
-from hdcrypt.errors import DimensionError
+from hdcrypt.errors import ConfigError
 from hdcrypt.imageio import IDX_IMAGES_MAGIC
 from hdcrypt.rng import spawn_rng
 
@@ -66,7 +66,7 @@ def test_bad_arguments_raise_before_any_draw(monkeypatch, n, size, name):
     def no_draws(*args):
         raise AssertionError("drew from the generator")
     monkeypatch.setattr(datasets, "spawn_rng", no_draws)
-    with pytest.raises(DimensionError, match=rf"^{name} "):
+    with pytest.raises(ConfigError, match=rf"^{name}: "):
         synthetic_digits(n, seed=1, size=size)
 
 
@@ -75,7 +75,7 @@ def test_natural_image_needs_two_pixels_a_side(monkeypatch, size):
     def no_draws(*args):
         raise AssertionError("drew from the generator")
     monkeypatch.setattr(datasets, "spawn_rng", no_draws)
-    with pytest.raises(DimensionError, match=r"^size "):
+    with pytest.raises(ConfigError, match=r"^size: "):
         synthetic_natural_image(size, seed=1)
     monkeypatch.undo()
     assert synthetic_natural_image(2, seed=1).pixels.shape == (2, 2)
@@ -91,5 +91,5 @@ def test_idx_corpus_rejects_a_negative_count_before_reading(tmp_path, monkeypatc
         raise AssertionError("read the corpus")
     monkeypatch.setattr(datasets, "read_idx_images", no_reads)
     for n in (-3, -1):
-        with pytest.raises(DimensionError, match=r"^n "):
+        with pytest.raises(ConfigError, match=r"^n: "):
             load_digits(n, 0, path)

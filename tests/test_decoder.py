@@ -561,9 +561,9 @@ def test_fit_ridge_of_constant_features_predicts_the_mean_target():
 def _exact_bit_products(X, Y, Xs):
     """(gram, rhs, side) of ridge_predict for 0/1 features X and
     prediction rows Xs, from int64 products of the bits centered by
-    _centered_bit_products' formulas in float64; the Gram matrix is then
+    _centered_products' formulas in float64; the Gram matrix is then
     rounded to float32. rhs, None in the dual fit, is one GEMM through
-    scipy's BLAS, which _centered_bit_products sums over row blocks: the
+    scipy's BLAS, which _centered_products sums over row blocks: the
     two agree bitwise when X is one block."""
     n, d = X.shape
     Xi = X.astype(np.int64)
@@ -578,55 +578,63 @@ def _exact_bit_products(X, Y, Xs):
     return (Xi.T @ Xi - np.outer(s, s) / n).astype(np.float32), rhs, Xs - X.mean(axis=0)
 
 
-def test_dual_fit_ridge_frees_the_centered_features_once_the_gram_matrix_exists(monkeypatch):
-    # float features: the centered float64 Xc is n x d
-    n, d = 160, 3364
+def _centered_float_products(X, Y, Xs):
+    """(gram, rhs, side) of ridge_predict from the float64 centered
+    features Xc = X - x_mean, as products of Xc; rhs is None in the dual
+    fit."""
+    x_mean = X.mean(axis=0)
+    Xc, Xsc = X - x_mean, Xs - x_mean
+    if X.shape[0] < X.shape[1]:
+        return Xc @ Xc.T, None, Xsc @ Xc.T
+    return Xc.T @ Xc, Xc.T @ (Y - Y.mean(axis=0)), Xsc
+
+
+@pytest.mark.parametrize(
+    "n, d, dtype", [(160, 10_000, np.uint8), (20_000, 100, np.uint8),
+                    (160, 10_000, np.float64), (20_000, 100, np.float64)],
+    ids=["dual", "primal", "dual-float64", "primal-float64"])
+def test_fit_ridge_on_bits_holds_no_float_copy_of_the_features(n, d, dtype):
     (X, Y), (Xv, Yv), Xt = _ridge_problem(n, d)
-    X, Xv, Xt = (a.astype(np.float64) for a in (X, Xv, Xt))
-    real_eigh = decoder.eigh
-
-    def eigh_from_here(*args, **kwargs):
-        tracemalloc.reset_peak()
-        return real_eigh(*args, **kwargs)
-
-    monkeypatch.setattr(decoder, "eigh", eigh_from_here)
+    X, Xv, Xt = (a.astype(dtype) for a in (X, Xv, Xt))
     tracemalloc.start()
     try:
         ridge_predict(X, Y, (Xv, Yv), Xt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # from the eigendecomposition on, nothing as large as the float64 Xc lives
-    assert peak < n * d * 8
-
-
-@pytest.mark.parametrize("n, d", [(160, 10_000), (20_000, 100)], ids=["dual", "primal"])
-def test_fit_ridge_on_bits_holds_no_float_copy_of_the_features(n, d):
-    (X, Y), val_set, Xt = _ridge_problem(n, d)
-    tracemalloc.start()
-    try:
-        ridge_predict(X, Y, val_set, Xt)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < n * d * np.dtype(np.float32).itemsize
+    # bits: no float32 copy of X; float64 features: no centered copy of X
+    assert peak < n * d * np.dtype(np.float32 if dtype == np.uint8 else dtype).itemsize
 
 
 @pytest.mark.parametrize("block_bytes", [blocks._BLOCK_BYTES, 1 << 14], ids=["default", "small"])
-@pytest.mark.parametrize("n, d", [(100, 2_000), (3_000, 60)], ids=["dual", "primal"])
-def test_bit_gram_matrices_are_the_exact_integer_products(n, d, block_bytes, monkeypatch):
+@pytest.mark.parametrize(
+    "n, d, dtype", [(100, 2_000, np.uint8), (3_000, 60, np.uint8),
+                    (100, 2_000, np.float64), (3_000, 60, np.float64)],
+    ids=["dual", "primal", "dual-float64", "primal-float64"])
+def test_bit_gram_matrices_are_the_exact_integer_products(n, d, dtype, block_bytes, monkeypatch):
     monkeypatch.setattr(blocks, "_BLOCK_BYTES", block_bytes)
     (X, Y), (Xv, _), Xt = _ridge_problem(n, d)
     Xs = np.concatenate([Xv, Xt])   # validation rows, then test rows
-    x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
-    gram, rhs, side = decoder._centered_bit_products(X, Y, Xs, x_mean, y_mean)
+    floats = dtype == np.float64
+    if floats:  # bits plus noise about a mean offset
+        noise = spawn_rng(31, "float-features").normal(0.5, 0.3, size=(n + len(Xs), d))
+        X, Xs = X + noise[:n], Xs + noise[n:]
+    s, y_mean = X.sum(axis=0, dtype=np.float64), Y.mean(axis=0)
+    gram, rhs, side = decoder._centered_products(X, Y, Xs, s, y_mean,
+                                                 np.float64 if floats else np.float32)
+    assert gram.dtype == np.float32 and np.array_equal(gram, gram.T)
+    assert side.shape == (len(Xs), min(n, d))
+    assert (rhs is None) == (n < d)
+    if floats:  # summed in float64, then the Gram matrix rounded to float32
+        refs = _centered_float_products(X, Y, Xs)
+        for got, ref in zip((gram, rhs, side), refs):
+            if ref is not None:
+                np.testing.assert_allclose(got, ref, rtol=0,
+                                           atol=np.finfo(np.float32).eps * np.abs(ref).max())
+        return
     ref_gram, ref_rhs, ref_side = _exact_bit_products(X, Y, Xs)
-    assert gram.dtype == np.float32
-    assert np.array_equal(gram, ref_gram) and np.array_equal(gram, gram.T)
-    assert side.shape == (len(Xs), min(n, d)) and np.array_equal(side, ref_side)
-    if n < d:
-        assert rhs is None
-    else:   # summed over row blocks, in another order than the one product
+    assert np.array_equal(gram, ref_gram) and np.array_equal(side, ref_side)
+    if n >= d:  # summed over row blocks, in another order than the one product
         np.testing.assert_allclose(rhs, ref_rhs, rtol=1e-12, atol=1e-9)
 
 

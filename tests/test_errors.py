@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from hdcrypt.crossbar import CrossbarConfig
+from hdcrypt import datasets, textcrypto
+from hdcrypt.crossbar import Crossbar, CrossbarConfig
+from hdcrypt.datasets import load_digits, synthetic_digits, synthetic_natural_image
 from hdcrypt.decoder import TrainConfig
 from hdcrypt.encoder import IdealEncoder
 from hdcrypt.errors import ConfigError, require_finite, require_int
 from hdcrypt.experiments import ExperimentSpec, run_grid
 from hdcrypt.imagecrypto import BenchmarkEncoder, bits_to_plane
+from hdcrypt.textcrypto import CipherText, SecretKeyTable, build_dataset, uniqueness_stats
 
 
 def _crossbar(**changes):
@@ -42,6 +45,42 @@ INTEGER_FIELDS = {
 @pytest.mark.parametrize("case", INTEGER_FIELDS)
 def test_integer_fields_reject_floats_and_bools(case, value):
     make, field = INTEGER_FIELDS[case]
+    with pytest.raises(ConfigError) as excinfo:
+        make(value)
+    assert excinfo.value.field == field
+    assert f"must be an integer, got {value!r}" in str(excinfo.value)
+
+
+class _NoDraws:
+    """A generator stand-in that fails any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError("drew from the generator")
+
+
+_XBAR = Crossbar.new_random(_crossbar())
+_KEYS = SecretKeyTable.new_random(4, 2)
+
+# every size argument of a library call: a call that sets it, and its name
+SIZE_ARGUMENTS = {
+    "digits-n": (lambda v: synthetic_digits(v, 1), "n"),
+    "digits-size": (lambda v: synthetic_digits(3, 1, size=v), "size"),
+    "natural-size": (lambda v: synthetic_natural_image(v, 1), "size"),
+    "load-n": (lambda v: load_digits(v, 1), "n"),
+    "keys-key_dim": (lambda v: SecretKeyTable.new_random(v, 1), "key_dim"),
+    "dataset-n": (lambda v: build_dataset(v, _KEYS, _XBAR, 0.0, _NoDraws()), "n"),
+    "uniqueness-n_passes": (
+        lambda v: uniqueness_stats("A", v, _KEYS, _XBAR, 0.0, _NoDraws()), "n_passes"),
+    "ciphertext-dim": (lambda v: CipherText(v, np.zeros((0, 1), np.uint8)), "dim"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("case", SIZE_ARGUMENTS)
+def test_size_arguments_reject_floats_and_bools_before_any_draw(case, value, monkeypatch):
+    for module in (datasets, textcrypto):
+        monkeypatch.setattr(module, "spawn_rng", lambda *args: _NoDraws())
+    make, field = SIZE_ARGUMENTS[case]
     with pytest.raises(ConfigError) as excinfo:
         make(value)
     assert excinfo.value.field == field

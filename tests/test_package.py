@@ -62,6 +62,7 @@ def test_readme_names_of_hdcrypt_modules_resolve():
     assert len(checked) >= 26, checked
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("demo", ["01_crossbar_noise.py", "02_text_roundtrip.py",
                                   "03_image_pipeline.py", "04_grid_sweep.py"])
 def test_demo_runs(demo, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder
 from hdcrypt.encoder import encode_crossbar_batch
-from hdcrypt.errors import CharsetError, DataFormatError, DimensionError
+from hdcrypt.errors import CharsetError, ConfigError, DataFormatError, DimensionError
 from hdcrypt.rng import spawn_rng
 from hdcrypt.textcrypto import (CHARSET, NUM_CLASSES, CipherText,
                                 SecretKeyTable, build_dataset, decrypt_text,
@@ -234,7 +234,7 @@ def test_uniqueness_matches_naive_oracle():
 
 def test_uniqueness_needs_two_passes():
     xbar, keys = _system()
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match=r"^n_passes: "):
         uniqueness_stats("A", 1, keys, xbar, 0.0, spawn_rng(11, "u"))
 
 
