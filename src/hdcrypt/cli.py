@@ -85,29 +85,29 @@ def _cmd_train_text(args):
 
 def _load_model_for(xbar, path):
     """load_model(path), checked to decode the ciphertext width of `xbar`."""
-    model, meta = load_model(path)
+    model, epsilon = load_model(path)
     if xbar.cols != model.in_dim:
         raise DimensionError(f"--crossbar has {xbar.cols} columns, "
                              f"--model expects {model.in_dim} inputs")
-    return model, meta
+    return model, epsilon
 
 
-def _threshold(args, meta):
-    """--epsilon, else the threshold in `meta`, the --model metadata or None."""
+def _threshold(args, epsilon):
+    """--epsilon, else `epsilon`, the threshold of the --model file."""
     if args.epsilon is not None:
         return args.epsilon
-    if meta is None:
+    if args.model is None:
         raise ConfigError("epsilon", "need --epsilon or --model to fix the threshold")
-    if meta["epsilon"] is None:
+    if epsilon is None:
         raise DataFormatError(f"model file {args.model} carries no threshold; pass --epsilon")
-    return meta["epsilon"]
+    return epsilon
 
 
 def _cmd_encrypt(args):
     xbar = Crossbar.load(args.crossbar)
     keys = SecretKeyTable.load(args.keys)
-    meta = None if args.model is None else _load_model_for(xbar, args.model)[1]
-    epsilon = _threshold(args, meta)
+    model_epsilon = None if args.model is None else _load_model_for(xbar, args.model)[1]
+    epsilon = _threshold(args, model_epsilon)
     # latin-1 maps bytes one to one; out-of-charset bytes are rejected
     # by the encoder with the offending index
     with open(args.infile, "r", encoding="latin-1") as fh:
@@ -131,8 +131,8 @@ def _cmd_eval(args):
     require_int("--n", args.n, low=1)
     xbar = Crossbar.load(args.crossbar)
     keys = SecretKeyTable.load(args.keys)
-    model, meta = _load_model_for(xbar, args.model)
-    test = build_dataset(args.n, keys, xbar, _threshold(args, meta),
+    model, epsilon = _load_model_for(xbar, args.model)
+    test = build_dataset(args.n, keys, xbar, _threshold(args, epsilon),
                          spawn_rng(args.seed, "eval-data"))
     print(json.dumps({"n": args.n, "accuracy": round(evaluate_accuracy(model, test), 4)}))
 
@@ -223,7 +223,7 @@ def _cmd_image_demo(args):
 
 
 def _cmd_report(args):
-    report = ExperimentReport.load_json(args.infile)
+    report = ExperimentReport.load(args.infile)
     _write_report(report, args.out, args.stem)
 
 

@@ -192,17 +192,17 @@ class Crossbar:
 
     # --- serialization ---------------------------------------------------
 
-    def to_json_dict(self):
+    def save(self, path):
         codes = "".join(_STUCK_TO_CODE[int(s)] for s in self.stuck_mask.ravel())
-        return jsondoc.envelope("crossbar", {
+        jsondoc.save(path, "crossbar", {
             "config": asdict(self.config),
             "g_target": self.g_target.ravel().tolist(),
             "stuck_mask": codes,
         })
 
     @classmethod
-    def from_json_dict(cls, doc):
-        jsondoc.check(doc, "crossbar", ("config", "g_target", "stuck_mask"))
+    def load(cls, path):
+        doc = jsondoc.load(path, "crossbar", ("config", "g_target", "stuck_mask"))
         config = jsondoc.build(CrossbarConfig, doc["config"], "crossbar config")
         shape = (config.rows, config.cols)
         cells = shape[0] * shape[1]
@@ -220,10 +220,3 @@ class Crossbar:
             raise DataFormatError(f"crossbar field 'stuck_mask' has unknown code "
                                   f"{exc.args[0]!r}") from None
         return cls(config, g.reshape(shape), mask.reshape(shape))
-
-    def save(self, path):
-        jsondoc.save(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(jsondoc.load(path))

@@ -560,9 +560,9 @@ def grad_check(model, example, h=1e-5):
 def save_model(path, model, epsilon=None, seed=None):
     """Versioned JSON with everything needed to decrypt: head, dims,
     weights, bias, the encoder threshold and the seed. `train_config` is
-    always null; load_model still reads the object that files from
-    SGD-trained versions hold there."""
-    jsondoc.save(path, jsondoc.envelope("linear-decoder", {
+    always null; files from SGD-trained versions hold an object there,
+    which load_model ignores."""
+    jsondoc.save(path, "linear-decoder", {
         "head": model.head,
         "in_dim": model.in_dim,
         "out_dim": model.out_dim,
@@ -571,14 +571,14 @@ def save_model(path, model, epsilon=None, seed=None):
         "epsilon": None if epsilon is None else float(epsilon),
         "train_config": None,
         "seed": None if seed is None else int(seed),
-    }))
+    })
 
 
 def load_model(path):
-    """Returns (LinearDecoder, metadata dict with epsilon/train_config/seed);
-    `train_config` is null in new files and an object in older ones."""
+    """Returns (LinearDecoder, epsilon), the threshold being None in a
+    file that carries none."""
     fmt = "linear-decoder"
-    doc = jsondoc.check(jsondoc.load(path), fmt, ("head", "in_dim", "out_dim", "weights", "bias"))
+    doc = jsondoc.load(path, fmt, ("head", "in_dim", "out_dim", "weights", "bias"))
     in_dim, out_dim = (jsondoc.integer(doc, name, fmt, low=1) for name in ("in_dim", "out_dim"))
     w = jsondoc.numbers(doc["weights"], "weights", fmt, (out_dim * in_dim,))
     model = LinearDecoder(w.reshape(out_dim, in_dim),
@@ -586,5 +586,4 @@ def load_model(path):
     epsilon = doc.get("epsilon")
     if epsilon is not None:
         epsilon = float(jsondoc.numbers(epsilon, "epsilon", fmt, ()))
-    meta = {"epsilon": epsilon, "train_config": doc.get("train_config"), "seed": doc.get("seed")}
-    return model, meta
+    return model, epsilon

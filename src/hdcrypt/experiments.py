@@ -247,7 +247,8 @@ def run_table1(sizes=DESK_SIZES, master_seed=0, rows=TABLE1_ROWS, jobs=1):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Grid sweep over (dimension multiplier x noise level)."""
+    """Grid sweep over (dimension multiplier x noise level); `save` and
+    `load` write and read it as indented experiment-spec JSON."""
 
     task: str = "text"
     key_dim: int = 10
@@ -280,29 +281,23 @@ class ExperimentSpec:
     def sizes(self):
         return (self.train_size, self.val_size, self.test_size)
 
-    def to_json_dict(self):
-        doc = asdict(self)
-        doc["multipliers"] = list(self.multipliers)
-        doc["sigmas"] = list(self.sigmas)
-        return jsondoc.envelope("experiment-spec", doc)
+    def _json_fields(self):
+        """The spec as a document's fields, which the grid report echoes."""
+        return {**asdict(self), "multipliers": list(self.multipliers),
+                "sigmas": list(self.sigmas)}
+
+    def save(self, path):
+        jsondoc.save(path, "experiment-spec", self._json_fields(), indent=2)
 
     @classmethod
-    def from_json_dict(cls, doc):
-        jsondoc.check(doc, "experiment-spec")
-        fields = {k: v for k, v in doc.items() if k not in ("format", "version")}
+    def load(cls, path):
+        fields = jsondoc.load(path, "experiment-spec")
         jsondoc.check_types(cls, fields, "experiment-spec document")
         jsondoc.check_entries(fields, "multipliers", int, "experiment-spec document")
         jsondoc.check_entries(fields, "sigmas", float, "experiment-spec document")
         fields.update((key, tuple(fields[key])) for key in ("multipliers", "sigmas")
                       if key in fields)
         return jsondoc.build(cls, fields, "experiment-spec document")
-
-    def save(self, path):
-        jsondoc.save(path, self.to_json_dict(), indent=2)
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(jsondoc.load(path))
 
 
 def grid_cells(spec):
@@ -315,9 +310,9 @@ def grid_cells(spec):
 def run_grid(spec, jobs=1):
     """Full cross-product sweep; good cells are those at or above the
     99.9% decryption-accuracy bar."""
-    report = ExperimentReport(rows=_run_cells(grid_cells(spec), jobs),
-                              spec_echo={"kind": "grid", **spec.to_json_dict()})
-    return report
+    echo = jsondoc.envelope("experiment-spec", spec._json_fields())
+    return ExperimentReport(rows=_run_cells(grid_cells(spec), jobs),
+                            spec_echo={"kind": "grid", **echo})
 
 
 # --- report -----------------------------------------------------------------
@@ -348,6 +343,9 @@ def _csv_line(fields):
 
 @dataclass
 class ExperimentReport:
+    """A sweep's rows and the spec it ran. `save` writes the CSV, the
+    indented experiment-report JSON or both; `load` reads the JSON."""
+
     rows: list = field(default_factory=list)
     spec_echo: dict = field(default_factory=dict)
 
@@ -357,15 +355,19 @@ class ExperimentReport:
                    for values in map(asdict, self.rows)]
         return "".join(map(_csv_line, [columns] + records))
 
-    def to_json_dict(self):
-        return jsondoc.envelope("experiment-report", {
-            "spec": self.spec_echo,
-            "rows": [asdict(r) for r in self.rows],
-        })
+    def save(self, csv_path=None, json_path=None):
+        if csv_path is not None:
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                fh.write(self.csv_text())
+        if json_path is not None:
+            jsondoc.save(json_path, "experiment-report", {
+                "spec": self.spec_echo,
+                "rows": [asdict(r) for r in self.rows],
+            }, indent=2)
 
     @classmethod
-    def from_json_dict(cls, doc):
-        jsondoc.check(doc, "experiment-report", ("spec", "rows"))
+    def load(cls, path):
+        doc = jsondoc.load(path, "experiment-report", ("spec", "rows"))
         if not isinstance(doc["rows"], list):
             raise DataFormatError("experiment-report field 'rows' must be a JSON list")
         rows = []
@@ -374,17 +376,6 @@ class ExperimentReport:
             rows.append(jsondoc.build(ReportRow, r, where))
             jsondoc.check_types(ReportRow, r, where)
         return cls(rows=rows, spec_echo=doc["spec"])
-
-    def save(self, csv_path=None, json_path=None):
-        if csv_path is not None:
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write(self.csv_text())
-        if json_path is not None:
-            jsondoc.save(json_path, self.to_json_dict(), indent=2)
-
-    @classmethod
-    def load_json(cls, path):
-        return cls.from_json_dict(jsondoc.load(path))
 
 
 # --- image robustness cells ---------------------------------------------------

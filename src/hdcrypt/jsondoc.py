@@ -3,11 +3,12 @@
 Every JSON file hdcrypt writes (crossbar, secret-keys, linear-decoder,
 experiment-spec and experiment-report) is one object carrying a
 `"format"` name and `"version": 1` ahead of its fields. This module owns
-that envelope: it builds it, checks it, builds the config and row
-objects nested in it, checks its integer and number-array fields, and
-maps every way a file can fail to be such a document onto
-DataFormatError, naming the file, the byte offset or the missing,
-unknown, wrongly typed or wrongly shaped field.
+that envelope: `save` writes a format's fields inside it and `load`
+reads them back out, the only way a JSON document is written or read.
+It also builds the config and row objects nested in a document, checks
+its integer and number-array fields, and maps every way a file can fail
+to be such a document onto DataFormatError, naming the file, the byte
+offset or the missing, unknown, wrongly typed or wrongly shaped field.
 """
 
 import dataclasses
@@ -27,9 +28,9 @@ def envelope(fmt, fields):
     return {"format": fmt, "version": VERSION, **fields}
 
 
-def check(doc, fmt, required=()):
-    """Return `doc` if it is a version-1 `fmt` document with every
-    `required` field; raise DataFormatError otherwise."""
+def _check(doc, fmt, required):
+    """Raise DataFormatError unless `doc` is a version-1 `fmt` document
+    with every `required` field."""
     if not isinstance(doc, dict):
         raise DataFormatError(
             f"a {fmt} document must be a JSON object, got {type(doc).__name__}")
@@ -40,7 +41,6 @@ def check(doc, fmt, required=()):
     missing = [name for name in required if name not in doc]
     if missing:
         raise DataFormatError(f"{fmt} document has no {missing[0]!r} field")
-    return doc
 
 
 def build(cls, fields, where):
@@ -127,17 +127,20 @@ def numbers(value, name, where, shape):
     return array
 
 
-def save(path, doc, indent=None):
-    """Write `doc` as JSON and a newline. `json.dumps` encodes it in one
-    piece, with CPython's C encoder when `indent` is None; the bytes are
-    those `json.dump` writes, in half the time for a model file."""
+def save(path, fmt, fields, indent=None):
+    """Write the `fmt` document holding `fields` as JSON and a newline.
+    `json.dumps` encodes it in one piece, with CPython's C encoder when
+    `indent` is None; the bytes are those `json.dump` writes, in half the
+    time for a model file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=indent))
+        fh.write(json.dumps(envelope(fmt, fields), indent=indent))
         fh.write("\n")
 
 
-def load(path):
-    """Parse a UTF-8 JSON file; the caller checks the envelope."""
+def load(path, fmt, required=()):
+    """The fields of the version-1 `fmt` document in the UTF-8 JSON file
+    at `path`, without `format` and `version`; raise DataFormatError
+    unless the file is such a document with every `required` field."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -145,9 +148,12 @@ def load(path):
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         offset = len(text[:exc.pos].encode("utf-8"))
         raise DataFormatError(f"{path}: not JSON: {exc.msg}", offset=offset) from None
     except RecursionError:  # the parser recurses once per nested list or object
         raise DataFormatError(f"{path}: JSON nested too deeply to parse") from None
+    _check(doc, fmt, required)
+    del doc["format"], doc["version"]
+    return doc

@@ -46,6 +46,7 @@ __all__ = [
 
 CHARSET = "".join(chr(c) for c in range(32, 126))
 NUM_CLASSES = len(CHARSET)
+_CHARSET_KEYS = frozenset(CHARSET)
 _CT_MAGIC = b"HLCT"
 _CT_HEADER_LEN = 20
 
@@ -98,30 +99,27 @@ class SecretKeyTable:
         vectors = rng.uniform(-1.0, 1.0, size=(NUM_CLASSES, key_dim))
         return cls(key_dim, seed, vectors)
 
-    def to_json_dict(self):
-        return jsondoc.envelope("secret-keys", {
+    def save(self, path):
+        jsondoc.save(path, "secret-keys", {
             "key_dim": self.key_dim,
             "seed": self.seed,
             "vectors": {ch: self.vectors[i].tolist() for i, ch in enumerate(CHARSET)},
         })
 
     @classmethod
-    def from_json_dict(cls, doc):
-        jsondoc.check(doc, "secret-keys", ("key_dim", "seed", "vectors"))
+    def load(cls, path):
+        doc = jsondoc.load(path, "secret-keys", ("key_dim", "seed", "vectors"))
         key_dim = jsondoc.integer(doc, "key_dim", "secret-keys", low=1)
         table = doc["vectors"]
-        if not isinstance(table, dict) or not table.keys() >= set(CHARSET):
+        if not isinstance(table, dict) or not table.keys() >= _CHARSET_KEYS:
             raise DataFormatError("secret-keys field 'vectors' needs one vector per character")
+        if len(table) > NUM_CLASSES:
+            unknown = next(key for key in table if key not in _CHARSET_KEYS)
+            raise DataFormatError(f"secret-keys field 'vectors' has a vector for "
+                                  f"unknown character {unknown!r}")
         vectors = jsondoc.numbers([table[ch] for ch in CHARSET], "vectors", "secret-keys",
                                   (NUM_CLASSES, key_dim))
         return cls(key_dim, jsondoc.integer(doc, "seed", "secret-keys"), vectors)
-
-    def save(self, path):
-        jsondoc.save(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(jsondoc.load(path))
 
 
 def _first_bad_padding(dim, packed):
@@ -149,7 +147,7 @@ class CipherText:
         dim = int(dim)
         packed = np.ascontiguousarray(packed)
         if packed.dtype != np.uint8:
-            raise TypeError(f"packed blocks must be uint8, got {packed.dtype}")
+            raise DimensionError(f"packed blocks must be uint8, got {packed.dtype}")
         if packed.ndim != 2 or packed.shape[1] != (dim + 7) // 8:
             raise DimensionError(
                 f"packed blocks shape {packed.shape}, expected (n, {(dim + 7) // 8})")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,15 @@ def project_with_noise_matrix():
         assert noise_matrix.shape == enc.weights.shape
         return (enc.weights + noise_matrix) @ x
     return noisy_projection
+
+
+@pytest.fixture(scope="session")
+def saved_document(tmp_path_factory):
+    """`saved_document(save)` calls `save(path)` on a new file and returns
+    the path and the JSON document written there. A test edits the
+    document, writes it back to the path and loads that."""
+    def write(save):
+        path = tmp_path_factory.mktemp("saved") / "doc.json"
+        save(path)
+        return path, json.loads(path.read_text(encoding="utf-8"))
+    return write

@@ -285,18 +285,20 @@ def _document_argv(fmt, path, key_material):
 
 
 def _valid_document(fmt, key_material):
+    """The document of a valid `fmt` file, as the CLI or the format's save wrote it."""
+    path = key_material["dir"] / f"{fmt}.json"
     if fmt == "crossbar":
-        return json.loads(key_material["xbar"].read_text())
-    if fmt == "secret-keys":
-        return json.loads(key_material["keys"].read_text())
-    if fmt == "linear-decoder":
-        path = key_material["dir"] / "model.json"
+        path = key_material["xbar"]
+    elif fmt == "secret-keys":
+        path = key_material["keys"]
+    elif fmt == "linear-decoder":
         save_model(path, LinearDecoder(np.zeros((94, 40)), np.zeros(94), HEAD_SOFTMAX),
                    epsilon=0.0)
-        return json.loads(path.read_text())
-    if fmt == "experiment-spec":
-        return ExperimentSpec().to_json_dict()
-    return ExperimentReport().to_json_dict()
+    elif fmt == "experiment-spec":
+        ExperimentSpec().save(path)
+    else:
+        ExperimentReport().save(json_path=path)
+    return json.loads(path.read_text())
 
 
 FORMATS = ("crossbar", "secret-keys", "linear-decoder", "experiment-spec",
@@ -374,6 +376,8 @@ NESTED_CASES = {
     "keys-repeated-vector": ("secret-keys",
                              lambda doc: doc["vectors"].update(B=doc["vectors"]["A"]), "vectors"),
     "keys-vectors-not-object": ("secret-keys", lambda doc: doc.update(vectors=5), "vectors"),
+    "keys-unknown-character": ("secret-keys",
+                               lambda doc: doc["vectors"].update({"~": [0.0] * 4}), "~"),
     "keys-key-dim-string": ("secret-keys", lambda doc: doc.update(key_dim="x"), "key_dim"),
     "keys-key-dim-fraction": ("secret-keys", lambda doc: doc.update(key_dim=4.5), "key_dim"),
     "keys-seed-string": ("secret-keys", lambda doc: doc.update(seed="x"), "seed"),
@@ -409,7 +413,8 @@ def test_malformed_nested_field_exits_3(key_material, case, capsys):
 def _run_grid_spec(tmp_path, **fields):
     """`hdcrypt grid` on the default spec with `fields` replaced."""
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({**ExperimentSpec().to_json_dict(), **fields}))
+    ExperimentSpec().save(spec)
+    spec.write_text(json.dumps({**json.loads(spec.read_text()), **fields}))
     return main(["grid", "--config", str(spec), "--out", str(tmp_path / "g")])
 
 
@@ -569,9 +574,10 @@ def _report_with_row(tmp_path, **changes):
     row = asdict(ReportRow(task="text", cell="m50-s0.1", multiplier=50.0, sigma=0.1,
                            p_on=0.02, p_off=0.02, rows=10, cols=500, test_accuracy=1.0,
                            epochs=3, good_flag=True))
-    doc = ExperimentReport().to_json_dict()
-    doc["rows"] = [row | changes]
     path = tmp_path / "r.json"
+    ExperimentReport().save(json_path=path)
+    doc = json.loads(path.read_text())
+    doc["rows"] = [row | changes]
     path.write_text(json.dumps(doc))
     return path
 
@@ -658,11 +664,11 @@ def test_train_text_prints_model_threshold_and_accuracy_only(artifacts, tmp_path
 
 @pytest.mark.parametrize("field", ["learning_rate", "batch_size", "max_epochs",
                                    "patience", "min_delta"])
-def test_grid_config_naming_a_removed_sgd_field_exits_3(tmp_path, field, capsys):
-    doc = ExperimentSpec().to_json_dict()
+def test_grid_config_naming_a_removed_sgd_field_exits_3(tmp_path, field, capsys,
+                                                        saved_document):
+    path, doc = saved_document(ExperimentSpec().save)
     doc[field] = {"learning_rate": 0.05, "batch_size": 64, "max_epochs": 120,
                   "patience": 5, "min_delta": 1e-4}[field]
-    path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     assert main(["grid", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     assert f"unknown field {field!r}" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -267,21 +268,23 @@ def test_json_roundtrip(tmp_path):
     assert np.array_equal(loaded.stuck_mask, xbar.stuck_mask)
 
 
-def test_json_stuck_codes():
+def test_json_stuck_codes(saved_document):
     xbar = Crossbar.new_random(make_config(rows=1, cols=3, p_stuck_on=0.0,
                                            p_stuck_off=0.0))
-    doc = xbar.to_json_dict()
+    path, doc = saved_document(xbar.save)
     assert doc["stuck_mask"] == "FFF"
     doc["stuck_mask"] = "FXQ"
+    path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError):
-        Crossbar.from_json_dict(doc)
+        Crossbar.load(path)
 
 
-def test_json_rejects_wrong_version():
-    doc = Crossbar.new_random(make_config()).to_json_dict()
+def test_json_rejects_wrong_version(saved_document):
+    path, doc = saved_document(Crossbar.new_random(make_config()).save)
     doc["version"] = 2
+    path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError):
-        Crossbar.from_json_dict(doc)
+        Crossbar.load(path)
 
 
 def test_stuck_cells_pinned_at_rails():

@@ -772,12 +772,13 @@ def test_model_file_roundtrip(tmp_path):
     model = LinearDecoder(rng.normal(size=(3, 7)), rng.normal(size=3), HEAD_SOFTMAX)
     path = tmp_path / "model.json"
     save_model(path, model, epsilon=1.25e-4, seed=42)
-    assert json.loads(path.read_text())["train_config"] is None
-    loaded, meta = load_model(path)
+    doc = json.loads(path.read_text())
+    assert doc["train_config"] is None and doc["seed"] == 42
+    loaded, epsilon = load_model(path)
     assert loaded.head == HEAD_SOFTMAX
     assert np.array_equal(loaded.weights, model.weights)
     assert np.array_equal(loaded.bias, model.bias)
-    assert meta == {"epsilon": 1.25e-4, "train_config": None, "seed": 42}
+    assert epsilon == 1.25e-4
 
 
 def test_model_file_with_an_sgd_config_still_loads(tmp_path):
@@ -789,9 +790,9 @@ def test_model_file_with_an_sgd_config_still_loads(tmp_path):
     doc["train_config"] = {"learning_rate": 0.05, "batch_size": 64, "max_epochs": 120,
                            "patience": 5, "min_delta": 1e-4, "seed": 0}
     path.write_text(json.dumps(doc))
-    loaded, meta = load_model(path)
+    loaded, epsilon = load_model(path)
     assert loaded.weights.tobytes() == model.weights.tobytes()
-    assert meta["train_config"]["batch_size"] == 64 and meta["epsilon"] == 0.5
+    assert epsilon == 0.5
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))

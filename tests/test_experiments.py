@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -67,11 +68,12 @@ def test_spec_json_roundtrip(tmp_path):
     assert ExperimentSpec.load(path) == spec
 
 
-def test_spec_json_rejects_unknown_fields():
-    doc = small_spec().to_json_dict()
+def test_spec_json_rejects_unknown_fields(saved_document):
+    path, doc = saved_document(small_spec().save)
     doc["mystery"] = 1
+    path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError):
-        ExperimentSpec.from_json_dict(doc)
+        ExperimentSpec.load(path)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -212,7 +214,7 @@ def test_report_json_roundtrip(tmp_path):
     report = run_grid(spec)
     json_path = tmp_path / "report.json"
     report.save(json_path=json_path)
-    loaded = ExperimentReport.load_json(json_path)
+    loaded = ExperimentReport.load(json_path)
     assert loaded.rows == report.rows
     assert loaded.spec_echo == report.spec_echo
 

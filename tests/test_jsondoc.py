@@ -9,7 +9,7 @@ from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.decoder import HEAD_REGRESSION, LinearDecoder, load_model, save_model
 from hdcrypt.errors import DataFormatError, HdcryptError
 from hdcrypt.experiments import ExperimentReport, ExperimentSpec, ReportRow
-from hdcrypt.textcrypto import SecretKeyTable
+from hdcrypt.textcrypto import CipherText, SecretKeyTable
 
 
 def test_save_writes_the_bytes_json_dump_writes(tmp_path):
@@ -28,37 +28,60 @@ def test_save_writes_the_bytes_json_dump_writes(tmp_path):
             fh.write("\n")
         assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
     # the awkward floats come back exactly, the sign of zero included
-    back, meta = load_model(tmp_path / "m.json")
+    back, epsilon = load_model(tmp_path / "m.json")
     assert back.weights.tobytes() == weights.tobytes()
     assert back.bias.tobytes() == model.bias.tobytes()
-    assert np.copysign(1.0, meta["epsilon"]) == -1.0
+    assert np.copysign(1.0, epsilon) == -1.0
 
 
-# --- fuzzed files: every input loads or raises HdcryptError --------------------
-
-def _small_documents():
-    """One small valid document of each JSON format, and its loader."""
+def _small_artifacts():
+    """One small artifact of each format: a `save(path)` that writes it,
+    the format's `load(path)`, and a `resave(loaded, path)` that writes
+    what `load` returned. load_model returns no seed, so the model's
+    resave passes the one it was saved with."""
     xbar = Crossbar.new_random(CrossbarConfig(rows=2, cols=3, r_lrs=1e3, r_hrs=1e4,
                                               sigma_frac=0.1, p_stuck_on=0.1,
                                               p_stuck_off=0.1, seed=1))
-    model = LinearDecoder(np.arange(6.0).reshape(2, 3), np.zeros(2), HEAD_REGRESSION)
+    keys = SecretKeyTable.new_random(1, 2)
+    weights = np.array([[-0.0, 5e-324, 1e308], [0.1, -1.7976931348623157e308, 1 / 3]])
+    model = LinearDecoder(weights, np.zeros(2), HEAD_REGRESSION)
+    spec = ExperimentSpec(multipliers=(4,), sigmas=(0.1,))
     row = ReportRow(task="text", cell="c", multiplier=4.0, sigma=0.1, p_on=0.0, p_off=0.0,
                     rows=2, cols=8, test_accuracy=1.0, good_flag=True)
+    report = ExperimentReport(rows=[row], spec_echo={"kind": "grid"})
+    ct = CipherText(21, np.array([[1, 2, 3], [255, 0, 0x1F]], dtype=np.uint8))
     return {
-        "crossbar": (xbar.to_json_dict(), Crossbar.load),
-        "secret-keys": (SecretKeyTable.new_random(1, 2).to_json_dict(), SecretKeyTable.load),
-        "linear-decoder": ({"format": "linear-decoder", "version": 1, "head": model.head,
-                            "in_dim": 3, "out_dim": 2, "weights": model.weights.ravel().tolist(),
-                            "bias": [0.0, 0.0], "epsilon": 0.5, "train_config": None,
-                            "seed": 3}, load_model),
-        "experiment-spec": (ExperimentSpec(multipliers=(4,), sigmas=(0.1,)).to_json_dict(),
-                            ExperimentSpec.load),
-        "experiment-report": (ExperimentReport(rows=[row], spec_echo={"kind": "grid"})
-                              .to_json_dict(), ExperimentReport.load_json),
+        "crossbar": (xbar.save, Crossbar.load, Crossbar.save),
+        "secret-keys": (keys.save, SecretKeyTable.load, SecretKeyTable.save),
+        "linear-decoder": (lambda path: save_model(path, model, epsilon=0.5, seed=3), load_model,
+                           lambda loaded, path: save_model(path, *loaded, seed=3)),
+        "experiment-spec": (spec.save, ExperimentSpec.load, ExperimentSpec.save),
+        "experiment-report": (lambda path: report.save(json_path=path), ExperimentReport.load,
+                              lambda loaded, path: loaded.save(json_path=path)),
+        "hlct": (ct.save, CipherText.load, CipherText.save),
     }
 
 
-DOCUMENTS = _small_documents()
+ARTIFACTS = _small_artifacts()
+JSON_FORMATS = sorted(fmt for fmt in ARTIFACTS if fmt != "hlct")
+
+
+@pytest.fixture(scope="session")
+def documents(saved_document):
+    """Each JSON format's small document, as its save writes it, and its loader."""
+    return {fmt: (saved_document(ARTIFACTS[fmt][0])[1], ARTIFACTS[fmt][1])
+            for fmt in JSON_FORMATS}
+
+
+@pytest.mark.parametrize("fmt", sorted(ARTIFACTS))
+def test_load_then_save_rewrites_the_file_byte_for_byte(tmp_path, fmt):
+    save, load, resave = ARTIFACTS[fmt]
+    save(tmp_path / "saved")
+    resave(load(tmp_path / "saved"), tmp_path / "resaved")
+    assert (tmp_path / "resaved").read_bytes() == (tmp_path / "saved").read_bytes()
+
+
+# --- fuzzed files: every input loads or raises HdcryptError --------------------
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-2, 2**70).map(lambda i: 10**400 * i)
@@ -96,11 +119,11 @@ def _spliced_bytes(draw, doc):
     return data[:start] + draw(st.binary(max_size=8)) + data[stop:]
 
 
-@pytest.mark.parametrize("fmt", sorted(DOCUMENTS))
+@pytest.mark.parametrize("fmt", JSON_FORMATS)
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_fuzzed_json_files_load_or_raise_hdcrypt_error(tmp_path_factory, fmt, data):
-    doc, loader = DOCUMENTS[fmt]
+def test_fuzzed_json_files_load_or_raise_hdcrypt_error(tmp_path_factory, documents, fmt, data):
+    doc, loader = documents[fmt]
     raw = data.draw(_mutated_json(doc) | _spliced_bytes(doc) | st.binary(max_size=64))
     path = tmp_path_factory.getbasetemp() / f"fuzzed-{fmt}.json"
     path.write_bytes(raw)
@@ -110,11 +133,11 @@ def test_fuzzed_json_files_load_or_raise_hdcrypt_error(tmp_path_factory, fmt, da
         pass
 
 
-@pytest.mark.parametrize("fmt", sorted(DOCUMENTS))
+@pytest.mark.parametrize("fmt", JSON_FORMATS)
 @pytest.mark.parametrize("version", [True, 1.0])
-def test_version_must_be_the_json_integer_1(tmp_path, fmt, version):
+def test_version_must_be_the_json_integer_1(tmp_path, documents, fmt, version):
     # true and 1.0 compare equal to 1 in Python
-    doc, loader = DOCUMENTS[fmt]
+    doc, loader = documents[fmt]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     loader(path)
@@ -133,9 +156,9 @@ def test_version_must_be_the_json_integer_1(tmp_path, fmt, version):
     ("linear-decoder", lambda doc: doc.update(epsilon=-10**400)),
 ], ids=["spec-r_lrs", "spec-sigmas", "spec-multipliers", "crossbar-sigma_frac",
         "crossbar-g_target", "model-weights", "model-epsilon"])
-def test_integers_beyond_float_range_raise_hdcrypt_error(tmp_path, fmt, place):
+def test_integers_beyond_float_range_raise_hdcrypt_error(tmp_path, documents, fmt, place):
     # json reads such an integer exactly; float() of it overflows
-    doc, loader = DOCUMENTS[fmt]
+    doc, loader = documents[fmt]
     doc = json.loads(json.dumps(doc))
     place(doc)
     path = tmp_path / "huge.json"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -76,11 +77,12 @@ def test_keys_json_roundtrip(tmp_path):
     assert np.array_equal(loaded.vectors, table.vectors)
 
 
-def test_keys_json_rejects_missing_char(tmp_path):
-    doc = SecretKeyTable.new_random(3, 1).to_json_dict()
+def test_keys_json_rejects_missing_char(saved_document):
+    path, doc = saved_document(SecretKeyTable.new_random(3, 1).save)
     del doc["vectors"]["A"]
+    path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError):
-        SecretKeyTable.from_json_dict(doc)
+        SecretKeyTable.load(path)
 
 
 def _system(sigma=0.0, p=0.0, rows=6, cols=48, seed=9):
@@ -339,7 +341,7 @@ def test_ciphertext_equality_hash_and_immutability():
 
 
 @pytest.mark.parametrize("dim, packed, error", [
-    (21, np.zeros((2, 3), dtype=np.int64), TypeError),
+    (21, np.zeros((2, 3), dtype=np.int64), DimensionError),
     (21, np.zeros((2, 4), dtype=np.uint8), DimensionError),
     (21, np.zeros(3, dtype=np.uint8), DimensionError),
     (0, np.zeros((1, 0), dtype=np.uint8), DimensionError),
