@@ -62,7 +62,8 @@ _SIZE_FLAGS = ("--train-size", "--val-size", "--test-size")
 
 def _add_size_flags(parser):
     """Train / val / test character counts, desk-scale by default; the
-    paper's are --train-size 100000 --val-size 100000 --test-size 10000."""
+    paper's are --train-size 100000 --val-size 100000 --test-size 10000.
+    --val-size is checked but unread: no validation set is drawn."""
     for flag, default in zip(_SIZE_FLAGS, DESK_SIZES):
         parser.add_argument(flag, type=int, default=default)
 
@@ -84,8 +85,9 @@ def _cmd_train_text(args):
 
 
 def _load_model_for(xbar, path):
-    """load_model(path), checked to decode the ciphertext width of `xbar`."""
-    model, epsilon = load_model(path)
+    """The model and threshold of load_model(path), the model checked to
+    decode the ciphertext width of `xbar`."""
+    model, epsilon, _ = load_model(path)
     if xbar.cols != model.in_dim:
         raise DimensionError(f"--crossbar has {xbar.cols} columns, "
                              f"--model expects {model.in_dim} inputs")
@@ -118,7 +120,7 @@ def _cmd_encrypt(args):
 
 
 def _cmd_decrypt(args):
-    model, _ = load_model(args.model)
+    model, _, _ = load_model(args.model)
     ct = CipherText.load(args.infile)
     text = decrypt_text(ct, model)
     with open(args.out, "w", encoding="ascii") as fh:

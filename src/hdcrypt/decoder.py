@@ -5,7 +5,7 @@
 * "regression" - raw z, which grad_check and model files cover.
 
 Image reconstruction builds no decoder: ridge_predict returns a ridge
-regression's predictions for the test rows from an eigendecomposition
+regression's predictions for the test rows from a tridiagonal reduction
 of the Gram matrix, and never forms the weights.
 
 The bits of one ciphertext block are independent given the class, since
@@ -28,7 +28,7 @@ the features, those of bits exactly in float32.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg.lapack import dgtsv, sormqr, ssytrd, ssytrd_lwork
 from scipy.linalg.blas import get_blas_funcs
 
 from . import jsondoc
@@ -97,7 +97,8 @@ def _affine(weights, bias, X):
     host, alternating calls between the two pools made a softmax SGD step
     26 times slower. ridge_predict's few large products use numpy's: on one
     BLAS thread they time as scipy's do, and on two the switch around its
-    eigh added 0.1-0.2 s to fits of 1,080 to 7,200 rows on that host. Its
+    LAPACK call (then eigh) added 0.1-0.2 s to fits of 1,080 to 7,200 rows
+    on that host. Its
     blocked Gram products (_centered_products) run in a loop, so they all
     use scipy's.
     """
@@ -203,42 +204,51 @@ def _centered_products(X, Y, Xs, s, y_mean, dtype):
     """ridge_predict's (gram, rhs, side) for features X with column sums
     s = X^T 1 and prediction rows Xs; rhs is None in the dual fit.
 
-    A GEMM-aligned block of X (columns in the dual, rows in the primal)
-    is widened to `dtype` at a time and added to the Gram matrix by a
-    SYRK rank-k update, which writes one triangle at half a GEMM's cost;
-    the other is copied in at the end. No n x d float array is made. For
-    0/1 features summed in float32 every partial sum is a count below
-    2**24, which float32 holds exactly, so the products do not depend on
-    the blocks, their order or the BLAS.
-    * primal: Xc^T Xc = X^T X - s s^T / n, and rhs = Xc^T Yc = X^T Yc,
-      since Yc sums to zero, is summed over the row blocks; side = Xs - s / n;
+    Features of another dtype or order are widened to `dtype` a
+    GEMM-aligned block (of columns in the dual, of rows in the primal) at
+    a time; C-ordered features of `dtype` are read in place, as one
+    block, which BLAS reads as the Fortran-ordered X^T. Each block is
+    added to the Gram matrix by a SYRK rank-k update, which writes one
+    triangle at half a GEMM's cost; the other is copied in at the end. No
+    n x d float copy of the features is made. For 0/1 features summed in
+    float32 every partial sum is a count below 2**24, which float32 holds
+    exactly, so the products do not depend on the blocks, their order or
+    the BLAS.
+    * primal: Xc^T Xc = X^T X - s s^T / n; rhs = Xc^T Yc = X^T Y - s y_mean^T
+      is summed over the row blocks onto -s y_mean^T, with no centered
+      copy of the targets, and returned C-ordered, so rhs.T is
+      Fortran-ordered; side = Xs - s / n;
     * dual: Xc Xc^T = X X^T - (t 1^T + 1 t^T) / n + s^T s / n^2, where
       t = X s are the row sums of X X^T and s^T s is their sum; side,
       Xsc Xc^T, is alike with ts = Xs s, the row sums of Xs X^T.
     The Gram matrix is centered in float64 a block of rows at a time, in
-    place, and returned rounded to float32 and exactly symmetric, as eigh
-    needs; side and rhs are float64.
+    place, and returned rounded to float32 and exactly symmetric, as
+    ssytrd needs; side and rhs are float64.
     """
     n, d = X.shape
     dual = n < d
+    if X.dtype == dtype and X.flags.c_contiguous:
+        step = d if dual else n
+    else:
+        step = block_size(n if dual else d, GEMM_ROWS)
     # BLAS updates these Fortran-ordered sums in place
     if dual:
-        blocks = [np.s_[:, cols] for cols in block_slices(d, block_size(n, GEMM_ROWS))]
+        blocks = [np.s_[:, cols] for cols in block_slices(d, step)]
         G, Gs = np.zeros((n, n), dtype, "F"), np.zeros((len(Xs), n), dtype, "F")
     else:
-        blocks = block_slices(n, block_size(d, GEMM_ROWS))
-        G, rhs = np.zeros((d, d), dtype, "F"), np.zeros((d, Y.shape[1]), order="F")
+        blocks = block_slices(n, step)
+        G, rhs_t = np.zeros((d, d), dtype, "F"), np.multiply.outer(s, -y_mean).T
     syrk = get_blas_funcs("syrk", dtype=dtype)
     for block in blocks:
-        Bt = X[block].T.astype(dtype)  # Fortran-ordered, as BLAS reads it
+        Bt = X[block].T.astype(dtype, copy=False)  # Fortran-ordered, as BLAS reads it
         # dual: G += Bt^T Bt = B B^T; primal: G += Bt Bt^T = B^T B
         G = syrk(1.0, Bt, beta=1.0, c=G, trans=int(dual), overwrite_c=True)
         if dual:    # Gs += Xs[block] Bt
-            Gs = _gemm(Gs)(1.0, Xs[block].T.astype(dtype), Bt, beta=1.0, c=Gs,
+            Gs = _gemm(Gs)(1.0, Xs[block].T.astype(dtype, copy=False), Bt, beta=1.0, c=Gs,
                            trans_a=True, overwrite_c=True)
-        else:       # rhs += Bt (Y[block] - y_mean)
-            rhs = _gemm(rhs)(1.0, Bt.astype(np.float64, copy=False), (Y[block] - y_mean).T,
-                             beta=1.0, c=rhs, trans_b=True, overwrite_c=True)
+        else:       # rhs^T += Y[block]^T B
+            rhs_t = _gemm(rhs_t)(1.0, Y[block].T, Bt.astype(np.float64, copy=False),
+                                 beta=1.0, c=rhs_t, trans_b=True, overwrite_c=True)
     G += np.triu(G, 1).T
     G = G.T     # C-ordered, the same symmetric matrix
     if dual:
@@ -257,7 +267,7 @@ def _centered_products(X, Y, Xs, s, y_mean, dtype):
         else:
             centered -= np.outer(s[rows], s) / n
         G[rows] = centered
-    return G.astype(np.float32, copy=False), (None if dual else rhs), side
+    return G.astype(np.float32, copy=False), (None if dual else rhs_t.T), side
 
 
 def ridge_predict(features, targets, val_set, test_features):
@@ -267,19 +277,21 @@ def ridge_predict(features, targets, val_set, test_features):
     centering. Of lam in _RIDGE_GRID times trace / d, the one with the
     lowest validation RMSE wins, the smallest on a tie.
 
-    The Gram matrix on the smaller side, Xc Xc^T if n < d (dual), else
-    Xc^T Xc (primal), is centered in float64, rounded to float32 and
-    eigendecomposed once, in place, as U diag(s) U^T. The validation
-    rows, then the test rows, enter that basis as side @ U, where side is
-    their centered Gram rows (dual) or centered features (primal). With
-    R = Yc (dual) or Xc^T Yc (primal), a row's prediction is
-    (side @ U) diag(1 / (s + lam)) (U^T R) + y_mean. U^T R and side @ U
-    are float32 products, and each lam only rescales the validation rows
-    of their float64 results. W is never formed: the prediction rows
-    cost (n_val + n_test) n^2 in the dual and (n_val + n_test) d^2 in
-    the primal, where W costs k n (n + d) and k d^2, so this is cheaper
-    while there are fewer prediction rows than k outputs (an image cell
-    has 100 to 400 test images and k = 784 pixels).
+    The Gram matrix on the smaller side, G = Xc Xc^T if n < d (dual),
+    else Xc^T Xc (primal), of order m, is centered in float64, rounded to
+    float32 and reduced in place to tridiagonal form G = Q T Q^T (ssytrd;
+    Golub and Van Loan, Matrix Computations, section 8.3), the first
+    stage of an eigendecomposition, with no eigenvectors formed. Q's m - 1
+    Householder reflectors (sormqr) apply in place to R^T, where R = Yc
+    (dual) or Xc^T Yc (primal), and to side, the prediction rows' centered
+    Gram rows (dual) or centered features (primal), both float32. A row's
+    prediction is (side Q) (T + lam)^-1 (Q^T R) + y_mean: each lam costs
+    one float64 tridiagonal solve (dgtsv, LU with partial pivoting, which
+    eigenvalues of a float32 G just below zero do not break) for the
+    validation rows, and one GEMM with Q^T R; one more solve gives the
+    test rows. W is never formed: the prediction rows cost
+    (n_val + n_test) m^2 and W would cost k m^2, for k = 784 pixels and
+    100 to 400 test images in an image cell.
 
     _centered_products forms the Gram matrix and side from blocks of the
     features, with no float copy of them: 0/1 uint8 features
@@ -298,24 +310,44 @@ def ridge_predict(features, targets, val_set, test_features):
     dtype = np.float32 if bits and max(n, d) < _F32_EXACT else np.float64
     gram, rhs, side = _centered_products(X, Y, Xs, X.sum(axis=0, dtype=np.float64), y_mean,
                                          dtype)
+    m = len(gram)
     lambdas = _RIDGE_GRID * (np.trace(gram, dtype=np.float64) / d or 1.0)
+    # R^T and the prediction rows, float32 and Fortran-ordered for sormqr;
+    # each float64 source is freed before the next copy is made
+    Rt = (Y - y_mean if rhs is None else rhs).astype(np.float32).T
+    del rhs
+    side = np.asfortranarray(side, dtype=np.float32)
     # the Gram matrix is exactly symmetric, so its transpose, which is
     # Fortran-ordered, is the same matrix and LAPACK can overwrite it
-    s, U = eigh(gram.T, overwrite_a=True, driver="evd")
+    c, diag, off, tau, _ = ssytrd(gram.T, lower=1, lwork=int(ssytrd_lwork(m, lower=1)[0]),
+                                  overwrite_a=1)
     del gram
-    if rhs is None:     # dual
-        rhs = Y - y_mean
-    rhs = rhs.astype(np.float32)    # the float64 one is freed before the products
-    UtR, basis = U.T @ rhs, side.astype(np.float32) @ U
-    del U, rhs, side
-    UtR, basis, s = UtR.astype(np.float64), basis.astype(np.float64), s.astype(np.float64)
-    val_basis = basis[:len(Xv)]
+    # Q = diag(1, Q1): Q1's reflectors lie in c below the subdiagonal, as
+    # LAPACK's ormtr finds them for lower storage
+    reflectors = np.asfortranarray(c[1:, :-1])
+    del c
+    if m > 1:   # C[:, 1:] is a Fortran-ordered column slice, updated in place
+        for C in (Rt, side):
+            lwork = int(sormqr(b"R", b"N", reflectors, tau, C[:, 1:], -1, overwrite_c=1)[1][0])
+            sormqr(b"R", b"N", reflectors, tau, C[:, 1:], lwork, overwrite_c=1)
+    del reflectors
+    QtR = Rt.T.astype(np.float64)   # C-ordered, as the GEMMs below read it fastest
+    del Rt
+    side, diag = side.astype(np.float64), diag.astype(np.float64)
+    # f2py hands dgtsv one off-diagonal entry even at order 1, which has none
+    off = np.append(off, 0.0)[:max(m - 1, 1)].astype(np.float64)
+
+    def predict(lam, rows):
+        *_, x, info = dgtsv(off, diag + lam, off, side[rows].T)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"T + {lam} is singular")
+        return x.T @ QtR + y_mean
 
     def val_rmse(lam):
-        R = (val_basis / (s + lam)) @ UtR + y_mean - Yv
+        R = predict(lam, np.s_[:len(Xv)]) - Yv
         return float(np.sqrt(np.mean(R * R)))
 
-    return (basis[len(Xv):] / (s + min(lambdas, key=val_rmse))) @ UtR + y_mean
+    return predict(min(lambdas, key=val_rmse), np.s_[len(Xv):])
 
 
 # called by no program path; bench/ reads it (ROADMAP item 3)
@@ -575,8 +607,9 @@ def save_model(path, model, epsilon=None, seed=None):
 
 
 def load_model(path):
-    """Returns (LinearDecoder, epsilon), the threshold being None in a
-    file that carries none."""
+    """Returns (LinearDecoder, epsilon, seed), the threshold and the seed
+    being None in a file that carries none, so that
+    save_model(path, *load_model(src)) rewrites src byte for byte."""
     fmt = "linear-decoder"
     doc = jsondoc.load(path, fmt, ("head", "in_dim", "out_dim", "weights", "bias"))
     in_dim, out_dim = (jsondoc.integer(doc, name, fmt, low=1) for name in ("in_dim", "out_dim"))
@@ -586,4 +619,5 @@ def load_model(path):
     epsilon = doc.get("epsilon")
     if epsilon is not None:
         epsilon = float(jsondoc.numbers(epsilon, "epsilon", fmt, ()))
-    return model, epsilon
+    seed = None if doc.get("seed") is None else jsondoc.integer(doc, "seed", fmt, low=0)
+    return model, epsilon, seed

@@ -19,7 +19,9 @@ outputs of a calibration batch, read in one batched call, and returns
 their median, which balances the 0/1 bit budget of the ciphertext; bits
 are uint8 0s and 1s. Single-input calls are batches of one: both
 backends take (n, input_dim) batches only, and `threshold_binarize`
-runs the batched code on one row and returns that row.
+runs the batched code on one row and returns that row. IdealEncoder's
+`repeats` encodes each row several times, as the rows of
+np.tile(xs, (repeats, 1)), with one projection per distinct row.
 
 For IdealEncoder the fresh noise is sampled in its exact projected form:
 since N has i.i.d. Normal(0, sigma^2) entries, N @ x is a vector of
@@ -91,17 +93,19 @@ def crossbar_pre_threshold_batch(xbar, xs, rng):
     return ys
 
 
-def _encode_blocks(project, xs, epsilon, in_dim, out_dim, step):
-    """Bits of each row of the (n, in_dim) batch xs: `project` maps a block
-    of rows to its (rows, out_dim) pre-threshold values, which are
-    thresholded at epsilon, `step` rows at a time. Threshold and inputs are
-    checked before any draw; the uint8 bits are the only array of one entry
-    per output bit, and the noise stream is consumed in order."""
+def _encode_blocks(blocks, xs, epsilon, in_dim, out_dim, repeats=1):
+    """Bits of each row of np.tile(xs, (repeats, 1)) for the (n, in_dim)
+    batch xs: `blocks(xs)` yields (row slice, pre-threshold values) pairs
+    over those rows in order, which are thresholded at epsilon. Threshold,
+    inputs and repeats are checked before any draw; the uint8 bits are the
+    only array of one entry per output bit, and the noise stream is
+    consumed in order."""
     require_finite("epsilon", epsilon)
     xs = require_batch(xs, in_dim)
-    bits = np.empty((len(xs), out_dim), dtype=np.uint8)
-    for rows in block_slices(len(xs), step):
-        bits[rows] = binarize_batch(project(xs[rows]), epsilon)
+    require_int("repeats", repeats, low=1)
+    bits = np.empty((len(xs) * repeats, out_dim), dtype=np.uint8)
+    for rows, ys in blocks(xs):
+        bits[rows] = binarize_batch(ys, epsilon)
     return bits
 
 
@@ -112,32 +116,20 @@ def encode_crossbar_batch(xbar, xs, epsilon, rng):
     time. The bits, and the stream's final state, are bitwise those of
     `binarize_batch(crossbar_pre_threshold_batch(xbar, xs, rng), epsilon)`.
     """
-    return _encode_blocks(lambda block: crossbar_pre_threshold_batch(xbar, block, rng), xs,
-                          epsilon, xbar.rows, xbar.cols, block_size(xbar.rows * xbar.cols))
+    step = block_size(xbar.rows * xbar.cols)
+
+    def reads(xs):
+        for rows in block_slices(len(xs), step):
+            yield rows, crossbar_pre_threshold_batch(xbar, xs[rows], rng)
+    return _encode_blocks(reads, xs, epsilon, xbar.rows, xbar.cols)
 
 
 _INIT_INTERVAL = (-2.0, 2.0)  # every projection entry is drawn uniform in it
 
 
-def _weight_blocks(label, seed, rows, cols, step):
-    """Projection entries i.i.d. uniform in _INIT_INTERVAL from the seeded
-    `label` stream, as (row slice, block) `step` rows at a time, each
-    low + (high - low) * u, bitwise what `rng.uniform` draws. The blocks
-    stack to the same matrix whatever `step` is. Every block is drawn into
-    one buffer, so it is valid only until the next one is drawn."""
-    low, high = _INIT_INTERVAL
-    rng = spawn_rng(seed, label)
-    buf = np.empty((min(step, rows), cols))
-    for block in block_slices(rows, step):
-        w = buf[:block.stop - block.start]
-        rng.random(out=w)
-        w *= high - low
-        w += low
-        yield block, w
-
-
-def _add_noise(ys, xs, sigma, rng):
-    """Add the fresh-noise term N @ x to projections `ys` of input(s) `xs`,
+def _add_noise(ys, norms, sigma, rng):
+    """Add the fresh-noise term N @ x to projections `ys` of inputs of
+    Euclidean norms `norms` (one per row of ys, or one for a 1-D ys),
     sampled in its projected form (see the module docstring).
 
     The draws are made into one buffer a block of rows at a time, in the
@@ -145,9 +137,6 @@ def _add_noise(ys, xs, sigma, rng):
     place, so the result is bitwise that of the one-shot form
     `ys + sigma * norms * rng.standard_normal(ys.shape)`."""
     if sigma > 0:
-        # a single input's norm is a BLAS dot, a batch's a row-wise sum;
-        # the two can differ in the last bit, and both results are pinned
-        norms = np.linalg.norm(xs) if xs.ndim == 1 else np.linalg.norm(xs, axis=1, keepdims=True)
         scales = np.reshape(sigma * norms, (-1, 1))
         rows = ys if ys.ndim == 2 else ys[None]
         n, cols = rows.shape
@@ -190,7 +179,7 @@ class IdealEncoder:
     @classmethod
     def _seeded_weights(cls, seed, rows, cols):
         """The rows x cols projection drawn from the class's seeded stream."""
-        return next(_weight_blocks(cls._INIT_LABEL, seed, rows, cols, rows))[1]
+        return spawn_rng(seed, cls._INIT_LABEL).uniform(*_INIT_INTERVAL, (rows, cols))
 
     @property
     def input_dim(self):
@@ -200,27 +189,52 @@ class IdealEncoder:
     def output_dim(self):
         return self.weights.shape[0]
 
-    def project_batch(self, xs, rng):
-        """Pre-threshold output (W + N) x of each row x, each with fresh noise."""
+    def _noisy_blocks(self, xs, rng, repeats):
+        """(row slice, pre-threshold values (W + N) x) over the rows x of
+        np.tile(xs, (repeats, 1)), one GEMM-aligned block of rows (80 at
+        D = 3,136) at a time, the noise drawn in row order. Each distinct
+        row is projected once, in the block of its first copy; with
+        repeats > 1 the (n, D) projections are held for the later copies,
+        at repeats = 1 nothing is."""
+        n, weights = len(xs), self.weights
+        norms = np.linalg.norm(xs, axis=1)
+        held = np.empty((n, self.output_dim)) if repeats > 1 else None
+        for rows in block_slices(n * repeats, block_size(self.output_dim, GEMM_ROWS)):
+            idx = np.arange(rows.start, rows.stop) % n
+            if held is None:
+                ys = xs[rows] @ weights.T
+            else:   # first-copy rows are projected; every copy reads them back
+                first = slice(rows.start, min(rows.stop, n))    # empty past the first copy
+                np.matmul(xs[first], weights.T, out=held[first])
+                ys = held[idx]
+            yield rows, _add_noise(ys, norms[idx], self.sigma, rng)
+
+    def project_batch(self, xs, rng, repeats=1):
+        """Pre-threshold output (W + N) x of each row x of
+        np.tile(xs, (repeats, 1)), each with fresh noise; each distinct
+        row's W x is computed once."""
         xs = require_batch(xs, self.input_dim)
-        return _add_noise(xs @ self.weights.T, xs, self.sigma, rng)
+        require_int("repeats", repeats, low=1)
+        out = np.empty((len(xs) * repeats, self.output_dim))
+        for rows, ys in self._noisy_blocks(xs, rng, repeats):
+            out[rows] = ys
+        return out
 
-    def encode_batch(self, xs, epsilon, rng):
-        """Encode each row of xs with fresh per-pass noise; returns (n, D) bits.
+    def encode_batch(self, xs, epsilon, rng, repeats=1):
+        """Encode each row of np.tile(xs, (repeats, 1)) with fresh per-pass
+        noise; returns (n * repeats, D) bits.
 
-        Each GEMM-aligned block of rows (80 at D = 3,136) is projected,
-        given its noise and thresholded in turn. The bits, and the stream's
-        final state, are those of
-        `binarize_batch(self.project_batch(xs, rng), epsilon)` wherever the
-        BLAS computes such row blocks bitwise as rows of one product.
-        OpenBLAS did at each D a multiple of 8 that was tried, the image
-        cells' case; at D = 300 a value can differ in its last bit, which
-        flips a bit only at a value within rounding of epsilon.
+        project_batch's blocks are thresholded in turn, so the bits, and the
+        stream's final state, are those of
+        `binarize_batch(self.project_batch(xs, rng, repeats), epsilon)`;
+        they are the tiled batch's at repeats = 1 wherever the BLAS computes
+        GEMM row blocks bitwise as rows of one product. OpenBLAS did at each
+        D a multiple of 8 that was tried, the image cells' case; at D = 300
+        a value can differ in its last bit, which flips a bit only at a
+        value within rounding of epsilon.
         """
-        def project(block):
-            return _add_noise(block @ self.weights.T, block, self.sigma, rng)
-        return _encode_blocks(project, xs, epsilon, self.input_dim, self.output_dim,
-                              block_size(self.output_dim, GEMM_ROWS))
+        return _encode_blocks(lambda xs: self._noisy_blocks(xs, rng, repeats), xs, epsilon,
+                              self.input_dim, self.output_dim, repeats)
 
 
 def project_streamed(x, output_dim, sigma, seed, rng):
@@ -228,16 +242,29 @@ def project_streamed(x, output_dim, sigma, seed, rng):
 
     Regenerates the projection from the same seeded stream new_random
     would use, so the result matches an in-memory encoder with identical
-    parameters. The weights are drawn one GEMV-aligned block at a time
-    into one buffer, so the working memory beyond the output vector stays
-    about a block (4 rows past 65,536 inputs) whatever the input length.
+    parameters. The uniform draws u are made one GEMV-aligned block at a
+    time into one buffer, so the working memory beyond the output vector
+    stays about a block (4 rows past 65,536 inputs) whatever the input
+    length. _INIT_INTERVAL is symmetric about 0, so each weight
+    low + (high - low) * u is exactly (high - low) * (u - 0.5): a block
+    gets one in-place subtraction before its GEMV, and the output one
+    scaling by high - low = 4, which, a power of two, is exact too.
     """
     require_finite("sigma", sigma, low=0)
     if np.ndim(x) != 1 or np.size(x) == 0:
         raise DimensionError("expected a nonempty 1-D input")
     x = require_batch([x], len(x))[0]
+    low, high = _INIT_INTERVAL
+    weights_rng = spawn_rng(seed, IdealEncoder._INIT_LABEL)
     y = np.empty(output_dim)
     step = block_size(x.size, GEMV_ROWS)
-    for rows, block in _weight_blocks(IdealEncoder._INIT_LABEL, seed, output_dim, x.size, step):
-        np.matmul(block, x, out=y[rows])
-    return _add_noise(y, x, sigma, rng)
+    buf = np.empty((min(step, output_dim), x.size))
+    for rows in block_slices(output_dim, step):
+        u = buf[:rows.stop - rows.start]
+        weights_rng.random(out=u)
+        u -= 0.5
+        np.matmul(u, x, out=y[rows])
+    y *= high - low
+    # one input's norm is a BLAS dot, a batch's (_noisy_blocks) a row-wise
+    # sum; the two can differ in the last bit, and both results are pinned
+    return _add_noise(y, np.linalg.norm(x), sigma, rng)

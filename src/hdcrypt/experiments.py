@@ -48,7 +48,7 @@ __all__ = [
     "ImageCellResult",
 ]
 
-# train / val / test character counts
+# train / val / test character counts; no validation set is drawn
 DESK_SIZES = (20_000, 5_000, 10_000)
 
 # no program path reads these; bench/workloads.py does (ROADMAP item 3)
@@ -100,12 +100,14 @@ def calibrate_text_epsilon(xbar, keys, master_seed):
 
 
 def make_text_datasets(xbar, keys, epsilon, sizes, master_seed):
-    """(train, val, test) labeled sets with independent derived streams."""
-    out = []
-    for name, n in zip(("train", "val", "test"), sizes):
-        rng = spawn_rng(master_seed, f"{name}-data")
-        out.append(build_dataset(n, keys, xbar, epsilon, rng))
-    return tuple(out)
+    """(train, test) labeled sets for sizes = (train, val, test), each
+    drawn from its own "<name>-data" stream. The closed-form fit reads no
+    validation set, so none is drawn; its size is checked but unread
+    until bench/workloads.py stops passing it (ROADMAP item 1)."""
+    n_train, n_val, n_test = sizes
+    require_int("n", n_val, low=1)
+    return tuple(build_dataset(n, keys, xbar, epsilon, spawn_rng(master_seed, f"{name}-data"))
+                 for name, n in (("train", n_train), ("test", n_test)))
 
 
 def train_text_system(xbar, keys, sizes, master_seed):
@@ -113,12 +115,11 @@ def train_text_system(xbar, keys, sizes, master_seed):
     (decoder.fit_naive_bayes), evaluate.
 
     The bits of one block are independent given the character, so the
-    naive-Bayes fit is already the Bayes-optimal linear decoder. The
-    validation set is still drawn, from its own stream, but nothing reads
-    it. Returns (model, epsilon, accuracy).
+    naive-Bayes fit is already the Bayes-optimal linear decoder, and no
+    validation set is drawn. Returns (model, epsilon, accuracy).
     """
     epsilon = calibrate_text_epsilon(xbar, keys, master_seed)
-    train_set, _, test_set = make_text_datasets(xbar, keys, epsilon, sizes, master_seed)
+    train_set, test_set = make_text_datasets(xbar, keys, epsilon, sizes, master_seed)
     model = fit_naive_bayes(*train_set, NUM_CLASSES)
     return model, epsilon, evaluate_accuracy(model, test_set)
 
@@ -259,6 +260,7 @@ class ExperimentSpec:
     multipliers: tuple = (25, 50, 100)
     sigmas: tuple = (0.1, 0.4, 0.7)
     train_size: int = DESK_SIZES[0]
+    # checked but unread: no validation set is drawn (make_text_datasets)
     val_size: int = DESK_SIZES[1]
     test_size: int = DESK_SIZES[2]
     master_seed: int = 0
@@ -407,12 +409,15 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
     Because every encoding pass draws fresh noise, each training image is
     encoded IMAGE_ENCODE_REPEATS times; the decoder then sees the noise
     distribution rather than one sample of it, which matters when the
-    expanded dimension exceeds the image count. Validation and test
-    images are encoded once, matching how a receiver decodes.
+    expanded dimension exceeds the image count. The encoder's `repeats`
+    projects each image once; the tiled training images remain only as
+    the ridge targets. Validation and test images are encoded once,
+    matching how a receiver decodes.
 
     The decoder is ridge regression on the raw encoder outputs, its
     penalty chosen on the validation images; decoder.ridge_predict
-    returns its test predictions without forming its weights. `train_cfg`
+    returns its test predictions without forming its weights, from a
+    tridiagonal reduction of the Gram matrix. `train_cfg`
     is never read, and callers may pass None; bench/workloads.py still
     passes one positionally (ROADMAP item 3).
     """
@@ -444,8 +449,9 @@ def run_image_cell(train_images, test_images, sigma, train_cfg, master_seed,
     else:
         enc = BenchmarkEncoder.new_random(k, sigma, derive_seed(master_seed, "encoder"))
         encode = enc.project_batch
-    X, X_val, X_test = (encode(x, rng=spawn_rng(master_seed, f"{name}-data")) for name, x in
-                        (("train", repeated), ("val", val_flats), ("test", test_flats)))
+    X, X_val, X_test = (encode(x, rng=spawn_rng(master_seed, f"{name}-data"), repeats=repeats)
+                        for name, x, repeats in (("train", train_flats, IMAGE_ENCODE_REPEATS),
+                                                 ("val", val_flats, 1), ("test", test_flats, 1)))
     pred = ridge_predict(X, repeated, (X_val, val_flats), X_test)
     np.clip(pred, 0.0, 1.0, out=pred)
     rmse = float(np.sqrt(np.mean((pred - test_flats) ** 2)))

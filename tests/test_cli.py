@@ -11,7 +11,7 @@ import pytest
 import hdcrypt
 from hdcrypt import cli
 from hdcrypt.cli import main
-from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder, save_model
+from hdcrypt.decoder import HEAD_SOFTMAX, LinearDecoder, load_model, save_model
 from hdcrypt.experiments import ExperimentReport, ExperimentSpec, ReportRow
 from hdcrypt.imageio import IDX_IMAGES_MAGIC, write_pgm
 from hdcrypt.textcrypto import SecretKeyTable
@@ -43,6 +43,13 @@ def test_round_trip_through_files(artifacts, tmp_path, capsys):
     assert main(["decrypt", "--model", str(artifacts["model"]),
                  "--in", str(ct), "--out", str(out)]) == 0
     assert out.read_text(encoding="ascii") == "Hello, World!"
+
+
+def test_resaved_train_text_model_keeps_every_byte(artifacts, tmp_path):
+    copy = tmp_path / "resaved.json"
+    save_model(copy, *load_model(artifacts["model"]))
+    assert copy.read_bytes() == artifacts["model"].read_bytes()
+    assert json.loads(copy.read_text())["seed"] == 13
 
 
 def test_round_trip_empty_file(artifacts, tmp_path):

@@ -17,7 +17,7 @@ from hdcrypt.decoder import (HEAD_REGRESSION, HEAD_SOFTMAX,
                              _batch_loss_grads, _mean_nll, _sgd_step,
                              _softmax)
 from hdcrypt.encoder import threshold_binarize
-from hdcrypt.errors import (ConfigError, DimensionError,
+from hdcrypt.errors import (ConfigError, DataFormatError, DimensionError,
                             TrainingDivergedError)
 from hdcrypt.rng import spawn_rng
 from hdcrypt.textcrypto import evaluate_accuracy
@@ -528,9 +528,9 @@ def _float64_eigh_choice(X, Y, Xv, Yv):
                           for lam in lambdas]))
 
 
-# ridge_predict eigendecomposes in float32 (unit rounding 6e-8): its
-# predictions stay within this fraction of the largest float64 oracle
-# prediction (3e-7 to 9e-7 on these problems); the next grid penalty's
+# ridge_predict reduces the Gram matrix in float32 (unit rounding 6e-8):
+# its predictions stay within this fraction of the largest float64 oracle
+# prediction (9e-8 to 1.9e-7 on these problems); the next grid penalty's
 # predictions are 3e-2 or more away
 _F32_PREDICTION_RTOL = 1e-5
 
@@ -549,6 +549,20 @@ def test_fit_ridge_is_the_normal_equations_at_the_best_grid_penalty(n, d):
         # the predictions of the grid penalty the float64 oracles pick, and of no other
         assert [np.allclose(got, p, rtol=0, atol=atol) for p in preds] == \
             [j == best for j in range(len(preds))]
+
+
+@pytest.mark.parametrize("n, d", [(40, 1), (2, 5)], ids=["primal-order-1", "dual-order-2"])
+def test_fit_ridge_at_gram_orders_one_and_two(n, d):
+    # no Householder reflector (order 1) and one (order 2): the tridiagonal
+    # path still gives the float64 normal equations' predictions at the
+    # penalty the float64 eigendecomposition picks
+    (X, Y), (Xv, Yv), Xt = _ridge_problem(n, d)
+    _, preds = _normal_equations(X, Y, Xv, Yv, Xt)
+    expected = preds[_float64_eigh_choice(X, Y, Xv, Yv)]
+    for dtype in (np.uint8, np.float64):
+        got = ridge_predict(X.astype(dtype), Y, (Xv.astype(dtype), Yv), Xt.astype(dtype))
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=_F32_PREDICTION_RTOL * np.abs(expected).max())
 
 
 def test_fit_ridge_of_constant_features_predicts_the_mean_target():
@@ -604,6 +618,21 @@ def test_fit_ridge_on_bits_holds_no_float_copy_of_the_features(n, d, dtype):
         tracemalloc.stop()
     # bits: no float32 copy of X; float64 features: no centered copy of X
     assert peak < n * d * np.dtype(np.float32 if dtype == np.uint8 else dtype).itemsize
+
+
+@pytest.mark.parametrize("n, d", [(160, 10_000), (20_000, 100)], ids=["dual", "primal"])
+def test_fit_ridge_widens_fortran_ordered_float_features_in_blocks(n, d):
+    # C-ordered float64 features are read in place; a Fortran-ordered
+    # copy, which BLAS would copy whole, is read a block at a time
+    (X, Y), (Xv, Yv), Xt = _ridge_problem(n, d)
+    X = np.asfortranarray(X, dtype=np.float64)
+    tracemalloc.start()
+    try:
+        ridge_predict(X, Y, (Xv, Yv), Xt.astype(np.float64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes
 
 
 @pytest.mark.parametrize("block_bytes", [blocks._BLOCK_BYTES, 1 << 14], ids=["default", "small"])
@@ -774,11 +803,11 @@ def test_model_file_roundtrip(tmp_path):
     save_model(path, model, epsilon=1.25e-4, seed=42)
     doc = json.loads(path.read_text())
     assert doc["train_config"] is None and doc["seed"] == 42
-    loaded, epsilon = load_model(path)
+    loaded, epsilon, seed = load_model(path)
     assert loaded.head == HEAD_SOFTMAX
     assert np.array_equal(loaded.weights, model.weights)
     assert np.array_equal(loaded.bias, model.bias)
-    assert epsilon == 1.25e-4
+    assert epsilon == 1.25e-4 and seed == 42
 
 
 def test_model_file_with_an_sgd_config_still_loads(tmp_path):
@@ -790,9 +819,19 @@ def test_model_file_with_an_sgd_config_still_loads(tmp_path):
     doc["train_config"] = {"learning_rate": 0.05, "batch_size": 64, "max_epochs": 120,
                            "patience": 5, "min_delta": 1e-4, "seed": 0}
     path.write_text(json.dumps(doc))
-    loaded, epsilon = load_model(path)
+    loaded, epsilon, seed = load_model(path)
     assert loaded.weights.tobytes() == model.weights.tobytes()
-    assert epsilon == 0.5
+    assert epsilon == 0.5 and seed == 7
+
+
+@pytest.mark.parametrize("seed", ["13", -1, True, 1.5])
+def test_model_file_seed_must_be_a_nonnegative_integer(tmp_path, seed):
+    path = tmp_path / "model.json"
+    save_model(path, LinearDecoder(np.eye(2, 3), np.zeros(2), HEAD_SOFTMAX), seed=7)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "seed": seed}))
+    with pytest.raises(DataFormatError, match="'seed' must be an integer >= 0"):
+        load_model(path)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))

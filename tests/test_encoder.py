@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdcrypt import blocks
-from hdcrypt.blocks import _BLOCK_BYTES, GEMM_ROWS, block_size
+from hdcrypt.blocks import _BLOCK_BYTES, GEMM_ROWS, GEMV_ROWS, block_size, block_slices
 from hdcrypt.crossbar import Crossbar, CrossbarConfig
 from hdcrypt.encoder import (IdealEncoder, binarize_batch, calibrate_epsilon,
                              crossbar_pre_threshold_batch, encode_crossbar_batch,
@@ -359,6 +359,39 @@ def test_ideal_encoding_checks_input_and_threshold_before_any_draw(bad):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("make", [
+    lambda: IdealEncoder.new_random(784, 4, sigma=1.0, seed=55),    # D = 3,136: 80-row blocks
+    lambda: BenchmarkEncoder.new_random(784, sigma=1.0, seed=56),   # D = 784: 320-row blocks
+], ids=["ideal", "benchmark"])
+def test_repeats_equal_the_tiled_batch_bitwise(make):
+    # an image cell's 270 training images, 4 copies each: a block of the
+    # tiled rows straddles the boundary between the first two copies
+    enc = make()
+    xs = spawn_rng(57, "xs").uniform(0, 1, (270, enc.input_dim))
+    tiled = np.tile(xs, (4, 1))
+    step = block_size(enc.output_dim, GEMM_ROWS)
+    assert any(s.start < 270 < s.stop for s in block_slices(len(tiled), step))
+    for label, call in (("project", lambda x, rng, **kw: enc.project_batch(x, rng, **kw)),
+                        ("encode", lambda x, rng, **kw: enc.encode_batch(x, 0.1, rng, **kw))):
+        stream, oracle = spawn_rng(58, label), spawn_rng(58, label)
+        got = call(xs, stream, repeats=4)
+        expected = call(tiled, oracle)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert stream.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("repeats", [0, -1, 2.5, True])
+def test_repeats_are_checked_before_any_draw(repeats):
+    enc = IdealEncoder.new_random(4, 2, sigma=0.5, seed=59)
+    rng = spawn_rng(60, "s")
+    before = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="^repeats: "):
+        enc.project_batch(np.ones((3, 4)), rng, repeats=repeats)
+    with pytest.raises(ConfigError, match="^repeats: "):
+        enc.encode_batch(np.ones((3, 4)), 0.0, rng, repeats=repeats)
+    assert rng.bit_generator.state == before
+
+
 def test_ideal_encoding_memory_stays_near_bit_output_size():
     enc = IdealEncoder.new_random(64, 50, sigma=1.0, seed=52)     # D = 3,200
     xs = spawn_rng(53, "xs").uniform(0, 1, (2_000, 64))
@@ -436,6 +469,21 @@ def test_streamed_projection_is_independent_of_block_budget(monkeypatch):
         outputs.append(project_streamed(x, 4002, 0.8, 42, spawn_rng(43, "s")))
     for y in outputs[1:]:
         assert np.array_equal(y, outputs[0])
+
+
+def test_streamed_projection_is_the_gemv_of_each_drawn_weight_block():
+    # oracle: each GEMV-aligned block of weights materialized as
+    # low + (high - low) * u = 4u - 2 from the encoder's seeded stream
+    x = spawn_rng(61, "x").uniform(0, 1, 300)
+    rows = 1000     # two blocks of 872 and 128 rows
+    u = spawn_rng(62, IdealEncoder._INIT_LABEL).random((rows, x.size))
+    w = -2.0 + 4.0 * u
+    clean = np.concatenate([w[block] @ x for block in
+                            block_slices(rows, block_size(x.size, GEMV_ROWS))])
+    assert np.array_equal(project_streamed(x, rows, 0.0, 62, spawn_rng(63, "s")), clean)
+    noise = spawn_rng(63, "s").standard_normal(rows)
+    assert np.array_equal(project_streamed(x, rows, 0.5, 62, spawn_rng(63, "s")),
+                          clean + 0.5 * np.linalg.norm(x) * noise)
 
 
 def test_streamed_projection_checks_its_input():

@@ -285,6 +285,19 @@ def test_image_cell_returns_clipped_reconstructions_and_builds_no_decoder(monkey
         assert result.rmse < 0.2
 
 
+def test_image_cell_with_two_training_images_reconstructs_the_trained_one():
+    # one image is held out, so the ridge fit sees four encodings of the
+    # other: a dual fit of order 4 whose centered targets are all zero, and
+    # which predicts that image for every test image at any penalty
+    images, _ = synthetic_digits(5, seed=7)
+    for pipeline in IMAGE_PIPELINES:
+        result, recon, _ = run_image_cell(images[:2], images[2:], 1.0, None, 8,
+                                          pipeline=pipeline)
+        np.testing.assert_allclose(recon, np.broadcast_to(images[0], recon.shape),
+                                   rtol=0, atol=1e-12)
+        assert np.isfinite(result.rmse)
+
+
 def test_image_cell_multiplier_monotonic_reconstruction():
     # trend oracle: same seeds, reconstruction improves with expansion;
     # pooled to 14x14 so training data covers the largest model
@@ -316,7 +329,7 @@ def test_nothing_trains_by_sgd(monkeypatch, tmp_path):
     keys = SecretKeyTable.new_random(5, 32)
     sizes = (600, 100, 200)
     model, epsilon, _ = train_text_system(xbar, keys, sizes, master_seed=33)
-    train_set, _, _ = make_text_datasets(xbar, keys, epsilon, sizes, 33)
+    train_set, _ = make_text_datasets(xbar, keys, epsilon, sizes, 33)
     expected = fit_naive_bayes(*train_set, NUM_CLASSES)
     assert model.weights.tobytes() == expected.weights.tobytes()
     assert model.bias.tobytes() == expected.bias.tobytes()

@@ -28,7 +28,7 @@ def test_save_writes_the_bytes_json_dump_writes(tmp_path):
             fh.write("\n")
         assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
     # the awkward floats come back exactly, the sign of zero included
-    back, epsilon = load_model(tmp_path / "m.json")
+    back, epsilon, _ = load_model(tmp_path / "m.json")
     assert back.weights.tobytes() == weights.tobytes()
     assert back.bias.tobytes() == model.bias.tobytes()
     assert np.copysign(1.0, epsilon) == -1.0
@@ -37,8 +37,7 @@ def test_save_writes_the_bytes_json_dump_writes(tmp_path):
 def _small_artifacts():
     """One small artifact of each format: a `save(path)` that writes it,
     the format's `load(path)`, and a `resave(loaded, path)` that writes
-    what `load` returned. load_model returns no seed, so the model's
-    resave passes the one it was saved with."""
+    what `load` returned."""
     xbar = Crossbar.new_random(CrossbarConfig(rows=2, cols=3, r_lrs=1e3, r_hrs=1e4,
                                               sigma_frac=0.1, p_stuck_on=0.1,
                                               p_stuck_off=0.1, seed=1))
@@ -54,7 +53,7 @@ def _small_artifacts():
         "crossbar": (xbar.save, Crossbar.load, Crossbar.save),
         "secret-keys": (keys.save, SecretKeyTable.load, SecretKeyTable.save),
         "linear-decoder": (lambda path: save_model(path, model, epsilon=0.5, seed=3), load_model,
-                           lambda loaded, path: save_model(path, *loaded, seed=3)),
+                           lambda loaded, path: save_model(path, *loaded)),
         "experiment-spec": (spec.save, ExperimentSpec.load, ExperimentSpec.save),
         "experiment-report": (lambda path: report.save(json_path=path), ExperimentReport.load,
                               lambda loaded, path: loaded.save(json_path=path)),
