@@ -312,9 +312,10 @@ def ridge_predict(features, targets, val_set, test_features):
                                          dtype)
     m = len(gram)
     lambdas = _RIDGE_GRID * (np.trace(gram, dtype=np.float64) / d or 1.0)
-    # R^T and the prediction rows, float32 and Fortran-ordered for sormqr;
-    # each float64 source is freed before the next copy is made
-    Rt = (Y - y_mean if rhs is None else rhs).astype(np.float32).T
+    # R^T and the prediction rows, float32 and Fortran-ordered whatever the
+    # targets' layout, so sormqr updates them in place; each float64 source
+    # is freed before the next copy is made
+    Rt = (Y - y_mean if rhs is None else rhs).astype(np.float32, order="C").T
     del rhs
     side = np.asfortranarray(side, dtype=np.float32)
     # the Gram matrix is exactly symmetric, so its transpose, which is

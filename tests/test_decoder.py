@@ -565,6 +565,19 @@ def test_fit_ridge_at_gram_orders_one_and_two(n, d):
                                    atol=_F32_PREDICTION_RTOL * np.abs(expected).max())
 
 
+@pytest.mark.parametrize("n, d", [(30, 60), (50, 30)], ids=["dual", "primal"])
+def test_fit_ridge_reads_targets_of_any_layout(n, d):
+    # the reflectors apply in place to R^T, which a Fortran-ordered or
+    # transposed copy of the targets must not leave untouched
+    (X, Y), (Xv, Yv), Xt = _ridge_problem(n, d)
+    _, preds = _normal_equations(X, Y, Xv, Yv, Xt)
+    expected = preds[_float64_eigh_choice(X, Y, Xv, Yv)]
+    for targets in (np.asfortranarray(Y), np.ascontiguousarray(Y.T).T):
+        got = ridge_predict(X, targets, (Xv, Yv), Xt)
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=_F32_PREDICTION_RTOL * np.abs(expected).max())
+
+
 def test_fit_ridge_of_constant_features_predicts_the_mean_target():
     (_, Y), (_, Yv), _ = _ridge_problem(30, 4)
     X = np.ones((30, 4))
